@@ -16,7 +16,7 @@ def main():
     if args.double:
         scens = [dataclasses.replace(sc, opts=harness.doubled_opts(sc.opts))
                  for sc in scens]
-    reports = harness.run_many(scens)
+    reports = [harness.run_scenario(sc) for sc in scens]
     for rep in reports:
         if rep.error is not None:
             print(f"{rep.name}: ERROR {rep.error}")

@@ -25,7 +25,6 @@ from .core import (
     pair_unitary,
     normalize_metric,
     boxplus,
-    boxplus_pair,
     diagonal_subspace,
 )
 from .flow import spectral_flow, spectral_projection, FlowOpts, CrossingReport
@@ -59,7 +58,6 @@ __all__ = [
     "pair_unitary",
     "normalize_metric",
     "boxplus",
-    "boxplus_pair",
     "diagonal_subspace",
     "spectral_flow",
     "spectral_projection",

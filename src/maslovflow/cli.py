@@ -536,9 +536,9 @@ def _write_report_files(outdir, rep):
 
 def cmd_verify(args):
     scenarios = [_load(ref) for ref in args.config]
-    reports = harness.run_many(scenarios)
     status = 0
-    for rep in reports:
+    for sc in scenarios:
+        rep = harness.run_scenario(sc)
         if args.out:
             _write_report_files(args.out, rep)
         if rep.error is not None:

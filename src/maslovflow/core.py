@@ -43,9 +43,7 @@ from .errors import (
 # the matrix norm with an absolute floor.
 TAU_RANK = 1e-8
 TAU_SYM = 1e-10
-TAU_ORTH = 1e-10
 TAU_UNIT = 1e-8
-TAU_PHASE = 1e-8
 
 
 def _as_complex_matrix(a):
@@ -261,10 +259,6 @@ def classify(space, sub):
     return SubspaceClass.GENERAL
 
 
-def is_lagrangian(space, sub):
-    return classify(space, sub) is SubspaceClass.LAGRANGIAN
-
-
 def isotropy_residual(space, sub):
     """max |omega(f_i, f_j)| over an orthonormal frame of the subspace."""
     if sub.dim == 0:
@@ -313,16 +307,12 @@ class Splitting:
 
     ``plus``/``minus`` carry Euclidean-orthonormal frames; ``hframe_plus``
     and ``hframe_minus`` span the same subspaces but are orthonormal for the
-    metrics ``h_+ = -i omega`` and ``h_- = +i omega``.  ``projection`` is the
-    projection onto ``plus`` along ``minus``.
+    metrics ``h_+ = -i omega`` and ``h_- = +i omega``.
     """
 
     space: SymplecticSpace
     plus: Subspace
     minus: Subspace
-    projection: np.ndarray
-    metric_plus: np.ndarray
-    metric_minus: np.ndarray
     hframe_plus: np.ndarray
     hframe_minus: np.ndarray
 
@@ -388,9 +378,6 @@ def make_splitting(space, metric=None):
     plus = subspace_from_span(vecs[:, pos]) if pos.any() else Subspace(np.zeros((n, 0), complex))
     neg = ~pos
     minus = subspace_from_span(vecs[:, neg]) if neg.any() else Subspace(np.zeros((n, 0), complex))
-    # Projection onto plus along minus via coordinates in the joint frame.
-    basis = np.hstack([plus.frame, minus.frame])
-    proj = np.hstack([plus.frame, np.zeros((n, minus.dim), complex)]) @ la.inv(basis)
     gram_plus = -1j * space.omega(plus.frame, plus.frame) if plus.dim else np.zeros((0, 0), complex)
     gram_minus = 1j * space.omega(minus.frame, minus.frame) if minus.dim else np.zeros((0, 0), complex)
     hplus = _h_orthonormalize(plus.frame, gram_plus) if plus.dim else plus.frame
@@ -399,9 +386,6 @@ def make_splitting(space, metric=None):
         space=space,
         plus=plus,
         minus=minus,
-        projection=proj,
-        metric_plus=gram_plus,
-        metric_minus=gram_minus,
         hframe_plus=hplus,
         hframe_minus=hminus,
     )
@@ -523,13 +507,6 @@ def diagonal_subspace(n):
     """The diagonal {(x, x)} in C^n (+) C^n."""
     f = np.vstack([np.eye(n, dtype=complex), np.eye(n, dtype=complex)]) / np.sqrt(2.0)
     return Subspace(frame=f)
-
-
-def boxplus_pair(space, lam, mu):
-    """Package two Lagrangians of (H, omega) as the pair
-    ``(lam x mu, diagonal)`` in ``H (+) H`` with flipped second form."""
-    big = boxplus(space, space)
-    return big, boxplus_subspace(lam, mu), diagonal_subspace(space.dim)
 
 
 def require_hermitian(a, name="matrix"):

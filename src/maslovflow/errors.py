@@ -49,11 +49,6 @@ class SpectrumOnBoundary(MaslovFlowError):
     projection, so the projection is ill-defined."""
 
 
-class CoordOnWindowBoundary(MaslovFlowError):
-    """A crossing coordinate falls within the safety margin of a window
-    edge and no admissible window exists at this refinement depth."""
-
-
 class UnresolvedFamily(MaslovFlowError):
     """Adaptive bisection hit its depth limit without finding an
     admissible window; the family is too wild at the reported segment."""

@@ -46,7 +46,6 @@ __all__ = [
     "evaluate",
     "unparse",
     "variables",
-    "compile_expression",
 ]
 
 _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
@@ -273,12 +272,6 @@ def variables(node):
     if isinstance(node, Call):
         return variables(node.arg)
     return set()
-
-
-def compile_expression(src):
-    """Parse once, return a ``f(s, t)`` callable."""
-    tree = parse(src)
-    return lambda s, t: evaluate(tree, s, t)
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg as la
@@ -47,20 +46,11 @@ class LineKind(Enum):
 
 @dataclass
 class FlowOpts:
-    """Tuning knobs for the crossing engine.
-
-    ``delta_max``, ``eta`` and ``tau_zero`` default to fixed fractions of the
-    coordinate scale (the largest |coordinate| seen on the initial uniform
-    samples): 0.25, 1e-6 and 1e-9 respectively.
-    """
+    """Partition of the crossing engine: the number of uniform segments it
+    starts from and how many times it may bisect one of them."""
 
     initial_segments: int = 16
     max_depth: int = 12
-    delta_max: Optional[float] = None
-    eta: Optional[float] = None
-    tau_zero: Optional[float] = None
-    tau_unit: float = TAU_UNIT
-    trace_path: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -242,6 +232,9 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
     opts : FlowOpts, optional
     scale : float, optional
         Coordinate scale; measured from the initial samples when omitted.
+        The largest window half-width, the smallest coordinate movement a
+        window wall must clear, and the kernel tolerance are 0.25, 1e-6
+        and 1e-9 times the scale.
     circular : bool
         True when the coordinates are angles on (-pi, pi] (eigenphases), so
         that coordinate movement is measured around the circle.
@@ -268,9 +261,9 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
     if scale is None:
         top = max((float(np.abs(c).max()) for c in cache.values() if c.size), default=0.0)
         scale = top if top > 0 else 1.0
-    delta_max = opts.delta_max if opts.delta_max is not None else 0.25 * scale
-    eta = opts.eta if opts.eta is not None else 1e-6 * scale
-    tau_zero = opts.tau_zero if opts.tau_zero is not None else 1e-9 * scale
+    delta_max = 0.25 * scale
+    eta = 1e-6 * scale
+    tau_zero = 1e-9 * scale
     floor = max(4.0 * eta, 10.0 * tau_zero)
 
     report = CrossingReport(scale=scale, samples=cache)
@@ -324,8 +317,6 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
         total += seg.contribution
     report.segments.sort(key=lambda seg: seg.s_left)
     report.total = total
-    if opts.trace_path:
-        report.write_trace(opts.trace_path)
     return total, report
 
 
@@ -333,7 +324,7 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
 # Coordinate extraction for the two line kinds
 # ---------------------------------------------------------------------------
 
-def eigenphases(u, tau_unit=TAU_UNIT):
+def eigenphases(u):
     """Eigenphases of a unitary matrix, wrapped to (-pi, pi], ascending.
 
     Eigenvalues come from the complex Schur form, which stays backward
@@ -342,8 +333,8 @@ def eigenphases(u, tau_unit=TAU_UNIT):
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
     resid = float(np.abs(u.conj().T @ u - np.eye(n)).max()) if n else 0.0
-    if resid > tau_unit:
-        raise NotUnitary(f"unitarity residual {resid:.3e} exceeds {tau_unit:.3e}")
+    if resid > TAU_UNIT:
+        raise NotUnitary(f"unitarity residual {resid:.3e} exceeds {TAU_UNIT:.3e}")
     if n == 0:
         return np.empty(0)
     t, _ = la.schur(u, output="complex")
@@ -377,7 +368,6 @@ def spectral_flow(family, kind, interval, opts=None):
     -------
     (int, CrossingReport)
     """
-    opts = opts or FlowOpts()
     kind = LineKind(kind)
     if kind is LineKind.REAL_AXIS_AT_ZERO:
         def sampler(s):
@@ -385,7 +375,7 @@ def spectral_flow(family, kind, interval, opts=None):
             return la.eigvalsh(m)
     else:
         def sampler(s):
-            return eigenphases(family(s), tau_unit=opts.tau_unit)
+            return eigenphases(family(s))
     return flow_from_sampler(
         sampler, interval, opts, circular=kind is LineKind.UNIT_CIRCLE_AT_ONE
     )

@@ -15,11 +15,9 @@ trial by trial, regardless of which suites are selected.
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 import numpy.linalg as nla
@@ -91,9 +89,6 @@ class VerificationReport:
         if self.error is not None:
             d["error"] = self.error
         return d
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def doubled_opts(opts):
@@ -186,25 +181,6 @@ def run_scenario(sc, opts=None):
         )
     report.wall_ms = 1000.0 * (time.perf_counter() - start)
     return report
-
-
-def run_many(scenarios, threads=None):
-    """Run scenarios concurrently; reports come back in input order.
-
-    Worker count defaults to MASLOVFLOW_THREADS when set, else one worker
-    per scenario capped at 4.
-    """
-    scenarios = list(scenarios)
-    if not scenarios:
-        return []
-    if threads is None:
-        env = os.environ.get("MASLOVFLOW_THREADS", "")
-        threads = int(env) if env.strip() else min(4, len(scenarios))
-    threads = max(1, int(threads))
-    if threads == 1:
-        return [run_scenario(sc) for sc in scenarios]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run_scenario, scenarios))
 
 
 # ---------------------------------------------------------------------------

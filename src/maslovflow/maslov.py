@@ -22,7 +22,7 @@ the cheapest interesting consistency check the theory offers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as la
@@ -41,12 +41,15 @@ from .core import (
     subspace_from_span,
 )
 from .errors import Degenerate, NonUnitaryGenerator, NotLagrangianReal, NotSkewHermitian
-from .flow import FlowOpts, LineKind, eigenphases, flow_from_sampler, unit_circle_residual
+from .flow import eigenphases, flow_from_sampler, unit_circle_residual
 
 
 def _as_space_fun(j):
     if callable(j):
-        return lambda s: j(s) if isinstance(j(s), core.SymplecticSpace) else make_space(j(s))
+        def fun(s):
+            v = j(s)
+            return v if isinstance(v, core.SymplecticSpace) else make_space(v)
+        return fun
     space = j if isinstance(j, core.SymplecticSpace) else make_space(j)
     return lambda s: space
 
@@ -157,7 +160,6 @@ def maslov_index(path, opts=None, metric=None):
         The report's ``extras`` carry the worst isotropy and unit-circle
         residuals seen along the path.
     """
-    opts = opts or FlowOpts()
     split_at = _splitting_fun(metric)
     stats = {"isotropy_residual": 0.0, "unit_circle_residual": 0.0}
 
@@ -171,7 +173,7 @@ def maslov_index(path, opts=None, metric=None):
         v = graph_rep(space, splitting, mu).matrix
         w = u @ v.conj().T
         stats["unit_circle_residual"] = max(stats["unit_circle_residual"], unit_circle_residual(w))
-        return eigenphases(w, tau_unit=opts.tau_unit)
+        return eigenphases(w)
 
     total, report = flow_from_sampler(sampler, path.interval, opts, circular=True)
     report.extras.update(stats)
@@ -187,7 +189,6 @@ def maslov_index_block(path, opts=None):
     touches.  This shares no counting code path with the product formula
     beyond the generic engine.
     """
-    opts = opts or FlowOpts()
 
     def sampler(s):
         space, lam, mu = path.sampler(s)
@@ -198,7 +199,7 @@ def maslov_index_block(path, opts=None):
         block = np.zeros((2 * k, 2 * k), dtype=complex)
         block[:k, k:] = u
         block[k:, :k] = v.conj().T
-        return eigenphases(block, tau_unit=opts.tau_unit)
+        return eigenphases(block)
 
     return flow_from_sampler(sampler, path.interval, opts, circular=True)
 
@@ -338,7 +339,6 @@ def complexify_and_compare(data, opts=None, residual_samples=33):
         with ``residual`` the worst entrywise bridge mismatch over a uniform
         grid of ``residual_samples`` parameter values.
     """
-    opts = opts or FlowOpts()
     j = np.asarray(data.j, dtype=float)
     n = j.shape[0]
     if np.abs(j + j.T).max() > 1e-10:
@@ -356,7 +356,7 @@ def complexify_and_compare(data, opts=None, residual_samples=33):
 
     def generator_sampler(s):
         _, smat = real_generator(j, q, mu_at(s))
-        return eigenphases(-smat.conj(), tau_unit=opts.tau_unit)
+        return eigenphases(-smat.conj())
 
     mas_bf, _ = flow_from_sampler(generator_sampler, data.interval, opts, circular=True)
 

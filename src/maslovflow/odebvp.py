@@ -40,8 +40,7 @@ identities this package exists to check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,7 +64,7 @@ from .errors import (
     WindowBoundaryEigenvalue,
 )
 from .flow import FlowOpts, flow_from_sampler
-from .maslov import PairPath, maslov_index
+from .maslov import PairPath, _as_subspace_fun, maslov_index
 
 TOL_ODE = 1e-8  # symplectic transport budget at the default 2048 steps
 
@@ -147,15 +146,13 @@ class _ShootingSystem:
     detected and integrated exactly with the matrix exponential.
     """
 
-    def __init__(self, c0, c1, T, steps, j0=None, jT=None):
+    def __init__(self, c0, c1, T, steps):
         self.c0 = c0
         self.c1 = c1
         self.T = float(T)
         self.steps = int(steps)
         self.h = self.T / self.steps
         self.d = c0.shape[1]
-        self.j0 = j0
-        self.jT = jT
         dev0 = float(np.abs(c0 - c0[0]).max())
         dev1 = float(np.abs(c1 - c1[0]).max())
         ref = 1.0 + float(max(np.abs(c0).max(), np.abs(c1).max()))
@@ -165,23 +162,14 @@ class _ShootingSystem:
         """Fundamental solutions at T for a batch of shooting parameters.
 
         Returns ``(L, d, d)``, or ``(steps + 1, L, d, d)`` when
-        ``checkpoints`` is set (values at every grid time).
+        ``checkpoints`` is set (values at every grid time, always from the
+        RK4 grid; only the endpoint of a constant system is exact).
         """
         lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-        if self.const:
-            if not checkpoints:
-                return np.stack(
-                    [la.expm((self.c0[0] + lam * self.c1[0]) * self.T) for lam in lams]
-                )
-            out = np.empty((self.steps + 1, len(lams), self.d, self.d), dtype=complex)
-            for i, lam in enumerate(lams):
-                e = la.expm((self.c0[0] + lam * self.c1[0]) * self.h)
-                x = np.eye(self.d, dtype=complex)
-                out[0, i] = x
-                for k in range(self.steps):
-                    x = e @ x
-                    out[k + 1, i] = x
-            return out
+        if self.const and not checkpoints:
+            return np.stack(
+                [la.expm((self.c0[0] + lam * self.c1[0]) * self.T) for lam in lams]
+            )
         return self._rk4(lams, checkpoints)
 
     def _rk4(self, lams, checkpoints):
@@ -241,7 +229,7 @@ def _build_first_order(fam, s, steps):
     jinv = np.linalg.inv(jg)
     c0 = -jinv @ (bg + 0.5 * jd)
     c1 = -jinv
-    return _ShootingSystem(c0, c1, fam.T, steps, j0=jg[0].copy(), jT=jg[-1].copy())
+    return _ShootingSystem(c0, c1, fam.T, steps)
 
 
 def _build_second_order(fam, s, steps):
@@ -269,45 +257,17 @@ def _build_second_order(fam, s, steps):
     return _ShootingSystem(c0, c1, fam.T, steps)
 
 
-@lru_cache(maxsize=32)
-def _system_cached(fam, s, steps):
-    if isinstance(fam, FirstOrderFamily):
-        return _build_first_order(fam, s, steps)
-    if isinstance(fam, SecondOrderFamily):
-        return _build_second_order(fam, s, steps)
-    raise TypeError(f"unsupported family type {type(fam).__name__}")
-
-
 def _system(fam, s, steps):
-    return _system_cached(fam, float(s), int(steps))
+    if isinstance(fam, FirstOrderFamily):
+        return _build_first_order(fam, float(s), int(steps))
+    if isinstance(fam, SecondOrderFamily):
+        return _build_second_order(fam, float(s), int(steps))
+    raise TypeError(f"unsupported family type {type(fam).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # Public building blocks
 # ---------------------------------------------------------------------------
-
-def reduce_second_order(fam, s, lam=0.0):
-    """The Hermitian Hamiltonian coefficient b_{s,lambda}(t) of the reduced
-    first-order system ``u' = J b u``, as a callable in t."""
-    m = fam.m
-
-    def b_of_t(t):
-        p = np.asarray(fam.p(s, t), dtype=complex).reshape(m, m)
-        q = np.asarray(fam.q(s, t), dtype=complex).reshape(m, m)
-        r = np.asarray(fam.r(s, t), dtype=complex).reshape(m, m)
-        sv = la.svdvals(p)
-        if sv[-1] <= 1e-12 * sv[0]:
-            raise SingularP(f"p(s={s:.6g}, t={t:.6g}) numerically singular")
-        pinv = la.inv(p)
-        out = np.zeros((2 * m, 2 * m), dtype=complex)
-        out[:m, :m] = pinv
-        out[:m, m:] = -pinv @ q
-        out[m:, :m] = -q.conj().T @ pinv
-        out[m:, m:] = q.conj().T @ pinv @ q - (r - lam * np.eye(m))
-        return out
-
-    return b_of_t
-
 
 def transfer_matrix(fam, s, lam=0.0, steps=2048):
     """Fundamental solution at t = T for one (s, lambda).
@@ -358,21 +318,6 @@ def graph_subspace(gamma):
     return subspace_from_span(np.vstack([np.eye(d, dtype=complex), gamma]))
 
 
-def trace_map_second(fam, s, x0, dx0, xT, dxT):
-    """Boundary trace (u(0), u(T)) of second-order data, u = (p x' + q x, x).
-
-    The components are ordered (momentum(0), position(0), momentum(T),
-    position(T)); Dirichlet data therefore lands in {(a, 0, c, 0)}.
-    """
-    m = fam.m
-    x0, dx0, xT, dxT = (np.asarray(v, dtype=complex).reshape(m) for v in (x0, dx0, xT, dxT))
-    p0 = np.asarray(fam.p(s, 0.0), dtype=complex).reshape(m, m)
-    q0 = np.asarray(fam.q(s, 0.0), dtype=complex).reshape(m, m)
-    pT = np.asarray(fam.p(s, fam.T), dtype=complex).reshape(m, m)
-    qT = np.asarray(fam.q(s, fam.T), dtype=complex).reshape(m, m)
-    return np.concatenate([p0 @ dx0 + q0 @ x0, x0, pT @ dxT + qT @ xT, xT])
-
-
 def w_of_r(r, m=None):
     """The boundary condition Lagrangian W(R) ⊂ C^{4m} attached to a
     subspace R of position traces (x(0), x(T)) ∈ C^{2m}.
@@ -411,16 +356,6 @@ def w_of_r(r, m=None):
         sig = rsub.frame[:, i]
         cols.append(np.concatenate([np.zeros(mm), sig[:mm], np.zeros(mm), sig[mm:]]))
     return subspace_from_span(np.column_stack(cols))
-
-
-def _as_boundary_fun(w_path):
-    if callable(w_path):
-        def fun(s):
-            w = w_path(s)
-            return w if isinstance(w, Subspace) else subspace_from_span(w)
-        return fun
-    fixed = w_path if isinstance(w_path, Subspace) else subspace_from_span(w_path)
-    return lambda s: fixed
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +545,6 @@ class BvpOpts:
     interval: tuple = (0.0, 1.0)
     initial_segments: int = 16
     max_depth: int = 12
-    t0: float = 0.0
 
     def flow_opts(self):
         return FlowOpts(initial_segments=self.initial_segments, max_depth=self.max_depth)
@@ -636,7 +570,7 @@ def sf_bvp(fam, w_path, opts=None):
     the eigenvalue river (``report.write_trace(path, prefix="lambda")``).
     """
     opts = opts or BvpOpts()
-    wfun = _as_boundary_fun(w_path)
+    wfun = _as_subspace_fun(w_path)
     r0 = float(opts.lambda_window)
 
     def coords(s):
@@ -669,7 +603,7 @@ def mas_bvp(fam, w_path, opts=None):
     alongside the isotropy/unit-circle residuals from the Maslov engine.
     """
     opts = opts or BvpOpts()
-    wfun = _as_boundary_fun(w_path)
+    wfun = _as_subspace_fun(w_path)
     stats = {"transport_residual": 0.0}
     gamma_cache = {}
 
@@ -692,13 +626,13 @@ def mas_bvp(fam, w_path, opts=None):
     return total, report
 
 
-def maslov_long(fam, s, w, opts=None, t0=None, t_final=None):
+def maslov_long(fam, s, w, opts=None):
     """The Maslov-type index i_W of the t-path of solution graphs.
 
     For a second-order family at fixed s, runs the Maslov index of
-    ``t -> (graph(Gamma_s(t)), W)`` in (C^{4m}, diag(-J, J)) from ``t0``
-    (default 0; the appendix endpoint convention absorbs the maximal
-    intersection at t = 0) to ``t_final`` (default T).  Constant-coefficient
+    ``t -> (graph(Gamma_s(t)), W)`` in (C^{4m}, diag(-J, J)) over the whole
+    interval [0, T] (the appendix endpoint convention absorbs the maximal
+    intersection at t = 0).  Constant-coefficient
     systems evaluate Gamma(t) exactly; otherwise t snaps to the integration
     grid, which the crossing engine tolerates since only window counts at
     sampled points enter the index.
@@ -706,8 +640,6 @@ def maslov_long(fam, s, w, opts=None, t0=None, t_final=None):
     if not isinstance(fam, SecondOrderFamily):
         raise TypeError("maslov_long expects a SecondOrderFamily")
     opts = opts or BvpOpts()
-    t0 = opts.t0 if t0 is None else float(t0)
-    t_final = fam.T if t_final is None else float(t_final)
     system = _system(fam, s, opts.steps)
     bspace = boundary_space(fam, s)
     wsub = w if isinstance(w, Subspace) else subspace_from_span(w)
@@ -715,7 +647,7 @@ def maslov_long(fam, s, w, opts=None, t0=None, t_final=None):
     def sampler(t):
         return bspace, graph_subspace(system.solution_at(0.0, t)), wsub
 
-    path = PairPath(sampler=sampler, interval=(t0, t_final))
+    path = PairPath(sampler=sampler, interval=(0.0, fam.T))
     total, report = maslov_index(path, opts.flow_opts())
     report.extras["kind"] = "maslov_long"
     report.extras["t_snapped"] = not system.const

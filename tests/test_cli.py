@@ -7,7 +7,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from maslovflow import cli
+import maslovflow
+from maslovflow import cli, expressions
 from maslovflow.errors import ConfigError
 
 OSC = {
@@ -237,3 +238,9 @@ def test_scenario_from_document_name_defaults(tmp_path):
     doc = dict(OSC)
     sc = cli.scenario_from_document(json.loads(json.dumps(doc)), "x")
     assert sc.name == "osc"
+
+
+@pytest.mark.parametrize("module", [maslovflow, expressions, cli],
+                         ids=["maslovflow", "expressions", "cli"])
+def test_public_names_resolve(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

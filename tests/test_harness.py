@@ -96,14 +96,6 @@ def test_doubled_opts():
     assert d.max_depth == opts.max_depth
 
 
-def test_run_many_keeps_order(monkeypatch):
-    monkeypatch.setenv("MASLOVFLOW_THREADS", "2")
-    stock = harness.builtin_scenarios()
-    reports = harness.run_many([stock[3], stock[0]])
-    assert [r.name for r in reports] == ["S4", "S1"]
-    assert all(r.error is None for r in reports)
-
-
 def test_sweep_rejects_bad_inputs():
     with pytest.raises(InvalidTrials):
         harness.property_sweep(seed=1, trials=0)

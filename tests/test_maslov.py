@@ -1,5 +1,7 @@
 """Maslov index of Lagrangian pair paths; product/real-category identities."""
 
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -146,6 +148,23 @@ def test_real_frames_validated():
     )
     with pytest.raises(NotLagrangianReal):
         maslov.complexify_and_compare(bad)
+
+
+def test_from_parts_evaluates_a_form_path_once_per_sample():
+    calls = Counter()
+    base = rotation_path(1)
+
+    def j(s):
+        calls[s] += 1
+        return STD2
+
+    path = maslov.PairPath.from_parts(
+        j, lambda s: base.sampler(s)[1], base.sampler(0.0)[2], (0.0, 1.0)
+    )
+    total, rep = maslov.maslov_index(path)
+    assert total == 1
+    assert set(calls) == set(rep.samples)
+    assert set(calls.values()) == {1}
 
 
 def test_opts_are_honored():

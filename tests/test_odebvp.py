@@ -154,6 +154,34 @@ def test_graph_subspace_is_lagrangian():
     assert core.classify(space, sub) is core.SubspaceClass.LAGRANGIAN
 
 
+def test_checkpoints_end_at_the_plain_propagation():
+    g = np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.2]])
+    fam = first_order(
+        2, 1.0,
+        lambda s, t: 1j * (np.eye(2) + 0.5 * s * np.sin(np.pi * t) * g),
+        lambda s, t: np.cos(t) * g + s * np.eye(2),
+    )
+    system = odebvp._system(fam, 0.7, 256)
+    assert not system.const
+    lams = [-0.3, 0.0, 0.4]
+    path = system.propagate(lams, True)
+    assert path.shape == (257, 3, 2, 2)
+    npt.assert_array_equal(path[0], np.broadcast_to(np.eye(2), (3, 2, 2)))
+    npt.assert_array_equal(path[-1], system.propagate(lams))
+
+
+@pytest.mark.parametrize("r_fun, const", [
+    (lambda s, t: -1.0, True),
+    (lambda s, t: -1.0 + 0.5 * np.cos(2.0 * t), False),
+], ids=["constant", "varying"])
+def test_solution_at_end_is_the_transfer_matrix(r_fun, const):
+    fam = dirichlet_second(r_fun, T=2.0)
+    system = odebvp._system(fam, 0.5, 256)
+    assert system.const is const
+    npt.assert_array_equal(system.solution_at(0.0, fam.T),
+                           odebvp.transfer_matrix(fam, 0.5, 0.0, steps=256))
+
+
 def test_softening_oscillator_both_pipelines():
     # lowest Dirichlet eigenvalue 1 - 1.5 s crosses zero downward at s = 2/3
     fam = dirichlet_second(lambda s, t: -1.5 * s)
