@@ -14,7 +14,6 @@ from .core import (
     SymplecticSpace,
     Subspace,
     Splitting,
-    GraphRep,
     make_space,
     make_splitting,
     subspace_from_span,
@@ -47,7 +46,6 @@ __all__ = [
     "SymplecticSpace",
     "Subspace",
     "Splitting",
-    "GraphRep",
     "make_space",
     "make_splitting",
     "subspace_from_span",

@@ -609,7 +609,11 @@ def cmd_trace(args):
 
 
 def cmd_sweep(args):
-    dims = tuple(int(d) for d in args.dims.split(","))
+    try:
+        dims = tuple(int(d) for d in args.dims.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--dims: expected comma-separated integers, "
+                          f"got {args.dims!r}") from exc
     suites = args.suites.split(",") if args.suites else None
     try:
         summary = harness.property_sweep(args.seed, args.trials, dims=dims,
@@ -680,7 +684,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--dims", default="2,4,6,8",
-                   help="comma-separated ambient half-dimensions")
+                   help="comma-separated ambient dimensions (even)")
     p.add_argument("--suites", default=None,
                    help="comma-separated suite names (default: all)")
     p.add_argument("--out", help="directory for the summary JSON")

@@ -144,13 +144,13 @@ class Subspace:
     def ambient_dim(self):
         return self.frame.shape[0]
 
-    def contains(self, x, tol=TAU_RANK):
+    def contains(self, x):
         x = np.asarray(x, dtype=complex)
         nrm = la.norm(x)
         if nrm == 0:
             return True
         resid = x - self.frame @ (self.frame.conj().T @ x)
-        return la.norm(resid) <= tol * nrm
+        return la.norm(resid) <= TAU_RANK * nrm
 
 
 def subspace_from_span(vectors):
@@ -171,9 +171,9 @@ def subspace_from_span(vectors):
     return Subspace(frame=q)
 
 
-def orthogonal_complement(sub, ambient_dim=None):
+def orthogonal_complement(sub):
     """Orthonormal frame for the Euclidean complement of a subspace."""
-    n = sub.ambient_dim if ambient_dim is None else ambient_dim
+    n = sub.ambient_dim
     if sub.dim == 0:
         return Subspace(frame=np.eye(n, dtype=complex))
     u, s, _ = la.svd(sub.frame, full_matrices=True)
@@ -303,22 +303,18 @@ def pair_index(space, lam, mu):
 
 @dataclass(frozen=True)
 class Splitting:
-    """A decomposition H = plus (+) minus adapted to the form.
+    """A decomposition H = H+ (+) H- adapted to the form.
 
-    ``plus``/``minus`` carry Euclidean-orthonormal frames; ``hframe_plus``
-    and ``hframe_minus`` span the same subspaces but are orthonormal for the
-    metrics ``h_+ = -i omega`` and ``h_- = +i omega``.
+    ``hframe_plus`` and ``hframe_minus`` are frames of H+ and H- that are
+    orthonormal for the metrics ``h_+ = -i omega`` and ``h_- = +i omega``.
     """
 
-    space: SymplecticSpace
-    plus: Subspace
-    minus: Subspace
     hframe_plus: np.ndarray
     hframe_minus: np.ndarray
 
     @property
     def balanced(self):
-        return self.plus.dim == self.minus.dim
+        return self.hframe_plus.shape[1] == self.hframe_minus.shape[1]
 
 
 def _h_orthonormalize(frame, gram):
@@ -375,43 +371,18 @@ def make_splitting(space, metric=None):
     if np.abs(theta).min() <= 1e-12 * scale:
         raise Degenerate("K has a numerically zero eigenvalue; the form is singular")
     pos = theta > 0
-    plus = subspace_from_span(vecs[:, pos]) if pos.any() else Subspace(np.zeros((n, 0), complex))
-    neg = ~pos
-    minus = subspace_from_span(vecs[:, neg]) if neg.any() else Subspace(np.zeros((n, 0), complex))
-    gram_plus = -1j * space.omega(plus.frame, plus.frame) if plus.dim else np.zeros((0, 0), complex)
-    gram_minus = 1j * space.omega(minus.frame, minus.frame) if minus.dim else np.zeros((0, 0), complex)
-    hplus = _h_orthonormalize(plus.frame, gram_plus) if plus.dim else plus.frame
-    hminus = _h_orthonormalize(minus.frame, gram_minus) if minus.dim else minus.frame
+    fp, fm = vecs[:, pos], vecs[:, ~pos]
     return Splitting(
-        space=space,
-        plus=plus,
-        minus=minus,
-        hframe_plus=hplus,
-        hframe_minus=hminus,
+        hframe_plus=_h_orthonormalize(fp, -1j * space.omega(fp, fp)),
+        hframe_minus=_h_orthonormalize(fm, 1j * space.omega(fm, fm)),
     )
-
-
-@dataclass(frozen=True)
-class GraphRep:
-    """A Lagrangian written as the graph of a unitary ``H+ -> H-``.
-
-    ``matrix`` is the unitary in the splitting's h-orthonormal frames; the
-    subspace itself is spanned by ``hframe_plus + hframe_minus @ matrix``.
-    """
-
-    splitting: Splitting
-    matrix: np.ndarray
-
-    def frame(self):
-        s = self.splitting
-        return s.hframe_plus + s.hframe_minus @ self.matrix
-
-    def subspace(self):
-        return subspace_from_span(self.frame())
 
 
 def graph_rep(space, splitting, lam):
     """Represent a Lagrangian subspace as the graph of a unitary.
+
+    Returns the k x k unitary U, in the splitting's h-orthonormal frames,
+    whose graph ``hframe_plus + hframe_minus @ U`` spans ``lam``.
 
     Raises
     ------
@@ -421,12 +392,12 @@ def graph_rep(space, splitting, lam):
         If the subspace has the wrong dimension, projects degenerately onto
         H+, or the resulting matrix fails its unitarity residual.
     """
+    k = splitting.hframe_plus.shape[1]
     if not splitting.balanced:
         raise UnbalancedSplitting(
-            f"splitting has dims ({splitting.plus.dim}, {splitting.minus.dim}); "
+            f"splitting has dims ({k}, {splitting.hframe_minus.shape[1]}); "
             "no Lagrangian subspaces exist"
         )
-    k = splitting.plus.dim
     if lam.dim != k:
         raise NotLagrangian(f"subspace has dim {lam.dim}, Lagrangians have dim {k}")
     basis = np.hstack([splitting.hframe_plus, splitting.hframe_minus])
@@ -441,7 +412,7 @@ def graph_rep(space, splitting, lam):
         raise NotLagrangian(
             f"graph matrix is not unitary (residual {resid:.3e}); subspace is not Lagrangian"
         )
-    return GraphRep(splitting=splitting, matrix=u)
+    return u
 
 
 def pair_unitary(space, splitting, lam, mu):
@@ -451,8 +422,8 @@ def pair_unitary(space, splitting, lam, mu):
     spectrum of W does not depend on the frame choices inside the splitting,
     which is what makes eigenvalue-counting arguments well posed.
     """
-    u = graph_rep(space, splitting, lam).matrix
-    v = graph_rep(space, splitting, mu).matrix
+    u = graph_rep(space, splitting, lam)
+    v = graph_rep(space, splitting, mu)
     return u @ v.conj().T
 
 

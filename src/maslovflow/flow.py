@@ -385,20 +385,20 @@ def spectral_flow(family, kind, interval, opts=None):
 # Spectral projections
 # ---------------------------------------------------------------------------
 
-def spectral_projection(a, center, radius, tau_boundary=1e-8):
+def spectral_projection(a, center, radius):
     """Spectral projector onto the eigenvalues inside a circle.
 
     Built from a sorted complex Schur form plus a Sylvester solve, so it
     remains accurate for defective matrices where naive eigenvector bases
     fall apart.  Raises :class:`SpectrumOnBoundary` if an eigenvalue lies
-    within ``tau_boundary * max(radius, 1)`` of the circle itself.
+    within ``1e-8 * max(radius, 1)`` of the circle itself.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
     t, z, sdim = la.schur(a, output="complex",
                           sort=lambda x: abs(x - center) < radius)
     dist = np.abs(np.abs(np.diag(t) - center) - radius)
-    margin = tau_boundary * max(radius, 1.0)
+    margin = 1e-8 * max(radius, 1.0)
     if dist.min(initial=np.inf) < margin:
         raise SpectrumOnBoundary(
             f"eigenvalue within {margin:.3e} of the circle |z - center| = {radius}"

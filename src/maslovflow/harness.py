@@ -361,9 +361,9 @@ def _lagrangian_from_unitary(splitting, u):
     return core.subspace_from_span(splitting.hframe_plus + splitting.hframe_minus @ u)
 
 
-def _unitary_path(rng, m, spread=2.0):
+def _unitary_path(rng, m):
     u0 = _random_unitary(rng, m)
-    w, v = nla.eigh(_random_hermitian(rng, m, scale=spread))
+    w, v = nla.eigh(_random_hermitian(rng, m, scale=2.0))
 
     def at(s):
         return u0 @ (v * np.exp(1j * s * w)) @ v.conj().T
@@ -371,7 +371,7 @@ def _unitary_path(rng, m, spread=2.0):
     return at
 
 
-def _random_pair_path(rng, n, interval=(0.0, 1.0)):
+def _random_pair_path(rng, n):
     space = _random_space(rng, n)
     splitting = core.make_splitting(space)
     ua = _unitary_path(rng, n // 2)
@@ -384,7 +384,7 @@ def _random_pair_path(rng, n, interval=(0.0, 1.0)):
             _lagrangian_from_unitary(splitting, ub(s)),
         )
 
-    return maslov.PairPath(sampler=sampler, interval=interval)
+    return maslov.PairPath(sampler=sampler, interval=(0.0, 1.0))
 
 
 def _random_hermitian_family(rng, n, scale=1.0):
@@ -728,7 +728,7 @@ def _suite_graph_reconstruction(rng, dims):
     splitting = core.make_splitting(space)
     u = _random_unitary(rng, n // 2)
     lam = _lagrangian_from_unitary(splitting, u)
-    rec = core.graph_rep(space, splitting, lam).matrix
+    rec = core.graph_rep(space, splitting, lam)
     resid = float(np.abs(rec - u).max())
     cls = core.classify(space, lam)
     ok = resid <= 1e-8 and cls is core.SubspaceClass.LAGRANGIAN
@@ -829,6 +829,8 @@ def property_sweep(seed, trials, dims=(2, 4, 6, 8), suites=None):
     trials = int(trials)
     if trials < 1:
         raise InvalidTrials(f"need at least one trial, got {trials}")
+    if not dims or any(d <= 0 or d % 2 for d in dims):
+        raise ValueError(f"dims must be positive even ambient dimensions, got {list(dims)}")
     if suites is not None:
         unknown = set(suites) - set(SUITE_NAMES)
         if unknown:

@@ -135,14 +135,6 @@ class PairPath:
         return PairPath(sampler=sampler, interval=self.interval)
 
 
-def _splitting_fun(metric):
-    if metric is None:
-        return lambda space, s: make_splitting(space)
-    if callable(metric):
-        return lambda space, s: make_splitting(space, metric=metric(s))
-    return lambda space, s: make_splitting(space, metric=metric)
-
-
 def maslov_index(path, opts=None, metric=None):
     """Maslov index of a path of Lagrangian pairs.
 
@@ -160,7 +152,6 @@ def maslov_index(path, opts=None, metric=None):
         The report's ``extras`` carry the worst isotropy and unit-circle
         residuals seen along the path.
     """
-    split_at = _splitting_fun(metric)
     stats = {"isotropy_residual": 0.0, "unit_circle_residual": 0.0}
 
     def sampler(s):
@@ -168,9 +159,9 @@ def maslov_index(path, opts=None, metric=None):
         stats["isotropy_residual"] = max(
             stats["isotropy_residual"], isotropy_residual(space, lam), isotropy_residual(space, mu)
         )
-        splitting = split_at(space, s)
-        u = graph_rep(space, splitting, lam).matrix
-        v = graph_rep(space, splitting, mu).matrix
+        splitting = make_splitting(space, metric=metric(s) if callable(metric) else metric)
+        u = graph_rep(space, splitting, lam)
+        v = graph_rep(space, splitting, mu)
         w = u @ v.conj().T
         stats["unit_circle_residual"] = max(stats["unit_circle_residual"], unit_circle_residual(w))
         return eigenphases(w)
@@ -193,8 +184,8 @@ def maslov_index_block(path, opts=None):
     def sampler(s):
         space, lam, mu = path.sampler(s)
         splitting = make_splitting(space)
-        u = graph_rep(space, splitting, lam).matrix
-        v = graph_rep(space, splitting, mu).matrix
+        u = graph_rep(space, splitting, lam)
+        v = graph_rep(space, splitting, mu)
         k = u.shape[0]
         block = np.zeros((2 * k, 2 * k), dtype=complex)
         block[:k, k:] = u

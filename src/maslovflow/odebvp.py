@@ -327,8 +327,8 @@ def w_of_r(r, m=None):
     for the boundary form diag(-J, J) whatever R is; R = {0} gives Dirichlet
     conditions, R = C^{2m} Neumann-type, R = diagonal periodic-type.
 
-    ``r`` may be a Subspace of C^{2m}, a frame matrix, or None for R = {0}
-    (in which case ``m`` is required).
+    ``r`` may be a Subspace of C^{2m}, a spanning set (a frame matrix, or a
+    single vector), or None for R = {0} (in which case ``m`` is required).
     """
     if r is None:
         if m is None:
@@ -337,12 +337,7 @@ def w_of_r(r, m=None):
     elif isinstance(r, Subspace):
         rsub = r
     else:
-        arr = np.asarray(r, dtype=complex)
-        if arr.ndim != 2 or arr.shape[1] == 0:
-            rsub = Subspace(frame=np.zeros((arr.shape[0] if arr.ndim == 2 else 2 * m, 0),
-                                           dtype=complex))
-        else:
-            rsub = subspace_from_span(arr)
+        rsub = subspace_from_span(r)
     two_m = rsub.ambient_dim
     if two_m % 2:
         raise ValueError("R must live in C^{2m}")
@@ -471,18 +466,17 @@ def _eigen_count_system(system, bspace, w, window, grid):
     nodes = max(65, int(grid) + 1)
     ev = _GammaEvaluator(system, lo, hi, nodes)
 
+    def detector_min(gamma_fun):
+        return lambda lam: float(_graph_detector(wperp, gamma_fun([lam])[0])[-1])
+
     if ev.certified():
         probes = np.linspace(lo, hi, max(16 * int(grid), 1024) + 1)
-        dvals = _graph_detector(wperp, ev.gamma_proxy(probes))[:, -1]
-
-        def dmin(lam):
-            return float(_graph_detector(wperp, ev.gamma_proxy([lam])[0])[-1])
+        gamma_fun = ev.gamma_proxy
     else:
         probes = np.linspace(lo, hi, max(4 * int(grid), 256) + 1)
-        dvals = _graph_detector(wperp, ev.gamma_exact(probes))[:, -1]
-
-        def dmin(lam):
-            return float(_graph_detector(wperp, ev.gamma_exact([lam])[0])[-1])
+        gamma_fun = ev.gamma_exact
+    dvals = _graph_detector(wperp, gamma_fun(probes))[:, -1]
+    dmin = detector_min(gamma_fun)
 
     # Bracket candidate roots at interior local minima of the detector.
     cand = []
@@ -508,9 +502,8 @@ def _eigen_count_system(system, bspace, w, window, grid):
             continue
         if dstar >= _ACCEPT:
             # The interpolant found a shallow dip; re-polish on exact values.
-            def dexact(x):
-                return float(_graph_detector(wperp, ev.gamma_exact([x])[0])[-1])
-            lam = _golden_min(dexact, lam - 64 * tau_root, lam + 64 * tau_root, tau_root)
+            lam = _golden_min(detector_min(ev.gamma_exact), lam - 64 * tau_root,
+                              lam + 64 * tau_root, tau_root)
             gamma = ev.gamma_exact([lam])[0]
             if _graph_detector(wperp, gamma)[-1] >= _ACCEPT:
                 continue
@@ -605,19 +598,13 @@ def mas_bvp(fam, w_path, opts=None):
     opts = opts or BvpOpts()
     wfun = _as_subspace_fun(w_path)
     stats = {"transport_residual": 0.0}
-    gamma_cache = {}
-
-    def gamma_at(s):
-        if s not in gamma_cache:
-            g = _system(fam, s, opts.steps).propagate([0.0])[0]
-            stats["transport_residual"] = max(
-                stats["transport_residual"], transport_residual(fam, s, g)
-            )
-            gamma_cache[s] = g
-        return gamma_cache[s]
 
     def sampler(s):
-        return boundary_space(fam, s), graph_subspace(gamma_at(s)), wfun(s)
+        g = _system(fam, s, opts.steps).propagate([0.0])[0]
+        stats["transport_residual"] = max(
+            stats["transport_residual"], transport_residual(fam, s, g)
+        )
+        return boundary_space(fam, s), graph_subspace(g), wfun(s)
 
     path = PairPath(sampler=sampler, interval=opts.interval)
     total, report = maslov_index(path, opts.flow_opts())

@@ -184,6 +184,12 @@ def test_sweep_smoke(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("dims", ["2,x", "3"])
+def test_sweep_rejects_bad_dims(dims, capsys):
+    assert cli.main(["sweep", "--trials", "1", "--dims", dims]) == 3
+    assert "dims" in capsys.readouterr().err
+
+
 def test_seventeen_digit_floats():
     text = cli._json_render({"x": 0.1, "n": 3, "ok": True, "none": None})
     assert '"x": 0.10000000000000001' in text

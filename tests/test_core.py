@@ -47,19 +47,25 @@ def test_omega_convention():
     assert space.omega(x, y) == 0
 
 
-def test_splitting_dimensions_and_metric_frames():
+@pytest.mark.parametrize("with_metric", [False, True], ids=["canonical", "metric"])
+def test_splitting_dimensions_and_metric_frames(with_metric):
     rng = np.random.default_rng(5)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     j = a - a.conj().T
     space = core.make_space(j)
-    sp = core.make_splitting(space)
-    assert sp.balanced or sp.plus.dim + sp.minus.dim == 6
-    k = space.k_operator()
-    # K positive on plus, negative on minus
+    metric = None
+    if with_metric:
+        b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        metric = b @ b.conj().T + np.eye(6)
+    sp = core.make_splitting(space, metric=metric)
     hp = sp.hframe_plus
     hm = sp.hframe_minus
-    npt.assert_allclose(hp.conj().T @ k @ hp, np.eye(sp.plus.dim), atol=1e-10)
-    npt.assert_allclose(hm.conj().T @ k @ hm, -np.eye(sp.minus.dim), atol=1e-10)
+    assert hp.shape[1] + hm.shape[1] == 6
+    k = space.k_operator()
+    # K positive on plus, negative on minus, and the halves K-orthogonal
+    npt.assert_allclose(hp.conj().T @ k @ hp, np.eye(hp.shape[1]), atol=1e-10)
+    npt.assert_allclose(hm.conj().T @ k @ hm, -np.eye(hm.shape[1]), atol=1e-10)
+    npt.assert_allclose(hp.conj().T @ k @ hm, 0.0, atol=1e-10)
 
 
 def test_unbalanced_splitting_has_no_lagrangians():
@@ -112,8 +118,10 @@ def test_graph_rep_round_trip():
     u = rand_unitary(rng, 1)
     lam = core.subspace_from_span(sp.hframe_plus + sp.hframe_minus @ u)
     rep = core.graph_rep(space, sp, lam)
-    npt.assert_allclose(rep.matrix, u, atol=1e-12)
-    assert core.equal_subspaces(rep.subspace(), lam)
+    assert isinstance(rep, np.ndarray)
+    npt.assert_allclose(rep, u, atol=1e-12)
+    graph = core.subspace_from_span(sp.hframe_plus + sp.hframe_minus @ rep)
+    assert core.equal_subspaces(graph, lam)
 
 
 def test_graph_rep_rejects_non_lagrangian():
@@ -216,4 +224,4 @@ def test_graph_rep_round_trip_random(m, seed):
     u = rand_unitary(rng, m)
     lam = core.subspace_from_span(sp.hframe_plus + sp.hframe_minus @ u)
     rep = core.graph_rep(space, sp, lam)
-    npt.assert_allclose(rep.matrix, u, atol=1e-8)
+    npt.assert_allclose(rep, u, atol=1e-8)

@@ -136,10 +136,14 @@ def test_w_of_r_is_always_lagrangian():
             np.vstack([np.eye(m), np.eye(m)]), m=m
         ),
         "random line": odebvp.w_of_r(rng.normal(size=(2 * m, 1)), m=m),
+        "1-D line": odebvp.w_of_r(np.ones(2 * m), m=m),
     }
     for label, w in cases.items():
         assert core.classify(space, w) is core.SubspaceClass.LAGRANGIAN, label
         assert w.dim == 2 * m  # half of dim C^{4m}
+    # A 1-D array is one spanning vector, the same R as its column.
+    column = odebvp.w_of_r(np.ones((2 * m, 1)), m=m)
+    assert core.equal_subspaces(cases["1-D line"], column)
 
 
 def test_graph_subspace_is_lagrangian():
