@@ -525,13 +525,17 @@ def _load(ref):
 # --------------------------------------------------------------------------
 # commands
 
+def _trace_prefix(key):
+    """CSV column prefix of a pipeline's trace: eigenvalues or coordinates."""
+    return "lambda" if key == "sf" else "coord"
+
+
 def _write_report_files(outdir, rep):
     os.makedirs(outdir, exist_ok=True)
     _write_json(os.path.join(outdir, f"{rep.name}.json"), rep.to_dict())
     for key, frep in rep.flow_reports.items():
-        prefix = "lambda" if key == "sf" else "coord"
         frep.write_trace(os.path.join(outdir, f"{rep.name}_{key}.csv"),
-                         prefix=prefix)
+                         prefix=_trace_prefix(key))
 
 
 def cmd_verify(args):
@@ -556,54 +560,33 @@ def cmd_verify(args):
     return status
 
 
-def _single(args):
-    sc = _load(args.config)
-    built = sc.build()
-    return sc, built
+def _run_pipeline(ref, key, missing):
+    """Load a scenario and run its ``key`` pipeline, or raise ``missing``."""
+    sc = _load(ref)
+    runs = harness.pipelines(sc)
+    if key not in runs:
+        raise ConfigError(missing)
+    return sc, runs[key]()
 
 
-def cmd_sf(args):
-    sc, built = _single(args)
-    if sc.kind == "pair_path":
-        raise ConfigError("sf needs a differential-equation problem; a "
-                          "pair path only has a Maslov index")
-    fam, w_path = built
-    value, _ = odebvp.sf_bvp(fam, w_path, sc.opts)
-    print(int(value))
-    return 0
-
-
-def cmd_maslov(args):
-    sc, built = _single(args)
-    if sc.kind == "pair_path":
-        value, _ = maslov.maslov_index(built, sc.opts)
-    else:
-        fam, w_path = built
-        value, _ = odebvp.mas_bvp(fam, w_path, sc.opts)
+def cmd_index(args):
+    """``sf`` and ``maslov``: print the integer of one pipeline."""
+    _, (value, _) = _run_pipeline(
+        args.config, args.pipeline, "sf needs a differential-equation "
+        "problem; a pair path only has a Maslov index")
     print(int(value))
     return 0
 
 
 def cmd_trace(args):
-    sc, built = _single(args)
-    if args.what == "eigenvalues":
-        if sc.kind == "pair_path":
-            raise ConfigError("a pair path has no eigenvalue river; "
-                              "use --what eigenphases")
-        fam, w_path = built
-        _, rep = odebvp.sf_bvp(fam, w_path, sc.opts)
-        prefix = "lambda"
-    else:
-        if sc.kind == "pair_path":
-            _, rep = maslov.maslov_index(built, sc.opts)
-        else:
-            fam, w_path = built
-            _, rep = odebvp.mas_bvp(fam, w_path, sc.opts)
-        prefix = "coord"
+    key = "sf" if args.what == "eigenvalues" else "mas"
+    sc, (_, rep) = _run_pipeline(
+        args.config, key, "a pair path has no eigenvalue river; use --what "
+        "eigenphases")
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"{sc.name}_{args.what}.csv")
-    rep.write_trace(path, prefix=prefix)
+    rep.write_trace(path, prefix=_trace_prefix(key))
     print(path)
     return 0
 
@@ -666,11 +649,11 @@ def _build_parser():
 
     p = sub.add_parser("sf", help="spectral flow only")
     p.add_argument("config")
-    p.set_defaults(func=cmd_sf)
+    p.set_defaults(func=cmd_index, pipeline="sf")
 
     p = sub.add_parser("maslov", help="Maslov index only")
     p.add_argument("config")
-    p.set_defaults(func=cmd_maslov)
+    p.set_defaults(func=cmd_index, pipeline="mas")
 
     p = sub.add_parser("trace", help="write the sampled coordinate river "
                                      "as CSV")

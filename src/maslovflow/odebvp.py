@@ -469,12 +469,8 @@ def _eigen_count_system(system, bspace, w, window, grid):
     def detector_min(gamma_fun):
         return lambda lam: float(_graph_detector(wperp, gamma_fun([lam])[0])[-1])
 
-    if ev.certified():
-        probes = np.linspace(lo, hi, max(16 * int(grid), 1024) + 1)
-        gamma_fun = ev.gamma_proxy
-    else:
-        probes = np.linspace(lo, hi, max(4 * int(grid), 256) + 1)
-        gamma_fun = ev.gamma_exact
+    probes = np.linspace(lo, hi, max(16 * int(grid), 1024) + 1)
+    gamma_fun = ev.gamma_proxy if ev.certified() else ev.gamma_exact
     dvals = _graph_detector(wperp, gamma_fun(probes))[:, -1]
     dmin = detector_min(gamma_fun)
 

@@ -6,6 +6,7 @@ the contract, inside a wall-clock budget.  One printed pass line each.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import numpy.linalg as nla
@@ -65,7 +66,7 @@ def test_c3_varying_structure_grid_stability():
     base = harness.run_scenario(sc)
     assert base.error is None
     assert base.agree
-    doubled = harness.run_scenario(sc, harness.doubled_opts(sc.opts))
+    doubled = harness.run_scenario(replace(sc, opts=harness.doubled_opts(sc.opts)))
     assert doubled.error is None
     assert doubled.agree
     assert (base.sf, base.mas) == (doubled.sf, doubled.mas)
@@ -79,7 +80,7 @@ def test_c4_periodic_moving_mean_grid_stability():
     sc = STOCK["S5"]
     base = harness.run_scenario(sc)
     assert base.error is None and base.agree
-    doubled = harness.run_scenario(sc, harness.doubled_opts(sc.opts))
+    doubled = harness.run_scenario(replace(sc, opts=harness.doubled_opts(sc.opts)))
     assert doubled.error is None and doubled.agree
     assert (base.sf, base.mas) == (doubled.sf, doubled.mas) == (-1, -1)
     _stamp("acceptance 4", "S5 sf=mas=-1, grid-stable")

@@ -159,9 +159,20 @@ def test_trace_writes_csv(tmp_path, capsys):
     assert all(h.startswith("coord_") for h in header[1:])
 
 
-def test_trace_eigenvalues_rejects_pair_path(tmp_path):
+def test_trace_eigenvalues_rejects_pair_path(tmp_path, capsys):
     assert cli.main(["trace", write(tmp_path, PAIR),
                      "--what", "eigenvalues"]) == 3
+    assert "pair path" in capsys.readouterr().err
+
+
+def test_trace_pair_path_eigenphases(tmp_path, capsys):
+    assert cli.main(["trace", write(tmp_path, PAIR), "--what", "eigenphases",
+                     "--out", str(tmp_path)]) == 0
+    path = capsys.readouterr().out.strip()
+    with open(path) as fh:
+        header = next(csv.reader(fh))
+    assert header[0] == "s"
+    assert len(header) > 1 and all(h.startswith("coord_") for h in header[1:])
 
 
 def test_scenarios_listing(capsys):

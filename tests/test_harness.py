@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from maslovflow import core, harness, maslov, odebvp
+from maslovflow import cli, core, harness, maslov, odebvp
 from maslovflow.errors import InvalidTrials
 
 
@@ -32,6 +32,11 @@ def test_builtin_scenarios_roster():
     assert kinds["S2"] == "second_order"
     assert kinds["S1"] == kinds["S3"] == kinds["S4"] == kinds["S5"] == "first_order"
     assert stock[2].expected is None  # S3 is established at run time
+
+
+def test_pipelines_pair_each_kind():
+    assert tuple(harness.pipelines(harness.builtin_scenarios()[0])) == ("sf", "mas")
+    assert tuple(harness.pipelines(rotation_scenario())) == ("mas", "mas_block")
 
 
 def test_run_scenario_bvp():
@@ -114,6 +119,24 @@ def test_sweep_is_deterministic():
     b = harness.property_sweep(seed=11, trials=2, dims=(2, 4), suites=FAST_SUITES)
     assert a.to_json() == b.to_json()
     assert a.all_passed
+
+
+def test_sweep_trials_draw_disjoint_streams():
+    first = harness._rng_for(42, 0, 16).bit_generator.random_raw(8)
+    second = harness._rng_for(42, 1, 16).bit_generator.random_raw(8)
+    assert not set(first) & set(second)
+
+
+def test_sweep_counts_a_singular_matrix_as_a_failed_trial(monkeypatch, capsys):
+    def singular(rng, dims):
+        return True, 0.0, f"inverse {np.linalg.inv(np.zeros((2, 2)))}"
+
+    monkeypatch.setattr(harness, "ALL_SUITES", (("fredholm_index_zero", singular),))
+    (row,) = harness.property_sweep(seed=1, trials=3, dims=(2,)).suites
+    assert (row.passed, row.failed) == (0, 3)
+    assert "LinAlgError" in row.first_failure
+    assert cli.main(["sweep", "--trials", "1", "--dims", "2"]) == 1
+    assert "FAIL fredholm_index_zero" in capsys.readouterr().out
 
 
 def test_sweep_streams_do_not_depend_on_selection():

@@ -107,6 +107,20 @@ def test_eigen_count_multiplicity_two():
     assert mult == 2
 
 
+def test_eigen_count_uncertified_window_finds_every_eigenvalue():
+    # T = 40 packs the 63 periodic eigenvalues 2 pi k / 40 into the window,
+    # too many for the Chebyshev proxy to certify, so the exact fallback runs
+    # and must probe as finely as the proxy would
+    fam = first_order(1, 40.0, const_coeff(1j * np.eye(1)), const_coeff(np.zeros((1, 1))))
+    window = (-4.987, 5.013)
+    ev = odebvp._GammaEvaluator(odebvp._system(fam, 0.3, 256), *window, 65)
+    assert not ev.certified()
+    found = odebvp.eigen_count(fam, 0.3, core.diagonal_subspace(1), window, steps=256)
+    assert [mult for _, mult in found] == [1] * 63
+    want = 2.0 * np.pi * np.arange(-31, 32) / 40.0
+    npt.assert_allclose([lam for lam, _ in found], want, atol=1e-8)
+
+
 def test_eigen_count_window_boundary_raises():
     fam = first_order(1, 1.0, const_coeff(1j * np.eye(1)), const_coeff(np.eye(1)))
     w = core.diagonal_subspace(1)
