@@ -30,6 +30,8 @@ structure matrix, and all entries depend on ``s`` only.  For
 ``first_order`` the boundary frame has ``2m`` rows; for ``second_order``
 a ``w_path`` frame has ``4m`` rows while ``r_subspace`` is a constant
 frame with ``2m`` rows (positions at the two ends of the interval).
+A ``pair_path`` takes only ``initial_segments`` and ``max_depth`` from
+``numerics``.
 
 Exit codes: 0 both pipelines succeeded and agree, 1 disagreement or a
 runtime failure, 2 an adaptive refinement gave up (unresolved family),
@@ -453,6 +455,10 @@ def scenario_from_document(doc, default_name):
             if key in doc:
                 raise ConfigError(f"{key!r} does not apply to a pair_path "
                                   f"document")
+        for key in ("steps", "lambda_window"):
+            if key in doc.get("numerics", {}):
+                raise ConfigError(f"numerics.{key} does not apply to a "
+                                  f"pair_path document")
         n = 2 * m
         j_fun, j_shape = _coeff_function(doc["j"], "j", allow_t=False)
         _require_shape(j_shape, (n, n), "j")

@@ -122,9 +122,7 @@ def make_space(j):
         raise NotSkewHermitian(
             f"form residual |J + J*| = {resid:.3e} exceeds {TAU_SYM * scale:.3e}"
         )
-    sv = la.svdvals(j)
-    if sv[-1] <= 1e-12 * sv[0]:
-        raise Degenerate(f"form is numerically singular (sigma_min/sigma_max = {sv[-1] / sv[0]:.3e})")
+    require_nonsingular(la.svdvals(j), Degenerate, "form")
     j = 0.5 * (j - j.conj().T)  # exact skew-Hermitian representative
     j.flags.writeable = False
     return SymplecticSpace(form=j)
@@ -367,9 +365,7 @@ def make_splitting(space, metric=None):
     order = np.argsort(-theta, kind="stable")
     theta = theta[order]
     vecs = _fix_column_phases(vecs[:, order])
-    scale = float(np.abs(theta).max())
-    if np.abs(theta).min() <= 1e-12 * scale:
-        raise Degenerate("K has a numerically zero eigenvalue; the form is singular")
+    require_nonsingular(np.abs(theta), Degenerate, "K = -iJ (the form)")
     pos = theta > 0
     fp, fm = vecs[:, pos], vecs[:, ~pos]
     return Splitting(
@@ -378,7 +374,7 @@ def make_splitting(space, metric=None):
     )
 
 
-def graph_rep(space, splitting, lam):
+def graph_rep(splitting, lam):
     """Represent a Lagrangian subspace as the graph of a unitary.
 
     Returns the k x k unitary U, in the splitting's h-orthonormal frames,
@@ -415,15 +411,15 @@ def graph_rep(space, splitting, lam):
     return u
 
 
-def pair_unitary(space, splitting, lam, mu):
+def pair_unitary(splitting, lam, mu):
     """The unitary ``W = U V^{-1}`` comparing two Lagrangians.
 
     The kernel of ``W - I`` has the same dimension as ``lam ∩ mu``, and the
     spectrum of W does not depend on the frame choices inside the splitting,
     which is what makes eigenvalue-counting arguments well posed.
     """
-    u = graph_rep(space, splitting, lam)
-    v = graph_rep(space, splitting, mu)
+    u = graph_rep(splitting, lam)
+    v = graph_rep(splitting, mu)
     return u @ v.conj().T
 
 
@@ -438,8 +434,7 @@ def normalize_metric(space):
     k = space.k_operator()
     k = 0.5 * (k + k.conj().T)
     theta, vecs = la.eigh(k)
-    if np.abs(theta).min() <= 1e-12 * np.abs(theta).max():
-        raise Degenerate("form is numerically singular")
+    require_nonsingular(np.abs(theta), Degenerate, "form")
     g = (vecs * np.abs(theta)) @ vecs.conj().T
     jprime = 1j * (vecs * np.sign(theta)) @ vecs.conj().T
     g = 0.5 * (g + g.conj().T)
@@ -481,11 +476,25 @@ def diagonal_subspace(n):
 
 
 def require_hermitian(a, name="matrix"):
-    """Validate Hermitian symmetry within tolerance and return the exactly
-    symmetrized representative."""
+    """Validate Hermitian symmetry of a matrix, or of every matrix in a stack
+    ``(..., n, n)``, within tolerance and return the exactly symmetrized
+    representative."""
     a = np.asarray(a, dtype=complex)
+    ah = a.conj().swapaxes(-1, -2)
     scale = max(1.0, float(np.abs(a).max()))
-    resid = float(np.abs(a - a.conj().T).max())
+    resid = float(np.abs(a - ah).max())
     if resid > TAU_SYM * scale:
         raise NotHermitian(f"{name} residual |A - A*| = {resid:.3e} exceeds {TAU_SYM * scale:.3e}")
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + ah)
+
+
+def require_nonsingular(sv, exc, name):
+    """Raise ``exc`` when a matrix is numerically singular, that is when
+    sigma_min <= 1e-12 sigma_max.
+
+    ``sv`` holds its singular values along the last axis (the eigenvalue
+    moduli of a Hermitian matrix serve as well); with more axes it describes
+    a stack of matrices, and one singular member is enough to raise.
+    """
+    if np.any(sv.min(axis=-1) <= 1e-12 * sv.max(axis=-1)):
+        raise exc(f"{name} is numerically singular (sigma_min <= 1e-12 sigma_max)")

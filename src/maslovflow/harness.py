@@ -466,7 +466,7 @@ def _suite_unitary_counting(rng, dims):
     v = u @ (p * np.exp(1j * phases)) @ p.conj().T
     lam = _lagrangian_from_unitary(splitting, u)
     mu = _lagrangian_from_unitary(splitting, v)
-    w = core.pair_unitary(space, splitting, lam, mu)
+    w = core.pair_unitary(splitting, lam, mu)
     theta = flow.eigenphases(w)
     counted = int(np.sum(np.abs(theta) < 1e-7))
     dim_int = core.pair_index(space, lam, mu).dim_intersection
@@ -704,7 +704,7 @@ def _suite_graph_reconstruction(rng, dims):
     splitting = core.make_splitting(space)
     u = _random_unitary(rng, n // 2)
     lam = _lagrangian_from_unitary(splitting, u)
-    rec = core.graph_rep(space, splitting, lam)
+    rec = core.graph_rep(splitting, lam)
     resid = float(np.abs(rec - u).max())
     cls = core.classify(space, lam)
     ok = resid <= 1e-8 and cls is core.SubspaceClass.LAGRANGIAN

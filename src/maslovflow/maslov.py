@@ -142,7 +142,7 @@ def maslov_index(path, opts=None, metric=None):
     ----------
     path : PairPath
     opts : FlowOpts, optional
-    metric : array_like or callable, optional
+    metric : array_like, optional
         Alternative positive metric defining the splitting; the result must
         not depend on it (and tests hold us to that).
 
@@ -159,9 +159,9 @@ def maslov_index(path, opts=None, metric=None):
         stats["isotropy_residual"] = max(
             stats["isotropy_residual"], isotropy_residual(space, lam), isotropy_residual(space, mu)
         )
-        splitting = make_splitting(space, metric=metric(s) if callable(metric) else metric)
-        u = graph_rep(space, splitting, lam)
-        v = graph_rep(space, splitting, mu)
+        splitting = make_splitting(space, metric=metric)
+        u = graph_rep(splitting, lam)
+        v = graph_rep(splitting, mu)
         w = u @ v.conj().T
         stats["unit_circle_residual"] = max(stats["unit_circle_residual"], unit_circle_residual(w))
         return eigenphases(w)
@@ -184,8 +184,8 @@ def maslov_index_block(path, opts=None):
     def sampler(s):
         space, lam, mu = path.sampler(s)
         splitting = make_splitting(space)
-        u = graph_rep(space, splitting, lam)
-        v = graph_rep(space, splitting, mu)
+        u = graph_rep(splitting, lam)
+        v = graph_rep(splitting, mu)
         k = u.shape[0]
         block = np.zeros((2 * k, 2 * k), dtype=complex)
         block[:k, k:] = u
@@ -356,15 +356,15 @@ def complexify_and_compare(data, opts=None, residual_samples=33):
     fminus = (q + 1j * (j @ q)) / np.sqrt(2.0)
     basis = np.hstack([fplus, fminus])
     m = q.shape[1]
+    coords_lam = la.solve(basis, q.astype(complex))
+    u_inv = la.inv(coords_lam[m:] @ la.inv(coords_lam[:m]))
     worst = 0.0
     a0, b0 = data.interval
     for s in np.linspace(a0, b0, residual_samples):
         mfr = mu_at(float(s))
         _, smat = real_generator(j, q, mfr)
-        coords_lam = la.solve(basis, q.astype(complex))
         coords_mu = la.solve(basis, mfr.astype(complex))
-        u = coords_lam[m:] @ la.inv(coords_lam[:m])
         v = coords_mu[m:] @ la.inv(coords_mu[:m])
-        bridge = v @ la.inv(u)
+        bridge = v @ u_inv
         worst = max(worst, float(np.abs(bridge + smat.conj()).max()))
     return RealComparison(mas=mas, mas_bf=mas_bf, residual=worst)

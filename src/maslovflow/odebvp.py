@@ -53,10 +53,11 @@ from .core import (
     make_space,
     orthogonal_complement,
     pair_index,
+    require_hermitian,
+    require_nonsingular,
     subspace_from_span,
 )
 from .errors import (
-    NotHermitian,
     NotSkewHermitian,
     RootCluster,
     SingularJ,
@@ -130,14 +131,6 @@ def _eval_grid(f, s, ts, m):
     return out
 
 
-def _check_hermitian_grid(arr, what):
-    scale = max(1.0, float(np.abs(arr).max()))
-    resid = float(np.abs(arr - arr.conj().transpose(0, 2, 1)).max())
-    if resid > TAU_SYM * scale:
-        raise NotHermitian(f"{what}: Hermitian residual {resid:.3e} on the t-grid")
-    return 0.5 * (arr + arr.conj().transpose(0, 2, 1))
-
-
 class _ShootingSystem:
     """x' = (C0(t) + lambda C1(t)) x on [0, T], RK4-ready.
 
@@ -194,20 +187,6 @@ class _ShootingSystem:
                 out[k + 1] = x
         return out if checkpoints else x
 
-    def solution_at(self, lam, t):
-        """Gamma_lam(t) for one lambda; exact for constant coefficients,
-        snapped to the nearest grid time otherwise."""
-        if self.const:
-            return la.expm((self.c0[0] + lam * self.c1[0]) * float(t))
-        k = int(round(float(t) / self.h))
-        k = min(max(k, 0), self.steps)
-        if not hasattr(self, "_checkpoint_cache"):
-            self._checkpoint_cache = {}
-        key = complex(lam)
-        if key not in self._checkpoint_cache:
-            self._checkpoint_cache[key] = self.propagate([lam], checkpoints=True)[:, 0]
-        return self._checkpoint_cache[key][k]
-
 
 def _build_first_order(fam, s, steps):
     ts = np.linspace(0.0, fam.T, 2 * steps + 1)
@@ -216,10 +195,9 @@ def _build_first_order(fam, s, steps):
     resid = float(np.abs(jg + jg.conj().transpose(0, 2, 1)).max())
     if resid > TAU_SYM * scale:
         raise NotSkewHermitian(f"j(s={s:.6g}, t): residual {resid:.3e} on the t-grid")
-    sv = np.linalg.svd(jg, compute_uv=False)
-    if np.any(sv[:, -1] <= 1e-12 * sv[:, 0]):
-        raise SingularJ(f"j(s={s:.6g}, t) numerically singular at a grid point")
-    bg = _check_hermitian_grid(_eval_grid(fam.b, s, ts, fam.m), f"b(s={s:.6g}, t)")
+    require_nonsingular(np.linalg.svd(jg, compute_uv=False), SingularJ,
+                        f"j(s={s:.6g}, t) at a grid point")
+    bg = require_hermitian(_eval_grid(fam.b, s, ts, fam.m), f"b(s={s:.6g}, t) on the t-grid")
     if fam.jdot is not None:
         jd = _eval_grid(fam.jdot, s, ts, fam.m)
     else:
@@ -235,12 +213,11 @@ def _build_first_order(fam, s, steps):
 def _build_second_order(fam, s, steps):
     m = fam.m
     ts = np.linspace(0.0, fam.T, 2 * steps + 1)
-    pg = _check_hermitian_grid(_eval_grid(fam.p, s, ts, m), f"p(s={s:.6g}, t)")
-    sv = np.linalg.svd(pg, compute_uv=False)
-    if np.any(sv[:, -1] <= 1e-12 * sv[:, 0]):
-        raise SingularP(f"p(s={s:.6g}, t) numerically singular at a grid point")
+    pg = require_hermitian(_eval_grid(fam.p, s, ts, m), f"p(s={s:.6g}, t) on the t-grid")
+    require_nonsingular(np.linalg.svd(pg, compute_uv=False), SingularP,
+                        f"p(s={s:.6g}, t) at a grid point")
     qg = _eval_grid(fam.q, s, ts, m)
-    rg = _check_hermitian_grid(_eval_grid(fam.r, s, ts, m), f"r(s={s:.6g}, t)")
+    rg = require_hermitian(_eval_grid(fam.r, s, ts, m), f"r(s={s:.6g}, t) on the t-grid")
     pinv = np.linalg.inv(pg)
     nt = len(ts)
     b0 = np.zeros((nt, 2 * m, 2 * m), dtype=complex)
@@ -279,14 +256,20 @@ def transfer_matrix(fam, s, lam=0.0, steps=2048):
     return _system(fam, s, steps).propagate([lam])[0]
 
 
+def _end_forms(fam, s):
+    """The structure matrices at t = 0 and t = T: (j(s,0), j(s,T)) for a
+    first-order family, (J, J) with the standard J for a second-order one."""
+    if isinstance(fam, FirstOrderFamily):
+        return tuple(np.asarray(fam.j(s, t), dtype=complex).reshape(fam.m, fam.m)
+                     for t in (0.0, fam.T))
+    j = std_j(fam.m)
+    return j, j
+
+
 def transport_residual(fam, s, gamma):
     """Deviation of a fundamental solution from symplectic transport:
     max |Gamma* j(T) Gamma - j(0)| (first-order) or |Gamma* J Gamma - J|."""
-    if isinstance(fam, FirstOrderFamily):
-        j0 = np.asarray(fam.j(s, 0.0), dtype=complex).reshape(fam.m, fam.m)
-        jT = np.asarray(fam.j(s, fam.T), dtype=complex).reshape(fam.m, fam.m)
-    else:
-        j0 = jT = std_j(fam.m)
+    j0, jT = _end_forms(fam, s)
     return float(np.abs(gamma.conj().T @ jT @ gamma - j0).max())
 
 
@@ -296,18 +279,10 @@ def boundary_space(fam, s):
     First-order: (C^{2m}, diag(-j(s,0), j(s,T))).  Second-order:
     (C^{4m}, diag(-J, J)) with the standard J, independent of s.
     """
-    if isinstance(fam, FirstOrderFamily):
-        m = fam.m
-        j0 = np.asarray(fam.j(s, 0.0), dtype=complex).reshape(m, m)
-        jT = np.asarray(fam.j(s, fam.T), dtype=complex).reshape(m, m)
-        jb = np.zeros((2 * m, 2 * m), dtype=complex)
-        jb[:m, :m] = -j0
-        jb[m:, m:] = jT
-        return make_space(jb)
-    jstd = std_j(fam.m)
-    jb = np.zeros((4 * fam.m, 4 * fam.m), dtype=complex)
-    jb[: 2 * fam.m, : 2 * fam.m] = -jstd
-    jb[2 * fam.m:, 2 * fam.m:] = jstd
+    j0, jT = _end_forms(fam, s)
+    d = len(j0)
+    jb = np.zeros((2 * d, 2 * d), dtype=complex)
+    jb[:d, :d], jb[d:, d:] = -j0, jT
     return make_space(jb)
 
 
@@ -392,7 +367,7 @@ def _golden_min(f, a, b, xtol):
 
 
 class _GammaEvaluator:
-    """Exact and (when certified) Chebyshev-interpolated Gamma(lambda).
+    """Chebyshev-interpolated Gamma(lambda) on a window, when certified.
 
     The transfer matrix is entire in lambda, so on a bounded window its
     Chebyshev coefficients decay superexponentially; once the tail is below
@@ -428,9 +403,6 @@ class _GammaEvaluator:
         vals = ncheb.chebval(u, self.coef)  # (d*d, P)
         d = self.system.d
         return np.moveaxis(vals, -1, 0).reshape(np.shape(lams) + (d, d))
-
-    def gamma_exact(self, lams):
-        return self.system.propagate(lams)
 
 
 def eigen_count(fam, s, w, window, grid=64, steps=2048):
@@ -470,7 +442,7 @@ def _eigen_count_system(system, bspace, w, window, grid):
         return lambda lam: float(_graph_detector(wperp, gamma_fun([lam])[0])[-1])
 
     probes = np.linspace(lo, hi, max(16 * int(grid), 1024) + 1)
-    gamma_fun = ev.gamma_proxy if ev.certified() else ev.gamma_exact
+    gamma_fun = ev.gamma_proxy if ev.certified() else system.propagate
     dvals = _graph_detector(wperp, gamma_fun(probes))[:, -1]
     dmin = detector_min(gamma_fun)
 
@@ -484,7 +456,7 @@ def _eigen_count_system(system, bspace, w, window, grid):
     # Verification against the exact propagator (also covers the window
     # endpoints), then multiplicity assignment.
     check = np.array([lo, hi] + refined)
-    gam_exact = ev.gamma_exact(check)
+    gam_exact = system.propagate(check)
     sv = _graph_detector(wperp, gam_exact)
     if sv[0, -1] < _ACCEPT or sv[1, -1] < _ACCEPT:
         raise WindowBoundaryEigenvalue(
@@ -498,9 +470,9 @@ def _eigen_count_system(system, bspace, w, window, grid):
             continue
         if dstar >= _ACCEPT:
             # The interpolant found a shallow dip; re-polish on exact values.
-            lam = _golden_min(detector_min(ev.gamma_exact), lam - 64 * tau_root,
+            lam = _golden_min(detector_min(system.propagate), lam - 64 * tau_root,
                               lam + 64 * tau_root, tau_root)
-            gamma = ev.gamma_exact([lam])[0]
+            gamma = system.propagate([lam])[0]
             if _graph_detector(wperp, gamma)[-1] >= _ACCEPT:
                 continue
         mult = pair_index(bspace, graph_subspace(gamma), w).dim_intersection
@@ -596,7 +568,7 @@ def mas_bvp(fam, w_path, opts=None):
     stats = {"transport_residual": 0.0}
 
     def sampler(s):
-        g = _system(fam, s, opts.steps).propagate([0.0])[0]
+        g = transfer_matrix(fam, s, 0.0, opts.steps)
         stats["transport_residual"] = max(
             stats["transport_residual"], transport_residual(fam, s, g)
         )
@@ -617,8 +589,8 @@ def maslov_long(fam, s, w, opts=None):
     interval [0, T] (the appendix endpoint convention absorbs the maximal
     intersection at t = 0).  Constant-coefficient
     systems evaluate Gamma(t) exactly; otherwise t snaps to the integration
-    grid, which the crossing engine tolerates since only window counts at
-    sampled points enter the index.
+    grid of one checkpointed propagation, which the crossing engine
+    tolerates since only window counts at sampled points enter the index.
     """
     if not isinstance(fam, SecondOrderFamily):
         raise TypeError("maslov_long expects a SecondOrderFamily")
@@ -626,9 +598,17 @@ def maslov_long(fam, s, w, opts=None):
     system = _system(fam, s, opts.steps)
     bspace = boundary_space(fam, s)
     wsub = w if isinstance(w, Subspace) else subspace_from_span(w)
+    if system.const:
+        def gamma(t):
+            return la.expm(system.c0[0] * float(t))
+    else:
+        gammas = system.propagate([0.0], checkpoints=True)[:, 0]
+
+        def gamma(t):
+            return gammas[min(max(int(round(float(t) / system.h)), 0), system.steps)]
 
     def sampler(t):
-        return bspace, graph_subspace(system.solution_at(0.0, t)), wsub
+        return bspace, graph_subspace(gamma(t)), wsub
 
     path = PairPath(sampler=sampler, interval=(0.0, fam.T))
     total, report = maslov_index(path, opts.flow_opts())

@@ -97,6 +97,13 @@ def test_sf_on_pair_path_is_config_error(tmp_path, capsys):
     assert "pair path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("steps", 7), ("lambda_window", 123.0)])
+def test_pair_path_rejects_bvp_numerics(tmp_path, key, value, capsys):
+    doc = dict(PAIR, numerics={key: value, "max_depth": 12})
+    assert cli.main(["verify", write(tmp_path, doc)]) == 3
+    assert f"numerics.{key}" in capsys.readouterr().err
+
+
 def test_exit_1_on_pinned_mismatch(tmp_path, capsys):
     doc = dict(ROT)
     doc["expected"] = {"sf": 5, "mas": 5, "provenance": "wrong on purpose"}

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from maslovflow import core
 from maslovflow.errors import (
     Degenerate,
+    NotHermitian,
     NotLagrangian,
     NotSkewHermitian,
+    SingularP,
     UnbalancedSplitting,
 )
 
@@ -35,6 +37,26 @@ def test_make_space_rejects_non_skew():
 def test_make_space_rejects_singular():
     with pytest.raises(Degenerate):
         core.make_space(np.array([[1j, 0], [0, 0]]))
+
+
+def test_require_hermitian_on_a_stack():
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    noisy = z + z.conj().swapaxes(-1, -2) + 1e-13 * z
+    out = core.require_hermitian(noisy)
+    npt.assert_array_equal(out, 0.5 * (noisy + noisy.conj().swapaxes(-1, -2)))
+    npt.assert_array_equal(out, out.conj().swapaxes(-1, -2))
+    bad = out.copy()
+    bad[2, 0, 1] += 1e-3
+    with pytest.raises(NotHermitian):
+        core.require_hermitian(bad)
+
+
+def test_require_nonsingular_raises_the_given_class():
+    sv = np.array([[2.0, 1.0], [1.0, 1e-13]])
+    core.require_nonsingular(sv[0], SingularP, "p")
+    with pytest.raises(SingularP):
+        core.require_nonsingular(sv, SingularP, "p")
 
 
 def test_omega_convention():
@@ -75,7 +97,7 @@ def test_unbalanced_splitting_has_no_lagrangians():
     assert not sp.balanced
     lam = core.subspace_from_span(np.eye(4)[:, :2])
     with pytest.raises(UnbalancedSplitting):
-        core.graph_rep(space, sp, lam)
+        core.graph_rep(sp, lam)
 
 
 def test_subspace_from_span_drops_dependent_columns():
@@ -117,7 +139,7 @@ def test_graph_rep_round_trip():
     sp = core.make_splitting(space)
     u = rand_unitary(rng, 1)
     lam = core.subspace_from_span(sp.hframe_plus + sp.hframe_minus @ u)
-    rep = core.graph_rep(space, sp, lam)
+    rep = core.graph_rep(sp, lam)
     assert isinstance(rep, np.ndarray)
     npt.assert_allclose(rep, u, atol=1e-12)
     graph = core.subspace_from_span(sp.hframe_plus + sp.hframe_minus @ rep)
@@ -129,7 +151,7 @@ def test_graph_rep_rejects_non_lagrangian():
     sp = core.make_splitting(space)
     bad = core.subspace_from_span(np.eye(4)[:, :2])  # H+ itself: omega = i I
     with pytest.raises(NotLagrangian):
-        core.graph_rep(space, sp, bad)
+        core.graph_rep(sp, bad)
 
 
 def test_pair_unitary_intersections():
@@ -142,7 +164,7 @@ def test_pair_unitary_intersections():
 
     lam = lag(0.0)
     for theta, want in [(0.0, 1), (0.5, 0), (np.pi, 0)]:
-        w = core.pair_unitary(space, sp, lag(theta), lam)
+        w = core.pair_unitary(sp, lag(theta), lam)
         phases = np.angle(np.linalg.eigvals(w))
         n_one = int(np.count_nonzero(np.abs(phases) < 1e-8))
         assert n_one == want
@@ -223,5 +245,5 @@ def test_graph_rep_round_trip_random(m, seed):
     sp = core.make_splitting(space)
     u = rand_unitary(rng, m)
     lam = core.subspace_from_span(sp.hframe_plus + sp.hframe_minus @ u)
-    rep = core.graph_rep(space, sp, lam)
+    rep = core.graph_rep(sp, lam)
     npt.assert_allclose(rep, u, atol=1e-8)

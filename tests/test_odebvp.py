@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from scipy.linalg import expm
 
-from maslovflow import core, odebvp
+from maslovflow import core, flow, odebvp
 from maslovflow.errors import SingularJ, WindowBoundaryEigenvalue
 
 
@@ -192,12 +192,15 @@ def test_checkpoints_end_at_the_plain_propagation():
     (lambda s, t: -1.0, True),
     (lambda s, t: -1.0 + 0.5 * np.cos(2.0 * t), False),
 ], ids=["constant", "varying"])
-def test_solution_at_end_is_the_transfer_matrix(r_fun, const):
+def test_maslov_long_ends_at_the_transfer_matrix_graph(r_fun, const):
     fam = dirichlet_second(r_fun, T=2.0)
-    system = odebvp._system(fam, 0.5, 256)
-    assert system.const is const
-    npt.assert_array_equal(system.solution_at(0.0, fam.T),
-                           odebvp.transfer_matrix(fam, 0.5, 0.0, steps=256))
+    assert odebvp._system(fam, 0.5, 256).const is const
+    w = odebvp.w_of_r(None, m=1)
+    _, report = odebvp.maslov_long(fam, 0.5, w, odebvp.BvpOpts(steps=256))
+    graph = odebvp.graph_subspace(odebvp.transfer_matrix(fam, 0.5, 0.0, steps=256))
+    splitting = core.make_splitting(odebvp.boundary_space(fam, 0.5))
+    npt.assert_array_equal(report.samples[fam.T],
+                           flow.eigenphases(core.pair_unitary(splitting, graph, w)))
 
 
 def test_softening_oscillator_both_pipelines():
