@@ -33,6 +33,11 @@ frame with ``2m`` rows (positions at the two ends of the interval).
 A ``pair_path`` takes only ``initial_segments`` and ``max_depth`` from
 ``numerics``.
 
+Every number in a document is a finite JSON number: the literals ``NaN``,
+``Infinity`` and ``-Infinity`` are refused, as are strings or booleans in
+``samples.values``.  A ``name`` names the report files, so it may not
+contain ``/`` or ``\\`` and may not be ``.`` or ``..``.
+
 Exit codes: 0 both pipelines succeeded and agree, 1 disagreement or a
 runtime failure, 2 an adaptive refinement gave up (unresolved family),
 3 unusable input (missing file, bad JSON, schema or expression errors).
@@ -46,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -124,6 +130,12 @@ _MATRIX = {
 
 _AXIS = {"type": "array", "items": {"type": "number"}, "minItems": 2}
 
+# Arrays nested to any depth whose leaves are numbers.
+_NUMBER_ARRAY = {
+    "type": "array",
+    "items": {"anyOf": [{"type": "number"}, {"$ref": "#/$defs/number_array"}]},
+}
+
 _SAMPLES = {
     "type": "object",
     "required": ["samples"],
@@ -133,7 +145,8 @@ _SAMPLES = {
             "type": "object",
             "required": ["values"],
             "additionalProperties": False,
-            "properties": {"s": _AXIS, "t": _AXIS, "values": {"type": "array"}},
+            "properties": {"s": _AXIS, "t": _AXIS,
+                           "values": {"$ref": "#/$defs/number_array"}},
         }
     },
 }
@@ -141,11 +154,14 @@ _SAMPLES = {
 _COEFF = {"oneOf": [_MATRIX, _SAMPLES]}
 
 CONFIG_SCHEMA = {
+    "$defs": {"number_array": _NUMBER_ARRAY},
     "type": "object",
     "required": ["kind", "m"],
     "additionalProperties": False,
     "properties": {
-        "name": {"type": "string", "minLength": 1},
+        # names the report files, so it must stay inside --out
+        "name": {"type": "string", "minLength": 1, "pattern": r"^[^/\\]*$",
+                 "not": {"enum": [".", ".."]}},
         "kind": {"enum": ["first_order", "second_order", "pair_path"]},
         "m": {"type": "integer", "minimum": 1},
         "T": {"type": "number", "exclusiveMinimum": 0},
@@ -380,15 +396,25 @@ def _constant_matrix(rows, where):
 # --------------------------------------------------------------------------
 # document -> scenario
 
+def _finite_number(text):
+    x = float(text)
+    if not math.isfinite(x):
+        raise ConfigError(f"{text} is not a finite number")
+    return x
+
+
 def load_document(path):
     """Read and schema-check a JSON problem document."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_finite_number,
+                            parse_constant=_finite_number)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     try:
         jsonschema.validate(doc, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:

@@ -142,14 +142,6 @@ class Subspace:
     def ambient_dim(self):
         return self.frame.shape[0]
 
-    def contains(self, x):
-        x = np.asarray(x, dtype=complex)
-        nrm = la.norm(x)
-        if nrm == 0:
-            return True
-        resid = x - self.frame @ (self.frame.conj().T @ x)
-        return la.norm(resid) <= TAU_RANK * nrm
-
 
 def subspace_from_span(vectors):
     """Orthonormalize a spanning set into a :class:`Subspace`.
@@ -178,30 +170,6 @@ def orthogonal_complement(sub):
     comp = _fix_column_phases(u[:, sub.dim:])
     comp.flags.writeable = False
     return Subspace(frame=comp)
-
-
-def subspace_sum(a, b):
-    """The subspace a + b."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch("subspaces live in different ambient spaces")
-    return subspace_from_span(np.hstack([a.frame, b.frame]))
-
-
-def subspace_intersection(a, b):
-    """The subspace a ∩ b, via the null space of the stacked frames."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch("subspaces live in different ambient spaces")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace(frame=np.zeros((a.ambient_dim, 0), dtype=complex))
-    stacked = np.hstack([a.frame, -b.frame])
-    _, s, vh = la.svd(stacked)
-    tol = TAU_RANK * (s[0] if s.size else 1.0)
-    null_mask = np.zeros(stacked.shape[1], dtype=bool)
-    null_mask[np.sum(s > tol):] = True
-    coeffs = vh.conj().T[: a.dim, null_mask]
-    if coeffs.shape[1] == 0:
-        return Subspace(frame=np.zeros((a.ambient_dim, 0), dtype=complex))
-    return subspace_from_span(a.frame @ coeffs)
 
 
 def intersection_dim(a, b):

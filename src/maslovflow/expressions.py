@@ -20,9 +20,7 @@ by ordinary broadcasting.
 ``parse`` raises :class:`~maslovflow.errors.ExpressionSyntaxError` with
 the zero-based character offset of the offending token, or
 :class:`~maslovflow.errors.UnknownIdentifier` for names outside the
-grammar.  ``unparse`` renders a tree back to a string that reparses to
-an equivalent tree (same value everywhere, up to rounding in the last
-bit of each literal).
+grammar.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ __all__ = [
     "Call",
     "parse",
     "evaluate",
-    "unparse",
     "variables",
 ]
 
@@ -58,8 +55,7 @@ _VARS = ("s", "t")
 
 @dataclass(frozen=True)
 class Num:
-    """Literal.  ``imag`` records whether the source spelling had the
-    ``i`` suffix, so unparsing can reproduce it."""
+    """Literal; ``imag`` marks the ``i`` suffix (value times 1j)."""
 
     value: float
     imag: bool = False
@@ -273,57 +269,3 @@ def variables(node):
         return variables(node.arg)
     return set()
 
-
-# --------------------------------------------------------------------------
-# unparser
-
-# Precedence levels: additive 0, multiplicative 1, unary minus 2,
-# atoms 3.  A child is parenthesized when its level is below the level
-# its context requires.
-
-
-def _level(node):
-    if isinstance(node, BinOp):
-        return 0 if node.op in "+-" else 1
-    if isinstance(node, Neg):
-        return 2
-    return 3
-
-
-def _render(node, required):
-    text = _render_raw(node)
-    if _level(node) < required:
-        return f"({text})"
-    return text
-
-
-def _render_raw(node):
-    if isinstance(node, Num):
-        return f"{node.value:.17g}" + ("i" if node.imag else "")
-    if isinstance(node, Const):
-        return node.name
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        # The operand of a unary minus must sit at atom level, otherwise
-        # "--x" or "-a + b" would reparse differently.
-        return "-" + _render(node.arg, 3)
-    if isinstance(node, BinOp):
-        lvl = _level(node)
-        # The right operand always needs one more level: for - and /
-        # because they do not associate, for + and * so that reparsing
-        # rebuilds the identical tree (float arithmetic is sensitive to
-        # regrouping, so a*(b*c) must not come back as (a*b)*c).
-        return (
-            _render(node.left, lvl)
-            + node.op
-            + _render(node.right, lvl + 1)
-        )
-    if isinstance(node, Call):
-        return f"{node.fn}({_render_raw(node.arg)})"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def unparse(node):
-    """Render a tree back to a parsable string."""
-    return _render_raw(node)

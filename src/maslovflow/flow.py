@@ -28,20 +28,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 import scipy.linalg as la
 
 from .core import TAU_UNIT, require_hermitian
 from .errors import NotUnitary, SpectrumOnBoundary, UnresolvedFamily
-
-
-class LineKind(Enum):
-    """The two co-oriented lines the engine understands."""
-
-    REAL_AXIS_AT_ZERO = "real-axis-at-zero"
-    UNIT_CIRCLE_AT_ONE = "unit-circle-at-one"
 
 
 @dataclass
@@ -91,8 +83,6 @@ class SegmentRecord:
 class CrossingReport:
     """Everything needed to audit a flow computation."""
 
-    total: int = 0
-    scale: float = 1.0
     segments: list = field(default_factory=list)
     samples: dict = field(default_factory=dict)  # s -> coordinate array
     extras: dict = field(default_factory=dict)  # residuals etc., per computation
@@ -104,27 +94,6 @@ class CrossingReport:
             pts.add(seg.s_left)
             pts.add(seg.s_right)
         return sorted(pts)
-
-    def to_dict(self):
-        return {
-            "total": self.total,
-            "scale": self.scale,
-            "extras": dict(self.extras),
-            "partition": self.partition,
-            "segments": [
-                {
-                    "s_left": seg.s_left,
-                    "s_right": seg.s_right,
-                    "delta": seg.delta,
-                    "n_minus_left": seg.count_left.n_minus,
-                    "n_zero_left": seg.count_left.n_zero,
-                    "n_minus_right": seg.count_right.n_minus,
-                    "n_zero_right": seg.count_right.n_zero,
-                    "contribution": seg.contribution,
-                }
-                for seg in self.segments
-            ],
-        }
 
     def write_trace(self, path, prefix="coord"):
         """Dump every sampled coordinate list as CSV: s, coord_1, ...
@@ -266,7 +235,7 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
     tau_zero = 1e-9 * scale
     floor = max(4.0 * eta, 10.0 * tau_zero)
 
-    report = CrossingReport(scale=scale, samples=cache)
+    report = CrossingReport(samples=cache)
     total = 0
     # LIFO stack, pushed right-then-left so work proceeds left to right.
     stack = [
@@ -316,7 +285,6 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
         report.segments.append(seg)
         total += seg.contribution
     report.segments.sort(key=lambda seg: seg.s_left)
-    report.total = total
     return total, report
 
 
@@ -352,33 +320,18 @@ def unit_circle_residual(u):
     return float(np.abs(np.abs(np.diag(t)) - 1.0).max())
 
 
-def spectral_flow(family, kind, interval, opts=None):
-    """Spectral flow of a matrix family through the chosen line.
+def spectral_flow(family, interval, opts=None):
+    """Spectral flow through 0 of ``family``, s -> Hermitian matrix
+    (validated at every sample); returns ``(int, CrossingReport)``.
 
-    Parameters
-    ----------
-    family : callable
-        s -> square matrix; Hermitian for ``REAL_AXIS_AT_ZERO``, unitary for
-        ``UNIT_CIRCLE_AT_ONE``.  Validated at every sample.
-    kind : LineKind
-    interval : (float, float)
-    opts : FlowOpts, optional
-
-    Returns
-    -------
-    (int, CrossingReport)
+    A unitary family's flow through 1 is :func:`flow_from_sampler` on its
+    :func:`eigenphases` with ``circular=True``.
     """
-    kind = LineKind(kind)
-    if kind is LineKind.REAL_AXIS_AT_ZERO:
-        def sampler(s):
-            m = require_hermitian(family(s), name=f"family({s:.6g})")
-            return la.eigvalsh(m)
-    else:
-        def sampler(s):
-            return eigenphases(family(s))
-    return flow_from_sampler(
-        sampler, interval, opts, circular=kind is LineKind.UNIT_CIRCLE_AT_ONE
-    )
+
+    def sampler(s):
+        return la.eigvalsh(require_hermitian(family(s), name=f"family({s:.6g})"))
+
+    return flow_from_sampler(sampler, interval, opts)
 
 
 # ---------------------------------------------------------------------------

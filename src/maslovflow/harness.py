@@ -15,7 +15,6 @@ suites are selected.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -571,9 +570,9 @@ def _suite_flow_catenation(rng, dims):
     n = _pick_dim(rng, dims)
     fam = _random_hermitian_family(rng, n)
     c = float(rng.uniform(0.3, 0.7))
-    whole, _ = flow.spectral_flow(fam, flow.LineKind.REAL_AXIS_AT_ZERO, (0.0, 1.0))
-    left, _ = flow.spectral_flow(fam, flow.LineKind.REAL_AXIS_AT_ZERO, (0.0, c))
-    right, _ = flow.spectral_flow(fam, flow.LineKind.REAL_AXIS_AT_ZERO, (c, 1.0))
+    whole, _ = flow.spectral_flow(fam, (0.0, 1.0))
+    left, _ = flow.spectral_flow(fam, (0.0, c))
+    right, _ = flow.spectral_flow(fam, (c, 1.0))
     ok = left + right == whole
     return ok, 0.0, f"dim {n}: {left} + {right} vs {whole}"
 
@@ -585,15 +584,15 @@ def _suite_flow_reparam(rng, dims):
     def smooth(s):
         return fam(s * s * (3.0 - 2.0 * s))
 
-    base, _ = flow.spectral_flow(fam, flow.LineKind.REAL_AXIS_AT_ZERO, (0.0, 1.0))
-    warped, _ = flow.spectral_flow(smooth, flow.LineKind.REAL_AXIS_AT_ZERO, (0.0, 1.0))
+    base, _ = flow.spectral_flow(fam, (0.0, 1.0))
+    warped, _ = flow.spectral_flow(smooth, (0.0, 1.0))
     return base == warped, 0.0, f"dim {n}: {base} vs {warped}"
 
 
 def _suite_flow_oracle(rng, dims):
     n = _pick_dim(rng, dims)
     fam = _random_hermitian_family(rng, n)
-    engine, rep = flow.spectral_flow(fam, flow.LineKind.REAL_AXIS_AT_ZERO, (0.0, 1.0))
+    engine, rep = flow.spectral_flow(fam, (0.0, 1.0))
     fine = 10 * max(len(rep.partition) - 1, 16) + 1
     oracle = _branch_oracle(lambda s: nla.eigvalsh(fam(s)), (0.0, 1.0), fine)
     return engine == oracle, 0.0, f"dim {n}: engine {engine}, oracle {oracle}"
@@ -604,7 +603,7 @@ def _suite_flow_conjugation(rng, dims):
     fam = _random_hermitian_family(rng, n)
     t = np.eye(n) + 0.4 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
     tinv = nla.inv(t)
-    engine, rep = flow.spectral_flow(fam, flow.LineKind.REAL_AXIS_AT_ZERO, (0.0, 1.0))
+    engine, rep = flow.spectral_flow(fam, (0.0, 1.0))
 
     def conjugated_eigs(s):
         vals = nla.eigvals(t @ fam(s) @ tinv)
@@ -630,8 +629,8 @@ def _suite_flow_embedding(rng, dims):
         out[n:, n:] = c
         return out
 
-    base, _ = flow.spectral_flow(fam, flow.LineKind.REAL_AXIS_AT_ZERO, (0.0, 1.0))
-    emb, _ = flow.spectral_flow(block, flow.LineKind.REAL_AXIS_AT_ZERO, (0.0, 1.0))
+    base, _ = flow.spectral_flow(fam, (0.0, 1.0))
+    emb, _ = flow.spectral_flow(block, (0.0, 1.0))
     return base == emb, 0.0, f"dim {n}+{k}: {base} vs {emb}"
 
 
@@ -789,9 +788,6 @@ class SweepSummary:
             "all_passed": self.all_passed,
             "suites": [s.to_dict() for s in self.suites],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def property_sweep(seed, trials, dims=(2, 4, 6, 8), suites=None):

@@ -81,6 +81,11 @@ class PairPath:
         jf, lf, mf = _as_space_fun(j), _as_subspace_fun(lam), _as_subspace_fun(mu)
         return PairPath(sampler=lambda s: (jf(s), lf(s), mf(s)), interval=tuple(interval))
 
+    def _mapped(self, transform):
+        """The path s -> transform(s, space, lambda, mu) on the same interval."""
+        base = self.sampler
+        return PairPath(sampler=lambda s: transform(s, *base(s)), interval=self.interval)
+
     def swapped(self):
         """The path s -> (H, mu, lambda): same form, pair order reversed.
 
@@ -88,43 +93,24 @@ class PairPath:
         swapped path complements the original one up to the endpoint
         intersection dimensions rather than repeating it.
         """
-        base = self.sampler
-
-        def sampler(s):
-            space, lam, mu = base(s)
-            return space, mu, lam
-
-        return PairPath(sampler=sampler, interval=self.interval)
+        return self._mapped(lambda s, space, lam, mu: (space, mu, lam))
 
     def flipped_swapped(self):
         """The path s -> ((H, -omega), mu, lambda)."""
-        base = self.sampler
-
-        def sampler(s):
-            space, lam, mu = base(s)
-            return flip(space), mu, lam
-
-        return PairPath(sampler=sampler, interval=self.interval)
+        return self._mapped(lambda s, space, lam, mu: (flip(space), mu, lam))
 
     def boxplus_diagonal(self):
         """The path s -> (H (+) H flipped, lambda x mu, diagonal)."""
-        base = self.sampler
-
-        def sampler(s):
-            space, lam, mu = base(s)
-            return boxplus(space, space), boxplus_subspace(lam, mu), diagonal_subspace(space.dim)
-
-        return PairPath(sampler=sampler, interval=self.interval)
+        return self._mapped(lambda s, space, lam, mu: (
+            boxplus(space, space), boxplus_subspace(lam, mu), diagonal_subspace(space.dim)))
 
     def pushforward(self, l):
         """Transport the whole path by an invertible map (constant or
         callable in s): the form becomes L^{-*} J L^{-1} and subspaces move
         by L, which changes nothing about the index."""
-        base = self.sampler
         lfun = l if callable(l) else (lambda s, _l=np.asarray(l, dtype=complex): _l)
 
-        def sampler(s):
-            space, lam, mu = base(s)
+        def transform(s, space, lam, mu):
             lmat = np.asarray(lfun(s), dtype=complex)
             linv = la.inv(lmat)
             jnew = linv.conj().T @ space.form @ linv
@@ -132,7 +118,7 @@ class PairPath:
                     subspace_from_span(lmat @ lam.frame),
                     subspace_from_span(lmat @ mu.frame))
 
-        return PairPath(sampler=sampler, interval=self.interval)
+        return self._mapped(transform)
 
 
 def maslov_index(path, opts=None, metric=None):

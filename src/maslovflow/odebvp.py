@@ -41,7 +41,7 @@ identities this package exists to check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
@@ -83,15 +83,14 @@ class FirstOrderFamily:
 
     ``j`` and ``b`` map ``(s, t)`` to m x m matrices (scalar t; an
     implementation may also accept a t-array and return ``(nt, m, m)``,
-    which is used for speed when available).  ``jdot`` is optional;
-    central differences with step ``T / (8 * steps)`` are used otherwise.
+    which is used for speed when available).  The t-derivative of ``j``
+    is a central difference with step ``T / (8 * steps)``.
     """
 
     m: int
     T: float
     j: Callable
     b: Callable
-    jdot: Optional[Callable] = None
     name: str = ""
 
 
@@ -198,12 +197,9 @@ def _build_first_order(fam, s, steps):
     require_nonsingular(np.linalg.svd(jg, compute_uv=False), SingularJ,
                         f"j(s={s:.6g}, t) at a grid point")
     bg = require_hermitian(_eval_grid(fam.b, s, ts, fam.m), f"b(s={s:.6g}, t) on the t-grid")
-    if fam.jdot is not None:
-        jd = _eval_grid(fam.jdot, s, ts, fam.m)
-    else:
-        hd = fam.T / (8.0 * steps)
-        jd = (_eval_grid(fam.j, s, ts + hd, fam.m)
-              - _eval_grid(fam.j, s, ts - hd, fam.m)) / (2.0 * hd)
+    hd = fam.T / (8.0 * steps)
+    jd = (_eval_grid(fam.j, s, ts + hd, fam.m)
+          - _eval_grid(fam.j, s, ts - hd, fam.m)) / (2.0 * hd)
     jinv = np.linalg.inv(jg)
     c0 = -jinv @ (bg + 0.5 * jd)
     c1 = -jinv
@@ -550,9 +546,7 @@ def sf_bvp(fam, w_path, opts=None):
         c = np.array([v for v in vals if abs(v) <= 0.6 * r0], dtype=float)
         return c
 
-    total, report = flow_from_sampler(coords, opts.interval, opts.flow_opts(), scale=r0)
-    report.extras["kind"] = "sf_bvp"
-    return total, report
+    return flow_from_sampler(coords, opts.interval, opts.flow_opts(), scale=r0)
 
 
 def mas_bvp(fam, w_path, opts=None):
@@ -577,7 +571,6 @@ def mas_bvp(fam, w_path, opts=None):
     path = PairPath(sampler=sampler, interval=opts.interval)
     total, report = maslov_index(path, opts.flow_opts())
     report.extras.update(stats)
-    report.extras["kind"] = "mas_bvp"
     return total, report
 
 
@@ -611,10 +604,7 @@ def maslov_long(fam, s, w, opts=None):
         return bspace, graph_subspace(gamma(t)), wsub
 
     path = PairPath(sampler=sampler, interval=(0.0, fam.T))
-    total, report = maslov_index(path, opts.flow_opts())
-    report.extras["kind"] = "maslov_long"
-    report.extras["t_snapped"] = not system.const
-    return total, report
+    return maslov_index(path, opts.flow_opts())
 
 
 @dataclass(frozen=True)

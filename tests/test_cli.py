@@ -139,6 +139,33 @@ def test_exit_3_on_bad_documents(tmp_path, mangle, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(ROT, T=float("nan")),
+        dict(PAIR, interval=[0.0, float("inf")]),
+        dict(ROT, numerics={"lambda_window": float("nan")}),
+        dict(ROT, b={"samples": {"values": [["0.25"]]}}),
+        dict(ROT, b={"samples": {"values": [[True]]}}),
+    ],
+    ids=["T-NaN", "interval-Infinity", "lambda_window-NaN", "values-string",
+         "values-bool"],
+)
+def test_exit_3_on_non_finite_or_non_numeric_numbers(tmp_path, doc, capsys):
+    # json.dumps spells float("nan") and float("inf") as NaN and Infinity
+    assert cli.main(["verify", write(tmp_path, doc)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", ".."])
+def test_name_cannot_leave_the_out_directory(tmp_path, name, capsys):
+    cfg = write(tmp_path, dict(PAIR, name=name))
+    out = tmp_path / "out" / "reports"
+    assert cli.main(["verify", cfg, "--out", str(out)]) == 3
+    assert "name" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*")) == [tmp_path / "cfg.json"]
+
+
 def test_exit_3_on_unreadable_inputs(tmp_path, capsys):
     assert cli.main(["verify", str(tmp_path / "missing.json")]) == 3
     broken = tmp_path / "broken.json"

@@ -6,7 +6,7 @@ import pytest
 
 from maslovflow import flow, harness
 from maslovflow.errors import NotUnitary, SpectrumOnBoundary, UnresolvedFamily
-from maslovflow.flow import FlowOpts, LineKind
+from maslovflow.flow import FlowOpts
 
 
 def run(sampler, circular=False, **kw):
@@ -14,6 +14,10 @@ def run(sampler, circular=False, **kw):
         sampler, (0.0, 1.0), FlowOpts(**kw), circular=circular
     )
     return total
+
+
+def unitary_flow(family):
+    return run(lambda s: flow.eigenphases(family(s)), circular=True)
 
 
 def test_constant_family_is_zero():
@@ -76,18 +80,13 @@ def test_spectral_flow_hermitian():
     def family(s):
         return np.diag([s - 0.5, s - 2.0, -s - 1.0])
 
-    total, rep = flow.spectral_flow(family, LineKind.REAL_AXIS_AT_ZERO, (0.0, 1.0))
+    total, _ = flow.spectral_flow(family, (0.0, 1.0))
     assert total == 1
-    assert rep.total == 1
 
 
 def test_spectral_flow_rejects_non_hermitian():
     with pytest.raises(Exception):
-        flow.spectral_flow(
-            lambda s: np.array([[0.0, 1.0], [0.0, 0.0]]),
-            LineKind.REAL_AXIS_AT_ZERO,
-            (0.0, 1.0),
-        )
+        flow.spectral_flow(lambda s: np.array([[0.0, 1.0], [0.0, 0.0]]), (0.0, 1.0))
 
 
 @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
@@ -95,8 +94,7 @@ def test_unitary_winding(k):
     def family(s):
         return np.array([[np.exp(2j * np.pi * k * s)]])
 
-    total, _ = flow.spectral_flow(family, LineKind.UNIT_CIRCLE_AT_ONE, (0.0, 1.0))
-    assert total == k
+    assert unitary_flow(family) == k
 
 
 def test_unitary_two_phases():
@@ -104,8 +102,7 @@ def test_unitary_two_phases():
     def family(s):
         return np.diag([np.exp(2j * np.pi * s), np.exp(1j * (1.0 + 0.2 * s))])
 
-    total, _ = flow.spectral_flow(family, LineKind.UNIT_CIRCLE_AT_ONE, (0.0, 1.0))
-    assert total == 1
+    assert unitary_flow(family) == 1
 
 
 def test_phase_pair_winding_through_pi():
@@ -115,8 +112,7 @@ def test_phase_pair_winding_through_pi():
         th = 0.9 * np.pi + 1.4 * s  # passes pi, wraps, stays away from 0
         return np.diag([np.exp(1j * th), np.exp(1j * (th + 0.05))])
 
-    total, _ = flow.spectral_flow(family, LineKind.UNIT_CIRCLE_AT_ONE, (0.0, 1.0))
-    assert total == 0
+    assert unitary_flow(family) == 0
 
 
 def test_flow_reparametrization_invariance():
