@@ -34,9 +34,10 @@ A ``pair_path`` takes only ``initial_segments`` and ``max_depth`` from
 ``numerics``.
 
 Every number in a document is a finite JSON number: the literals ``NaN``,
-``Infinity`` and ``-Infinity`` are refused, as are strings or booleans in
-``samples.values``.  A ``name`` names the report files, so it may not
-contain ``/`` or ``\\`` and may not be ``.`` or ``..``.
+``Infinity`` and ``-Infinity`` are refused, as are integers too large for
+a float and strings or booleans in ``samples.values``.  A ``name`` names
+the report files, so it may not contain ``/`` or ``\\`` and may not be
+``.`` or ``..``.
 
 Exit codes: 0 both pipelines succeeded and agree, 1 disagreement or a
 runtime failure, 2 an adaptive refinement gave up (unresolved family),
@@ -403,11 +404,17 @@ def _finite_number(text):
     return x
 
 
+def _finite_int(text):
+    _finite_number(text)  # an integer too large for a float reads as inf
+    return int(text)
+
+
 def load_document(path):
     """Read and schema-check a JSON problem document."""
     try:
         with open(path) as fh:
             doc = json.load(fh, parse_float=_finite_number,
+                            parse_int=_finite_int,
                             parse_constant=_finite_number)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
@@ -433,19 +440,6 @@ def _expected_from(doc, kind):
         raise ConfigError("expected: differential-equation kinds pin both "
                           "integers; add \"sf\"")
     return harness.Expected(sf=sf, mas=exp["mas"], provenance=exp["provenance"])
-
-
-def _bvp_opts(doc):
-    num = doc.get("numerics", {})
-    return odebvp.BvpOpts(**{k: num[k] for k in
-                             ("steps", "initial_segments", "max_depth",
-                              "lambda_window") if k in num})
-
-
-def _flow_opts(doc):
-    num = doc.get("numerics", {})
-    kw = {k: num[k] for k in ("initial_segments", "max_depth") if k in num}
-    return flow.FlowOpts(**kw)
 
 
 def _boundary_from(doc, m, kind):
@@ -505,7 +499,7 @@ def scenario_from_document(doc, default_name):
             name=name,
             kind=kind,
             build=lambda: path,
-            opts=_flow_opts(doc),
+            opts=flow.FlowOpts(**doc.get("numerics", {})),
             expected=expected,
             description=f"pair path from {default_name}",
         )
@@ -533,7 +527,7 @@ def scenario_from_document(doc, default_name):
         name=name,
         kind=kind,
         build=lambda: (fam, w_path),
-        opts=_bvp_opts(doc),
+        opts=odebvp.BvpOpts(**doc.get("numerics", {})),
         expected=expected,
         description=f"{kind} problem from {default_name}",
     )

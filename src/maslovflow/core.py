@@ -90,7 +90,8 @@ class SymplecticSpace:
         return y.conj().T @ (self.form @ x)
 
     def k_operator(self):
-        """The Hermitian operator K = -iJ defining the canonical splitting."""
+        """K = -iJ, which defines the canonical splitting; exactly Hermitian
+        because ``form`` is exactly skew (see :func:`make_space`)."""
         return -1j * self.form
 
 
@@ -116,16 +117,10 @@ def make_space(j):
     j = np.asarray(j, dtype=complex)
     if j.ndim != 2 or j.shape[0] != j.shape[1]:
         raise DimensionMismatch(f"form matrix must be square, got shape {j.shape}")
-    scale = max(1.0, float(np.abs(j).max()))
-    resid = float(np.abs(j + j.conj().T).max())
-    if resid > TAU_SYM * scale:
-        raise NotSkewHermitian(
-            f"form residual |J + J*| = {resid:.3e} exceeds {TAU_SYM * scale:.3e}"
-        )
+    form = require_hermitian(j, "form", NotSkewHermitian, sign=-1)
     require_nonsingular(la.svdvals(j), Degenerate, "form")
-    j = 0.5 * (j - j.conj().T)  # exact skew-Hermitian representative
-    j.flags.writeable = False
-    return SymplecticSpace(form=j)
+    form.flags.writeable = False
+    return SymplecticSpace(form=form)
 
 
 @dataclass(frozen=True)
@@ -315,20 +310,18 @@ def make_splitting(space, metric=None):
     """
     n = space.dim
     k = space.k_operator()
-    k = 0.5 * (k + k.conj().T)
     if metric is None:
         theta, vecs = la.eigh(k)
     else:
         g = np.asarray(metric, dtype=complex)
         if g.shape != (n, n):
             raise DimensionMismatch(f"metric must be {n} x {n}, got {g.shape}")
-        if np.abs(g - g.conj().T).max() > TAU_SYM * max(1.0, np.abs(g).max()):
-            raise BadMetric("metric is not Hermitian")
+        g = require_hermitian(g, "metric", BadMetric)
         try:
             la.cholesky(g)
         except la.LinAlgError as exc:
             raise BadMetric("metric is not positive definite") from exc
-        theta, vecs = la.eigh(k, 0.5 * (g + g.conj().T))
+        theta, vecs = la.eigh(k, g)
     # Descending eigenvalue order with deterministic phases.
     order = np.argsort(-theta, kind="stable")
     theta = theta[order]
@@ -371,11 +364,7 @@ def graph_rep(splitting, lam):
     if sv.size and sv[-1] <= 1e-10 * max(1.0, sv[0]):
         raise NotLagrangian("subspace projects degenerately onto the positive half")
     u = b @ la.inv(a)
-    resid = float(np.abs(u.conj().T @ u - np.eye(k)).max())
-    if resid > TAU_UNIT:
-        raise NotLagrangian(
-            f"graph matrix is not unitary (residual {resid:.3e}); subspace is not Lagrangian"
-        )
+    require_unitary(u, NotLagrangian, "graph matrix of a non-Lagrangian subspace")
     return u
 
 
@@ -399,9 +388,7 @@ def normalize_metric(space):
     ``G @ Jprime`` equal to the original form matrix, so the symplectic form
     is unchanged while the inner product absorbs the weakness.
     """
-    k = space.k_operator()
-    k = 0.5 * (k + k.conj().T)
-    theta, vecs = la.eigh(k)
+    theta, vecs = la.eigh(space.k_operator())
     require_nonsingular(np.abs(theta), Degenerate, "form")
     g = (vecs * np.abs(theta)) @ vecs.conj().T
     jprime = 1j * (vecs * np.sign(theta)) @ vecs.conj().T
@@ -443,17 +430,27 @@ def diagonal_subspace(n):
     return Subspace(frame=f)
 
 
-def require_hermitian(a, name="matrix"):
-    """Validate Hermitian symmetry of a matrix, or of every matrix in a stack
-    ``(..., n, n)``, within tolerance and return the exactly symmetrized
-    representative."""
+def require_hermitian(a, name="matrix", exc=NotHermitian, sign=1):
+    """Validate Hermitian symmetry (``sign=1``) or skew-Hermitian symmetry
+    (``sign=-1``) of a matrix, or of every matrix in a stack ``(..., n, n)``,
+    within tolerance, raising ``exc`` otherwise, and return the exactly
+    (skew-)symmetrized representative."""
     a = np.asarray(a, dtype=complex)
-    ah = a.conj().swapaxes(-1, -2)
+    ah = (a if sign > 0 else -a).conj().swapaxes(-1, -2)
     scale = max(1.0, float(np.abs(a).max()))
     resid = float(np.abs(a - ah).max())
     if resid > TAU_SYM * scale:
-        raise NotHermitian(f"{name} residual |A - A*| = {resid:.3e} exceeds {TAU_SYM * scale:.3e}")
+        op = "-" if sign > 0 else "+"
+        raise exc(f"{name} residual |A {op} A*| = {resid:.3e} exceeds {TAU_SYM * scale:.3e}")
     return 0.5 * (a + ah)
+
+
+def require_unitary(u, exc, name):
+    """Raise ``exc`` when ``max |u* u - I|`` exceeds TAU_UNIT; a 0 x 0
+    matrix passes."""
+    resid = float(np.abs(u.conj().T @ u - np.eye(u.shape[-1])).max()) if u.size else 0.0
+    if resid > TAU_UNIT:
+        raise exc(f"{name} is not unitary (residual {resid:.3e} exceeds {TAU_UNIT:.3e})")
 
 
 def require_nonsingular(sv, exc, name):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .core import TAU_UNIT, require_hermitian
+from .core import require_hermitian, require_unitary
 from .errors import NotUnitary, SpectrumOnBoundary, UnresolvedFamily
 
 
@@ -299,11 +299,8 @@ def eigenphases(u):
     stable even when the matrix is a hair away from normal.
     """
     u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    resid = float(np.abs(u.conj().T @ u - np.eye(n)).max()) if n else 0.0
-    if resid > TAU_UNIT:
-        raise NotUnitary(f"unitarity residual {resid:.3e} exceeds {TAU_UNIT:.3e}")
-    if n == 0:
+    require_unitary(u, NotUnitary, "matrix")
+    if u.shape[0] == 0:
         return np.empty(0)
     t, _ = la.schur(u, output="complex")
     phases = np.angle(np.diag(t))

@@ -292,9 +292,7 @@ def real_generator(j, lam_frame, mu_frame):
         raise Degenerate("T*T is numerically singular")
     ginv = (vecs / np.sqrt(w)) @ vecs.T
     v = t @ ginv
-    resid = np.abs(v.conj().T @ v - np.eye(v.shape[0])).max()
-    if resid > core.TAU_UNIT:
-        raise NonUnitaryGenerator(f"generator unitarity residual {resid:.3e}")
+    core.require_unitary(v, NonUnitaryGenerator, "generator")
     return v, v @ v.T
 
 

@@ -49,10 +49,9 @@ import scipy.linalg as la
 
 from .core import (
     Subspace,
-    TAU_SYM,
+    intersection_dim,
     make_space,
     orthogonal_complement,
-    pair_index,
     require_hermitian,
     require_nonsingular,
     subspace_from_span,
@@ -122,7 +121,7 @@ def _eval_grid(f, s, ts, m):
         out = np.asarray(f(s, ts), dtype=complex)
         if out.shape == (len(ts), m, m):
             return out
-    except Exception:
+    except (ValueError, TypeError):
         pass
     out = np.empty((len(ts), m, m), dtype=complex)
     for i, t in enumerate(ts):
@@ -159,9 +158,7 @@ class _ShootingSystem:
         """
         lams = np.atleast_1d(np.asarray(lams, dtype=complex))
         if self.const and not checkpoints:
-            return np.stack(
-                [la.expm((self.c0[0] + lam * self.c1[0]) * self.T) for lam in lams]
-            )
+            return la.expm((self.c0[0] + lams[:, None, None] * self.c1[0]) * self.T)
         return self._rk4(lams, checkpoints)
 
     def _rk4(self, lams, checkpoints):
@@ -190,10 +187,7 @@ class _ShootingSystem:
 def _build_first_order(fam, s, steps):
     ts = np.linspace(0.0, fam.T, 2 * steps + 1)
     jg = _eval_grid(fam.j, s, ts, fam.m)
-    scale = max(1.0, float(np.abs(jg).max()))
-    resid = float(np.abs(jg + jg.conj().transpose(0, 2, 1)).max())
-    if resid > TAU_SYM * scale:
-        raise NotSkewHermitian(f"j(s={s:.6g}, t): residual {resid:.3e} on the t-grid")
+    require_hermitian(jg, f"j(s={s:.6g}, t) on the t-grid", NotSkewHermitian, sign=-1)
     require_nonsingular(np.linalg.svd(jg, compute_uv=False), SingularJ,
                         f"j(s={s:.6g}, t) at a grid point")
     bg = require_hermitian(_eval_grid(fam.b, s, ts, fam.m), f"b(s={s:.6g}, t) on the t-grid")
@@ -329,19 +323,14 @@ def w_of_r(r, m=None):
 # ---------------------------------------------------------------------------
 
 def _graph_detector(wperp_frame, gammas):
-    """sigma_min (and all singular values) of W_perp* @ orth[I; Gamma]."""
-    gammas = np.asarray(gammas)
-    single = gammas.ndim == 2
-    if single:
-        gammas = gammas[None]
+    """sigma_min of W_perp* @ orth[I; Gamma] for a stack ``(P, d, d)`` of
+    Gammas; returns ``(P,)``."""
     P, d, _ = gammas.shape
     stacked = np.empty((P, 2 * d, d), dtype=complex)
     stacked[:, :d] = np.eye(d)
     stacked[:, d:] = gammas
     q = np.linalg.qr(stacked)[0]
-    prod = wperp_frame.conj().T[None] @ q
-    sv = np.linalg.svd(prod, compute_uv=False)
-    return (sv[0] if single else sv)
+    return np.linalg.svd(wperp_frame.conj().T[None] @ q, compute_uv=False)[:, -1]
 
 
 def _golden_min(f, a, b, xtol):
@@ -421,10 +410,10 @@ def eigen_count(fam, s, w, window, grid=64, steps=2048):
         If two distinct roots are closer than 10x the root tolerance.
     """
     system = _system(fam, s, steps)
-    return _eigen_count_system(system, boundary_space(fam, s), w, window, grid)
+    return _eigen_count_system(system, w, window, grid)
 
 
-def _eigen_count_system(system, bspace, w, window, grid):
+def _eigen_count_system(system, w, window, grid):
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError(f"empty window {window}")
@@ -435,11 +424,11 @@ def _eigen_count_system(system, bspace, w, window, grid):
     ev = _GammaEvaluator(system, lo, hi, nodes)
 
     def detector_min(gamma_fun):
-        return lambda lam: float(_graph_detector(wperp, gamma_fun([lam])[0])[-1])
+        return lambda lam: float(_graph_detector(wperp, gamma_fun([lam]))[0])
 
     probes = np.linspace(lo, hi, max(16 * int(grid), 1024) + 1)
     gamma_fun = ev.gamma_proxy if ev.certified() else system.propagate
-    dvals = _graph_detector(wperp, gamma_fun(probes))[:, -1]
+    dvals = _graph_detector(wperp, gamma_fun(probes))
     dmin = detector_min(gamma_fun)
 
     # Bracket candidate roots at interior local minima of the detector.
@@ -454,13 +443,13 @@ def _eigen_count_system(system, bspace, w, window, grid):
     check = np.array([lo, hi] + refined)
     gam_exact = system.propagate(check)
     sv = _graph_detector(wperp, gam_exact)
-    if sv[0, -1] < _ACCEPT or sv[1, -1] < _ACCEPT:
+    if sv[0] < _ACCEPT or sv[1] < _ACCEPT:
         raise WindowBoundaryEigenvalue(
             f"detector at window endpoint(s) of ({lo:.6g}, {hi:.6g}) below margin"
         )
     roots = []
     for k, lam in enumerate(refined):
-        dstar = sv[k + 2, -1]
+        dstar = sv[k + 2]
         gamma = gam_exact[k + 2]
         if dstar >= _RETRY:
             continue
@@ -469,10 +458,9 @@ def _eigen_count_system(system, bspace, w, window, grid):
             lam = _golden_min(detector_min(system.propagate), lam - 64 * tau_root,
                               lam + 64 * tau_root, tau_root)
             gamma = system.propagate([lam])[0]
-            if _graph_detector(wperp, gamma)[-1] >= _ACCEPT:
+            if _graph_detector(wperp, gamma[None])[0] >= _ACCEPT:
                 continue
-        mult = pair_index(bspace, graph_subspace(gamma), w).dim_intersection
-        roots.append((float(lam), max(int(mult), 1)))
+        roots.append((float(lam), max(intersection_dim(graph_subspace(gamma), w), 1)))
     roots.sort()
     merged = []
     for lam, mult in roots:
@@ -532,11 +520,10 @@ def sf_bvp(fam, w_path, opts=None):
 
     def coords(s):
         system = _system(fam, s, opts.steps)
-        bspace = boundary_space(fam, s)
         last_exc = None
         for rj in _radius_ladder(r0):
             try:
-                roots = _eigen_count_system(system, bspace, wfun(s), (-rj, rj), opts.grid)
+                roots = _eigen_count_system(system, wfun(s), (-rj, rj), opts.grid)
                 break
             except WindowBoundaryEigenvalue as exc:
                 last_exc = exc

@@ -157,6 +157,22 @@ def test_exit_3_on_non_finite_or_non_numeric_numbers(tmp_path, doc, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(ROT, T=10**400),
+        dict(ROT, b=[[10**400]]),
+        dict(ROT, numerics={"lambda_window": 10**400}),
+        dict(ROT, numerics={"steps": 10**400}),
+        dict(PAIR, interval=[0, 10**400]),
+    ],
+    ids=["T", "matrix-entry", "lambda_window", "steps", "interval"],
+)
+def test_exit_3_on_integers_too_large_for_a_float(tmp_path, doc, capsys):
+    assert cli.main(["verify", write(tmp_path, doc)]) == 3
+    assert "not a finite number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", ".."])
 def test_name_cannot_leave_the_out_directory(tmp_path, name, capsys):
     cfg = write(tmp_path, dict(PAIR, name=name))

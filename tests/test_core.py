@@ -10,8 +10,10 @@ from maslovflow import core
 from maslovflow.errors import (
     Degenerate,
     NotHermitian,
+    NonUnitaryGenerator,
     NotLagrangian,
     NotSkewHermitian,
+    NotUnitary,
     SingularP,
     UnbalancedSplitting,
 )
@@ -57,6 +59,23 @@ def test_require_nonsingular_raises_the_given_class():
     core.require_nonsingular(sv[0], SingularP, "p")
     with pytest.raises(SingularP):
         core.require_nonsingular(sv, SingularP, "p")
+
+
+def test_structure_checks_raise_the_given_class():
+    # skew sign on a stack: every member is checked, the exact skew part returned
+    j = np.stack([STD2, np.array([[2j, 1.0 + 1j], [-1.0 + 1j, 0.0]])])
+    npt.assert_array_equal(core.require_hermitian(j, "j", NotSkewHermitian, sign=-1), j)
+    bad = j.copy()
+    bad[1, 0, 1] += 1e-6
+    with pytest.raises(NotSkewHermitian):
+        core.require_hermitian(bad, "j", NotSkewHermitian, sign=-1)
+    with pytest.raises(NotHermitian):
+        core.require_hermitian(j)
+    core.require_unitary(np.zeros((0, 0)), NotUnitary, "u")
+    core.require_unitary(rand_unitary(np.random.default_rng(0), 3), NotUnitary, "u")
+    for exc in (NotUnitary, NonUnitaryGenerator):
+        with pytest.raises(exc):
+            core.require_unitary(np.diag([1.0, 1.0 + 1e-6]), exc, "u")
 
 
 def test_omega_convention():

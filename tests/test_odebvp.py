@@ -138,6 +138,18 @@ def test_singular_structure_matrix_raises():
         odebvp.transfer_matrix(fam, 0.0, 0.0, steps=64)
 
 
+def test_coefficient_errors_other_than_shape_or_type_surface():
+    # only ValueError/TypeError from a t-array call fall back to scalar t
+    def b(s, t):
+        if np.ndim(t):
+            raise RuntimeError("coefficient failed on a t-array")
+        return np.zeros((1, 1))
+
+    fam = first_order(1, 1.0, const_coeff([[1j]]), b)
+    with pytest.raises(RuntimeError, match="t-array"):
+        odebvp.transfer_matrix(fam, 0.0, steps=16)
+
+
 def test_w_of_r_is_always_lagrangian():
     m = 2
     fam = dirichlet_second(lambda s, t: 0.0, m=m)
