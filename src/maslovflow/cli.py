@@ -25,13 +25,17 @@ Document layout::
     }
 
 For ``pair_path`` documents ``m`` is the dimension of the Lagrangian
-subspaces, the ambient space is ``C^{2m}``, ``j`` is the 2m x 2m
-structure matrix, and all entries depend on ``s`` only.  For
-``first_order`` the boundary frame has ``2m`` rows; for ``second_order``
-a ``w_path`` frame has ``4m`` rows while ``r_subspace`` is a constant
-frame with ``2m`` rows (positions at the two ends of the interval).
-A ``pair_path`` takes only ``initial_segments`` and ``max_depth`` from
-``numerics``.
+subspaces, the ambient space is ``C^{2m}`` and ``j`` is the 2m x 2m
+structure matrix.  For ``first_order`` the boundary frame has ``2m`` rows;
+for ``second_order`` a ``w_path`` frame has ``4m`` rows while
+``r_subspace`` is a frame with ``2m`` rows (positions at the two ends of
+the interval).  A ``pair_path`` takes only ``initial_segments`` and
+``max_depth`` from ``numerics``.
+
+Variables, in expression entries and as sample axes alike: the ODE
+coefficients ``j``, ``b``, ``p``, ``q``, ``r`` may use ``s`` and ``t``;
+the pair-path matrices ``j``, ``lam``, ``mu`` and a ``w_path`` frame use
+``s`` only; an ``r_subspace`` frame is constant.
 
 Every number in a document is a finite JSON number: the literals ``NaN``,
 ``Infinity`` and ``-Infinity`` are refused, as are integers too large for
@@ -252,7 +256,7 @@ def _entry_ast(entry, where):
                       f"or a [re, im] pair, got {entry!r}")
 
 
-def _matrix_asts(rows, where, allow_t):
+def _matrix_asts(rows, where, variables):
     ncol = len(rows[0])
     asts = []
     for i, row in enumerate(rows):
@@ -261,20 +265,19 @@ def _matrix_asts(rows, where, allow_t):
                               f"row 0 has {ncol}")
         asts.append([_entry_ast(e, f"{where}[{i}][{k}]")
                      for k, e in enumerate(row)])
-    if not allow_t:
-        for i, row in enumerate(asts):
-            for k, tree in enumerate(row):
-                if "t" in expressions.variables(tree):
-                    raise ConfigError(
-                        f"{where}[{i}][{k}]: 't' is not a variable here "
-                        f"(this matrix may depend on 's' only)")
+    for i, row in enumerate(asts):
+        for k, tree in enumerate(row):
+            extra = expressions.variables(tree) - set(variables)
+            if extra:
+                raise ConfigError(f"{where}[{i}][{k}]: {min(extra)!r} is not a "
+                                  f"variable here (allowed: {variables or 'none'})")
     return asts
 
 
-def _matrix_function(rows, where, allow_t=True):
+def _matrix_function(rows, where, variables):
     """Matrix of expression entries -> f(s, t) returning (nt, r, c) for a
     t array, (r, c) for scalar t."""
-    asts = _matrix_asts(rows, where, allow_t)
+    asts = _matrix_asts(rows, where, variables)
     nrow, ncol = len(asts), len(asts[0])
 
     def fun(s, t):
@@ -290,7 +293,7 @@ def _matrix_function(rows, where, allow_t=True):
             return out[0]
         return out
 
-    return fun
+    return fun, (nrow, ncol)
 
 
 def _to_complex_array(values, depth, where):
@@ -331,11 +334,13 @@ def _lerp(grid, vals, x):
     return out
 
 
-def _sampled_function(samples, where, allow_t=True):
+def _sampled_function(samples, where, variables):
+    for name in "st":
+        if name in samples and name not in variables:
+            raise ConfigError(f"{where}: a {name!r} sample axis is not "
+                              f"allowed here (allowed: {variables or 'none'})")
     s_ax = _axis(samples, "s", where)
     t_ax = _axis(samples, "t", where)
-    if t_ax is not None and not allow_t:
-        raise ConfigError(f"{where}: a 't' sample axis is not allowed here")
     depth = 2 + (s_ax is not None) + (t_ax is not None)
     vals = _to_complex_array(samples["values"], depth, where)
     k = 0
@@ -365,33 +370,19 @@ def _sampled_function(samples, where, allow_t=True):
     return fun, vals.shape[-2:]
 
 
-def _coeff_function(spec, where, allow_t=True):
-    """A coefficient document (matrix of expressions or sampled grid) to a
-    callable; returns ``(fun, (rows, cols))``."""
+def _coefficient(spec, where, rows, cols=None, variables="st"):
+    """A coefficient document (matrix of expressions or sampled grid) as
+    ``f(s, t)``, refused unless it uses only ``variables`` and has ``rows``
+    rows (and ``cols`` columns when given)."""
     if isinstance(spec, dict):
-        return _sampled_function(spec["samples"], where, allow_t=allow_t)
-    fun = _matrix_function(spec, where, allow_t=allow_t)
-    return fun, (len(spec), len(spec[0]))
-
-
-def _require_shape(shape, want, where):
-    if shape != want:
+        fun, shape = _sampled_function(spec["samples"], where, variables)
+    else:
+        fun, shape = _matrix_function(spec, where, variables)
+    if shape[0] != rows or cols not in (None, shape[1]):
+        want = f"{rows} rows" if cols is None else f"{rows}x{cols}"
         raise ConfigError(f"{where}: shape {shape[0]}x{shape[1]} does not "
-                          f"match the required {want[0]}x{want[1]}")
-
-
-def _constant_matrix(rows, where):
-    asts = _matrix_asts(rows, where, allow_t=False)
-    for i, row in enumerate(asts):
-        for k, tree in enumerate(row):
-            if expressions.variables(tree):
-                raise ConfigError(f"{where}[{i}][{k}]: this matrix must be "
-                                  f"constant (no 's' or 't')")
-    return np.array(
-        [[complex(expressions.evaluate(tree, 0.0, 0.0)) for tree in row]
-         for row in asts],
-        dtype=complex,
-    )
+                          f"match the required {want}")
+    return fun
 
 
 # --------------------------------------------------------------------------
@@ -448,18 +439,14 @@ def _boundary_from(doc, m, kind):
         if kind != "second_order":
             raise ConfigError("boundary.r_subspace only applies to "
                               "second_order problems; use w_path")
-        if boundary["r_subspace"] is None:
-            return odebvp.w_of_r(None, m=m)
-        frame = _constant_matrix(boundary["r_subspace"], "boundary.r_subspace")
-        if frame.shape[0] != 2 * m:
-            raise ConfigError(f"boundary.r_subspace: {frame.shape[0]} rows, "
-                              f"expected {2 * m} (positions at both ends)")
+        frame = boundary["r_subspace"]
+        if frame is not None:  # None picks R = {0}
+            frame = _coefficient(frame, "boundary.r_subspace", 2 * m,
+                                 variables="")(0.0, 0.0)
         return odebvp.w_of_r(frame, m=m)
     rows = 2 * m if kind == "first_order" else 4 * m
-    fun, shape = _coeff_function(boundary["w_path"], "boundary.w_path",
-                                 allow_t=False)
-    if shape[0] != rows:
-        raise ConfigError(f"boundary.w_path: {shape[0]} rows, expected {rows}")
+    fun = _coefficient(boundary["w_path"], "boundary.w_path", rows,
+                       variables="s")
     return lambda s: core.subspace_from_span(fun(s, 0.0))
 
 
@@ -467,7 +454,7 @@ def scenario_from_document(doc, default_name):
     """Turn a schema-valid document into a runnable scenario."""
     kind = doc["kind"]
     m = doc["m"]
-    name = doc.get("name", default_name)
+    numerics = doc.get("numerics", {})
     expected = _expected_from(doc, kind)
 
     if kind == "pair_path":
@@ -476,60 +463,35 @@ def scenario_from_document(doc, default_name):
                 raise ConfigError(f"{key!r} does not apply to a pair_path "
                                   f"document")
         for key in ("steps", "lambda_window"):
-            if key in doc.get("numerics", {}):
+            if key in numerics:
                 raise ConfigError(f"numerics.{key} does not apply to a "
                                   f"pair_path document")
-        n = 2 * m
-        j_fun, j_shape = _coeff_function(doc["j"], "j", allow_t=False)
-        _require_shape(j_shape, (n, n), "j")
-        lam_fun, lam_shape = _coeff_function(doc["lam"], "lam", allow_t=False)
-        _require_shape(lam_shape, (n, m), "lam")
-        mu_fun, mu_shape = _coeff_function(doc["mu"], "mu", allow_t=False)
-        _require_shape(mu_shape, (n, m), "mu")
+        parts = {}
+        for key, cols in (("j", 2 * m), ("lam", m), ("mu", m)):
+            fun = _coefficient(doc[key], key, 2 * m, cols, variables="s")
+            parts[key] = lambda s, fun=fun: fun(s, 0.0)
         interval = tuple(doc.get("interval", (0.0, 1.0)))
         if not interval[1] > interval[0]:
             raise ConfigError("interval: need a < b")
-        path = maslov.PairPath.from_parts(
-            j=lambda s: j_fun(s, 0.0),
-            lam=lambda s: lam_fun(s, 0.0),
-            mu=lambda s: mu_fun(s, 0.0),
-            interval=interval,
-        )
-        return harness.Scenario(
-            name=name,
-            kind=kind,
-            build=lambda: path,
-            opts=flow.FlowOpts(**doc.get("numerics", {})),
-            expected=expected,
-            description=f"pair path from {default_name}",
-        )
-
-    if "interval" in doc:
-        raise ConfigError("interval: only pair_path documents choose the "
-                          "parameter range; differential-equation kinds "
-                          "run over [0, 1]")
-    T = float(doc["T"])
-    if kind == "first_order":
-        j_fun, j_shape = _coeff_function(doc["j"], "j")
-        _require_shape(j_shape, (m, m), "j")
-        b_fun, b_shape = _coeff_function(doc["b"], "b")
-        _require_shape(b_shape, (m, m), "b")
-        fam = odebvp.FirstOrderFamily(m=m, T=T, j=j_fun, b=b_fun, name=name)
+        built = maslov.PairPath.from_parts(interval=interval, **parts)
+        opts = flow.FlowOpts(**numerics)
     else:
-        funs = {}
-        for key in ("p", "q", "r"):
-            fun, shape = _coeff_function(doc[key], key)
-            _require_shape(shape, (m, m), key)
-            funs[key] = fun
-        fam = odebvp.SecondOrderFamily(m=m, T=T, name=name, **funs)
-    w_path = _boundary_from(doc, m, kind)
+        if "interval" in doc:
+            raise ConfigError("interval: only pair_path documents choose the "
+                              "parameter range; differential-equation kinds "
+                              "run over [0, 1]")
+        family, keys = {"first_order": (odebvp.FirstOrderFamily, "jb"),
+                        "second_order": (odebvp.SecondOrderFamily, "pqr")}[kind]
+        fam = family(m=m, T=float(doc["T"]),
+                     **{key: _coefficient(doc[key], key, m, m) for key in keys})
+        built = (fam, _boundary_from(doc, m, kind))
+        opts = odebvp.BvpOpts(**numerics)
     return harness.Scenario(
-        name=name,
+        name=doc.get("name", default_name),
         kind=kind,
-        build=lambda: (fam, w_path),
-        opts=odebvp.BvpOpts(**doc.get("numerics", {})),
+        build=lambda: built,
+        opts=opts,
         expected=expected,
-        description=f"{kind} problem from {default_name}",
     )
 
 
@@ -716,8 +678,8 @@ def main(argv=None):
     except UnresolvedFamily as exc:
         print(f"error: unresolved family: {exc}", file=sys.stderr)
         return 2
-    except MaslovFlowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (MaslovFlowError, np.linalg.LinAlgError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -433,23 +433,23 @@ def diagonal_subspace(n):
 def require_hermitian(a, name="matrix", exc=NotHermitian, sign=1):
     """Validate Hermitian symmetry (``sign=1``) or skew-Hermitian symmetry
     (``sign=-1``) of a matrix, or of every matrix in a stack ``(..., n, n)``,
-    within tolerance, raising ``exc`` otherwise, and return the exactly
-    (skew-)symmetrized representative."""
+    within tolerance, raising ``exc`` otherwise (a NaN entry fails), and
+    return the exactly (skew-)symmetrized representative."""
     a = np.asarray(a, dtype=complex)
     ah = (a if sign > 0 else -a).conj().swapaxes(-1, -2)
     scale = max(1.0, float(np.abs(a).max()))
     resid = float(np.abs(a - ah).max())
-    if resid > TAU_SYM * scale:
+    if not resid <= TAU_SYM * scale:
         op = "-" if sign > 0 else "+"
         raise exc(f"{name} residual |A {op} A*| = {resid:.3e} exceeds {TAU_SYM * scale:.3e}")
     return 0.5 * (a + ah)
 
 
 def require_unitary(u, exc, name):
-    """Raise ``exc`` when ``max |u* u - I|`` exceeds TAU_UNIT; a 0 x 0
-    matrix passes."""
+    """Raise ``exc`` when ``max |u* u - I|`` exceeds TAU_UNIT or is NaN; a
+    0 x 0 matrix passes."""
     resid = float(np.abs(u.conj().T @ u - np.eye(u.shape[-1])).max()) if u.size else 0.0
-    if resid > TAU_UNIT:
+    if not resid <= TAU_UNIT:
         raise exc(f"{name} is not unitary (residual {resid:.3e} exceeds {TAU_UNIT:.3e})")
 
 
@@ -459,7 +459,8 @@ def require_nonsingular(sv, exc, name):
 
     ``sv`` holds its singular values along the last axis (the eigenvalue
     moduli of a Hermitian matrix serve as well); with more axes it describes
-    a stack of matrices, and one singular member is enough to raise.
+    a stack of matrices, and one singular member is enough to raise.  A NaN
+    singular value counts as singular.
     """
-    if np.any(sv.min(axis=-1) <= 1e-12 * sv.max(axis=-1)):
+    if not np.all(sv.min(axis=-1) > 1e-12 * sv.max(axis=-1)):
         raise exc(f"{name} is numerically singular (sigma_min <= 1e-12 sigma_max)")

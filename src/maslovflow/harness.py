@@ -186,7 +186,6 @@ def _s1_build():
         T=1.0,
         j=_scalar_coeff(lambda s, t: 1j),
         b=_scalar_coeff(lambda s, t: 0.0),
-        name="S1",
     )
     return fam, _rotating_boundary
 
@@ -198,7 +197,6 @@ def _s2_build():
         p=_scalar_coeff(lambda s, t: 1.0),
         q=_scalar_coeff(lambda s, t: 0.0),
         r=_scalar_coeff(lambda s, t: -1.5 * s),
-        name="S2",
     )
     return fam, odebvp.w_of_r(None, m=1)
 
@@ -209,7 +207,6 @@ def _s3_build():
         T=1.0,
         j=_scalar_coeff(lambda s, t: 1j * (1.0 + 0.5 * s * np.sin(np.pi * t))),
         b=_scalar_coeff(lambda s, t: s * np.cos(t)),
-        name="S3",
     )
     return fam, _rotating_boundary
 
@@ -220,7 +217,6 @@ def _s4_build():
         T=1.0,
         j=_scalar_coeff(lambda s, t: 1j),
         b=_scalar_coeff(lambda s, t: 1.0),
-        name="S4",
     )
     return fam, core.diagonal_subspace(1)
 
@@ -231,7 +227,6 @@ def _s5_build():
         T=1.0,
         j=_scalar_coeff(lambda s, t: 1j),
         b=_scalar_coeff(lambda s, t: (s - 1.0 / 3.0) * (1.0 + np.cos(2.0 * np.pi * t))),
-        name="S5",
     )
     return fam, core.diagonal_subspace(1)
 

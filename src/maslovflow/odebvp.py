@@ -90,7 +90,6 @@ class FirstOrderFamily:
     T: float
     j: Callable
     b: Callable
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,6 @@ class SecondOrderFamily:
     p: Callable
     q: Callable
     r: Callable
-    name: str = ""
 
 
 def std_j(m):
@@ -481,18 +479,14 @@ def _eigen_count_system(system, w, window, grid):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BvpOpts:
-    """Numerical options shared by the BVP pipelines."""
+class BvpOpts(FlowOpts):
+    """Options of the BVP pipelines: the crossing engine's partition plus
+    time steps, spectral grid, eigenvalue window and parameter range."""
 
     steps: int = 2048
     grid: int = 64
     lambda_window: float = 1.0
     interval: tuple = (0.0, 1.0)
-    initial_segments: int = 16
-    max_depth: int = 12
-
-    def flow_opts(self):
-        return FlowOpts(initial_segments=self.initial_segments, max_depth=self.max_depth)
 
 
 def _radius_ladder(r):
@@ -533,7 +527,7 @@ def sf_bvp(fam, w_path, opts=None):
         c = np.array([v for v in vals if abs(v) <= 0.6 * r0], dtype=float)
         return c
 
-    return flow_from_sampler(coords, opts.interval, opts.flow_opts(), scale=r0)
+    return flow_from_sampler(coords, opts.interval, opts, scale=r0)
 
 
 def mas_bvp(fam, w_path, opts=None):
@@ -556,7 +550,7 @@ def mas_bvp(fam, w_path, opts=None):
         return boundary_space(fam, s), graph_subspace(g), wfun(s)
 
     path = PairPath(sampler=sampler, interval=opts.interval)
-    total, report = maslov_index(path, opts.flow_opts())
+    total, report = maslov_index(path, opts)
     report.extras.update(stats)
     return total, report
 
@@ -591,7 +585,7 @@ def maslov_long(fam, s, w, opts=None):
         return bspace, graph_subspace(gamma(t)), wsub
 
     path = PairPath(sampler=sampler, interval=(0.0, fam.T))
-    return maslov_index(path, opts.flow_opts())
+    return maslov_index(path, opts)
 
 
 @dataclass(frozen=True)

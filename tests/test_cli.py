@@ -139,6 +139,45 @@ def test_exit_3_on_bad_documents(tmp_path, mangle, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+J_IN_T = [[[[0, 1], [0, 0]], [[0, 0], [0, -1]]]] * 2  # the PAIR j at t = 0, 1
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        (dict(OSC, boundary={"r_subspace": [["s"], ["1"]]}), "boundary.r_subspace"),
+        (dict(PAIR, lam=[["1"], ["t"]]), "lam"),
+        (dict(PAIR, j={"samples": {"t": [0.0, 1.0], "values": J_IN_T}}), "j"),
+        (dict(ROT, boundary={"w_path": [["1"], ["s"], ["1"]]}), "boundary.w_path"),
+        (dict(PAIR, mu=[["1", "0"], ["1", "1"]]), "mu"),
+    ],
+    ids=["r_subspace-in-s", "pair-lam-in-t", "pair-j-t-axis", "w_path-rows",
+         "pair-mu-cols"],
+)
+def test_exit_3_names_the_field(tmp_path, doc, field, capsys):
+    assert cli.main(["verify", write(tmp_path, doc)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {field}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 0/0 is NaN by design
+def test_nan_coefficient_fails_the_structural_check(tmp_path, capsys):
+    cfg = write(tmp_path, dict(ROT, b=[["t/t - 1"]]))  # NaN at t = 0
+    for command in ("sf", "maslov"):
+        assert cli.main([command, cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "b(s=" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 0/0 is NaN by design
+def test_linalg_error_exits_1(tmp_path, capsys):
+    # q has no structural check, so its NaN at s = 0 reaches the shooting layer
+    cfg = write(tmp_path, dict(OSC, q=[["s/s - 1"]]))
+    for command in (["sf", cfg],
+                    ["trace", cfg, "--what", "eigenvalues", "--out", str(tmp_path)]):
+        assert cli.main(command) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -262,9 +301,9 @@ def test_sampled_coefficient_matches_expression():
     # b(s, t) = s (2 t - 1) is bilinear, so a 2 x 2 sample grid is exact
     samples = {"s": [0.0, 1.0], "t": [0.0, 1.0],
                "values": [[[[0.0]], [[0.0]]], [[[-1.0]], [[1.0]]]]}
-    fun, shape = cli._coeff_function({"samples": samples}, "b")
-    assert shape == (1, 1)
+    fun = cli._coefficient({"samples": samples}, "b", 1, 1)
     tt = np.linspace(0.0, 1.0, 9)
+    assert fun(0.37, tt).shape == (9, 1, 1)
     got = fun(0.37, tt)[:, 0, 0]
     npt.assert_allclose(got, 0.37 * (2.0 * tt - 1.0), atol=1e-15)
     # scalar t and out-of-range clamping
@@ -274,7 +313,7 @@ def test_sampled_coefficient_matches_expression():
 
 def test_sampled_coefficient_complex_entries():
     samples = {"t": [0.0, 1.0], "values": [[[[0.0, 1.0]]], [[[0.0, -1.0]]]]}
-    fun, _ = cli._coeff_function({"samples": samples}, "j")
+    fun = cli._coefficient({"samples": samples}, "j", 1, 1)
     npt.assert_allclose(fun(0.0, 0.5)[0, 0], 0.0 + 0j, atol=1e-15)
     npt.assert_allclose(fun(0.0, 0.0)[0, 0], 1j)
 
@@ -293,9 +332,9 @@ def test_sampled_document_runs(tmp_path):
 
 def test_ragged_samples_rejected():
     with pytest.raises(ConfigError):
-        cli._coeff_function(
+        cli._coefficient(
             {"samples": {"t": [0.0, 1.0], "values": [[[0.0]], [[1.0, 2.0]]]}},
-            "r",
+            "r", 1,
         )
 
 

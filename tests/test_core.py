@@ -78,6 +78,30 @@ def test_structure_checks_raise_the_given_class():
             core.require_unitary(np.diag([1.0, 1.0 + 1e-6]), exc, "u")
 
 
+def _with_nan(a):
+    a = np.array(a, dtype=complex)
+    a[-1, -1] = np.nan
+    return a
+
+
+@pytest.mark.parametrize(
+    "check, good",
+    [
+        (lambda a, exc: core.require_hermitian(a, "a", exc), np.eye(2)),
+        (lambda a, exc: core.require_hermitian(a, "a", exc, sign=-1), STD2),
+        (lambda a, exc: core.require_unitary(a, exc, "a"), np.eye(2)),
+        (lambda a, exc: core.require_nonsingular(np.abs(a), exc, "a"),
+         np.array([[2.0, 1.0]])),
+    ],
+    ids=["hermitian", "skew-hermitian", "unitary", "nonsingular"],
+)
+def test_structure_checks_fail_on_nan(check, good):
+    check(good, Degenerate)
+    for exc in (Degenerate, NotUnitary):
+        with pytest.raises(exc):
+            check(_with_nan(good), exc)
+
+
 def test_omega_convention():
     space = std_space()
     x = np.array([1.0, 0.0])
