@@ -284,11 +284,13 @@ def _matrix_function(rows, where, variables):
         t_arr = np.asarray(t, dtype=float)
         tt = t_arr.reshape(-1)
         out = np.empty((tt.shape[0], nrow, ncol), dtype=complex)
-        for i, row in enumerate(asts):
-            for k, tree in enumerate(row):
-                out[:, i, k] = np.broadcast_to(
-                    np.asarray(expressions.evaluate(tree, s, tt)), tt.shape
-                )
+        # Non-finite values are refused downstream by a named check.
+        with np.errstate(all="ignore"):
+            for i, row in enumerate(asts):
+                for k, tree in enumerate(row):
+                    out[:, i, k] = np.broadcast_to(
+                        np.asarray(expressions.evaluate(tree, s, tt)), tt.shape
+                    )
         if t_arr.ndim == 0:
             return out[0]
         return out

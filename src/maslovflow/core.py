@@ -32,6 +32,7 @@ from .errors import (
     BadMetric,
     Degenerate,
     DimensionMismatch,
+    NonFinite,
     NotHermitian,
     NotLagrangian,
     NotSkewHermitian,
@@ -53,20 +54,6 @@ def _as_complex_matrix(a):
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got array of ndim {m.ndim}")
     return m
-
-
-def _fix_column_phases(q):
-    """Deterministic gauge: first significant entry of each column is made
-    real and positive."""
-    q = np.array(q, dtype=complex)
-    for j in range(q.shape[1]):
-        col = q[:, j]
-        idx = np.flatnonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))
-        if idx.size:
-            piv = col[idx[0]]
-            if abs(piv) > 0:
-                q[:, j] = col * (abs(piv) / piv)
-    return q
 
 
 @dataclass(frozen=True)
@@ -146,12 +133,14 @@ def subspace_from_span(vectors):
     redundant.
     """
     a = _as_complex_matrix(vectors)
-    if a.shape[1] == 0 or not np.abs(a).max() > 0:
+    if a.shape[1] == 0:
         return Subspace(frame=np.zeros((a.shape[0], 0), dtype=complex))
+    if not np.all(np.isfinite(a)):
+        raise NonFinite("spanning set holds a non-finite entry")
     q, r, _ = la.qr(a, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.count_nonzero(diag > TAU_RANK * diag[0]))
-    q = _fix_column_phases(q[:, :rank])
+    q = q[:, :rank]
     q.flags.writeable = False
     return Subspace(frame=q)
 
@@ -162,7 +151,7 @@ def orthogonal_complement(sub):
     if sub.dim == 0:
         return Subspace(frame=np.eye(n, dtype=complex))
     u, s, _ = la.svd(sub.frame, full_matrices=True)
-    comp = _fix_column_phases(u[:, sub.dim:])
+    comp = u[:, sub.dim:]
     comp.flags.writeable = False
     return Subspace(frame=comp)
 
@@ -193,7 +182,7 @@ def annihilator(space, sub):
     m = sub.frame.conj().T @ space.form
     _, s, vh = la.svd(m)
     rank = int(np.sum(s > TAU_RANK * (s[0] if s.size else 1.0)))
-    ann = _fix_column_phases(vh.conj().T[:, rank:])
+    ann = vh.conj().T[:, rank:]
     ann.flags.writeable = False
     return Subspace(frame=ann)
 
@@ -322,10 +311,6 @@ def make_splitting(space, metric=None):
         except la.LinAlgError as exc:
             raise BadMetric("metric is not positive definite") from exc
         theta, vecs = la.eigh(k, g)
-    # Descending eigenvalue order with deterministic phases.
-    order = np.argsort(-theta, kind="stable")
-    theta = theta[order]
-    vecs = _fix_column_phases(vecs[:, order])
     require_nonsingular(np.abs(theta), Degenerate, "K = -iJ (the form)")
     pos = theta > 0
     fp, fm = vecs[:, pos], vecs[:, ~pos]

@@ -22,6 +22,10 @@ class NotHermitian(MaslovFlowError):
     """A matrix that must satisfy M* = M does not, beyond tolerance."""
 
 
+class NonFinite(MaslovFlowError):
+    """A value that must be a finite number is NaN or infinite."""
+
+
 class NotUnitary(MaslovFlowError):
     """A matrix that must be unitary fails the residual check."""
 

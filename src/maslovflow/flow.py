@@ -246,11 +246,7 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
         left, right, depth = stack.pop()
         mid = 0.5 * (left + right)
         cl, cr, cm = coords_at(left), coords_at(right), coords_at(mid)
-        merged = (
-            np.abs(np.concatenate([cl, cr, cm]))
-            if cl.size + cr.size + cm.size
-            else np.empty(0)
-        )
+        merged = np.abs(np.concatenate([cl, cr, cm]))
         # Window walls must clear every sampled coordinate by more than the
         # coordinates move across half the segment; otherwise a pair can
         # trade places across the walls, which keeps the station totals
@@ -284,7 +280,6 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
                             count_left=wl, count_right=wr)
         report.segments.append(seg)
         total += seg.contribution
-    report.segments.sort(key=lambda seg: seg.s_left)
     return total, report
 
 

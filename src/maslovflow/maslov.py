@@ -296,7 +296,7 @@ def real_generator(j, lam_frame, mu_frame):
     return v, v @ v.T
 
 
-def complexify_and_compare(data, opts=None, residual_samples=33):
+def complexify_and_compare(data, opts=None):
     """Compare the complexified Maslov index with the generator-based one.
 
     The complexified pair is run through :func:`maslov_index` as-is.  The
@@ -311,8 +311,8 @@ def complexify_and_compare(data, opts=None, residual_samples=33):
     Returns
     -------
     RealComparison
-        with ``residual`` the worst entrywise bridge mismatch over a uniform
-        grid of ``residual_samples`` parameter values.
+        with ``residual`` the worst entrywise bridge mismatch over every
+        parameter value the generator path was sampled at.
     """
     j = np.asarray(data.j, dtype=float)
     n = j.shape[0]
@@ -329,12 +329,6 @@ def complexify_and_compare(data, opts=None, residual_samples=33):
                                lambda s: mu_at(s).astype(complex), data.interval)
     mas, _ = maslov_index(path, opts)
 
-    def generator_sampler(s):
-        _, smat = real_generator(j, q, mu_at(s))
-        return eigenphases(-smat.conj())
-
-    mas_bf, _ = flow_from_sampler(generator_sampler, data.interval, opts, circular=True)
-
     # Bridge residual: V U^{-1} == -conj(S) in the frames attached to Q.
     fplus = (q - 1j * (j @ q)) / np.sqrt(2.0)
     fminus = (q + 1j * (j @ q)) / np.sqrt(2.0)
@@ -342,13 +336,16 @@ def complexify_and_compare(data, opts=None, residual_samples=33):
     m = q.shape[1]
     coords_lam = la.solve(basis, q.astype(complex))
     u_inv = la.inv(coords_lam[m:] @ la.inv(coords_lam[:m]))
-    worst = 0.0
-    a0, b0 = data.interval
-    for s in np.linspace(a0, b0, residual_samples):
-        mfr = mu_at(float(s))
+    stats = {"residual": 0.0}
+
+    def generator_sampler(s):
+        mfr = mu_at(s)
         _, smat = real_generator(j, q, mfr)
         coords_mu = la.solve(basis, mfr.astype(complex))
         v = coords_mu[m:] @ la.inv(coords_mu[:m])
         bridge = v @ u_inv
-        worst = max(worst, float(np.abs(bridge + smat.conj()).max()))
-    return RealComparison(mas=mas, mas_bf=mas_bf, residual=worst)
+        stats["residual"] = max(stats["residual"], float(np.abs(bridge + smat.conj()).max()))
+        return eigenphases(-smat.conj())
+
+    mas_bf, _ = flow_from_sampler(generator_sampler, data.interval, opts, circular=True)
+    return RealComparison(mas=mas, mas_bf=mas_bf, residual=stats["residual"])

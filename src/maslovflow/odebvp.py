@@ -41,7 +41,7 @@ identities this package exists to check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
@@ -57,6 +57,7 @@ from .core import (
     subspace_from_span,
 )
 from .errors import (
+    NonFinite,
     NotSkewHermitian,
     RootCluster,
     SingularJ,
@@ -151,13 +152,19 @@ class _ShootingSystem:
         """Fundamental solutions at T for a batch of shooting parameters.
 
         Returns ``(L, d, d)``, or ``(steps + 1, L, d, d)`` when
-        ``checkpoints`` is set (values at every grid time, always from the
-        RK4 grid; only the endpoint of a constant system is exact).
+        ``checkpoints`` is set (values at the grid times
+        ``linspace(0, T, steps + 1)``, the last of which is T itself).  A
+        constant system is propagated by the exact matrix exponential, any
+        other by RK4.
         """
         lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-        if self.const and not checkpoints:
-            return la.expm((self.c0[0] + lams[:, None, None] * self.c1[0]) * self.T)
-        return self._rk4(lams, checkpoints)
+        if not self.const:
+            return self._rk4(lams, checkpoints)
+        a = self.c0[0] + lams[:, None, None] * self.c1[0]
+        if checkpoints:
+            ts = np.linspace(0.0, self.T, self.steps + 1)
+            return la.expm(a * ts[:, None, None, None])
+        return la.expm(a * self.T)
 
     def _rk4(self, lams, checkpoints):
         L = len(lams)
@@ -205,6 +212,8 @@ def _build_second_order(fam, s, steps):
     require_nonsingular(np.linalg.svd(pg, compute_uv=False), SingularP,
                         f"p(s={s:.6g}, t) at a grid point")
     qg = _eval_grid(fam.q, s, ts, m)
+    if not np.all(np.isfinite(qg)):
+        raise NonFinite(f"q(s={s:.6g}, t) is not finite at a grid point")
     rg = require_hermitian(_eval_grid(fam.r, s, ts, m), f"r(s={s:.6g}, t) on the t-grid")
     pinv = np.linalg.inv(pg)
     nt = len(ts)
@@ -388,7 +397,7 @@ class _GammaEvaluator:
         return np.moveaxis(vals, -1, 0).reshape(np.shape(lams) + (d, d))
 
 
-def eigen_count(fam, s, w, window, grid=64, steps=2048):
+def eigen_count(fam, s, w, window, steps=2048):
     """Eigenvalues (with multiplicity) of the boundary value problem at
     parameter s inside a real window.
 
@@ -408,7 +417,7 @@ def eigen_count(fam, s, w, window, grid=64, steps=2048):
         If two distinct roots are closer than 10x the root tolerance.
     """
     system = _system(fam, s, steps)
-    return _eigen_count_system(system, w, window, grid)
+    return _eigen_count_system(system, w, window, BvpOpts.grid)
 
 
 def _eigen_count_system(system, w, window, grid):
@@ -481,12 +490,13 @@ def _eigen_count_system(system, w, window, grid):
 @dataclass
 class BvpOpts(FlowOpts):
     """Options of the BVP pipelines: the crossing engine's partition plus
-    time steps, spectral grid, eigenvalue window and parameter range."""
+    time steps, spectral grid and eigenvalue window.  The parameter range
+    is fixed at [0, 1]."""
 
     steps: int = 2048
     grid: int = 64
     lambda_window: float = 1.0
-    interval: tuple = (0.0, 1.0)
+    interval: ClassVar[tuple] = (0.0, 1.0)
 
 
 def _radius_ladder(r):
@@ -561,10 +571,9 @@ def maslov_long(fam, s, w, opts=None):
     For a second-order family at fixed s, runs the Maslov index of
     ``t -> (graph(Gamma_s(t)), W)`` in (C^{4m}, diag(-J, J)) over the whole
     interval [0, T] (the appendix endpoint convention absorbs the maximal
-    intersection at t = 0).  Constant-coefficient
-    systems evaluate Gamma(t) exactly; otherwise t snaps to the integration
-    grid of one checkpointed propagation, which the crossing engine
-    tolerates since only window counts at sampled points enter the index.
+    intersection at t = 0).  t snaps to the grid of one checkpointed
+    propagation, which the crossing engine tolerates since only window
+    counts at sampled points enter the index.
     """
     if not isinstance(fam, SecondOrderFamily):
         raise TypeError("maslov_long expects a SecondOrderFamily")
@@ -572,17 +581,11 @@ def maslov_long(fam, s, w, opts=None):
     system = _system(fam, s, opts.steps)
     bspace = boundary_space(fam, s)
     wsub = w if isinstance(w, Subspace) else subspace_from_span(w)
-    if system.const:
-        def gamma(t):
-            return la.expm(system.c0[0] * float(t))
-    else:
-        gammas = system.propagate([0.0], checkpoints=True)[:, 0]
-
-        def gamma(t):
-            return gammas[min(max(int(round(float(t) / system.h)), 0), system.steps)]
+    gammas = system.propagate([0.0], checkpoints=True)[:, 0]
 
     def sampler(t):
-        return bspace, graph_subspace(gamma(t)), wsub
+        gamma = gammas[min(max(int(round(float(t) / system.h)), 0), system.steps)]
+        return bspace, graph_subspace(gamma), wsub
 
     path = PairPath(sampler=sampler, interval=(0.0, fam.T))
     return maslov_index(path, opts)

@@ -6,15 +6,18 @@ benchmark run.  This checks the hook tables against the package directly,
 and the call shapes its wrappers assume.
 """
 
+import ast
 import importlib.util
 import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from maslovflow import errors, flow, maslov, odebvp
+from maslovflow import errors, flow, harness, maslov, odebvp
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -55,3 +58,20 @@ def test_benchmark_call_shapes():
                                   b=lambda s, t: np.array([[0.0]]))
     system = odebvp._build_first_order(fam, 0.0, 4)
     assert system.const is True and system.steps == 4
+
+
+def test_every_name_the_workloads_read_resolves():
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    modules = {"harness": harness, "odebvp": odebvp}
+    read = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert ("odebvp", "BvpOpts") in read
+    assert [f"{m}.{a}" for m, a in sorted(read) if not hasattr(modules[m], a)] == []
+    # the index-difference workload reads the parameter range from the options
+    assert odebvp.BvpOpts(steps=8).interval == (0.0, 1.0)
+    with pytest.raises(TypeError):
+        odebvp.BvpOpts(interval=(0.0, 2.0))

@@ -159,23 +159,36 @@ def test_exit_3_names_the_field(tmp_path, doc, field, capsys):
     assert capsys.readouterr().err.startswith(f"error: {field}")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 0/0 is NaN by design
 def test_nan_coefficient_fails_the_structural_check(tmp_path, capsys):
-    cfg = write(tmp_path, dict(ROT, b=[["t/t - 1"]]))  # NaN at t = 0
+    # NaN at t = 0 in b, at s = 0 in q; the error line is all that is printed
+    for doc, field in ((dict(ROT, b=[["t/t - 1"]]), "b(s="),
+                       (dict(OSC, q=[["s/s - 1"]]), "q(s=")):
+        cfg = write(tmp_path, doc)
+        for command in ("sf", "maslov"):
+            assert cli.main([command, cfg]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and field in err
+            assert len(err.splitlines()) == 1
+
+
+def test_nan_frame_is_not_the_zero_subspace(tmp_path, capsys):
+    cfg = write(tmp_path, dict(ROT, boundary={"w_path": [["s/s"], ["1"]]}))
     for command in ("sf", "maslov"):
         assert cli.main([command, cfg]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "b(s=" in err
+        assert err.startswith("error: NonFinite") and len(err.splitlines()) == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 0/0 is NaN by design
-def test_linalg_error_exits_1(tmp_path, capsys):
-    # q has no structural check, so its NaN at s = 0 reaches the shooting layer
-    cfg = write(tmp_path, dict(OSC, q=[["s/s - 1"]]))
+def test_linalg_error_exits_1(tmp_path, capsys, monkeypatch):
+    def diverge(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(maslovflow.odebvp, "sf_bvp", diverge)
+    cfg = write(tmp_path, OSC)
     for command in (["sf", cfg],
                     ["trace", cfg, "--what", "eigenvalues", "--out", str(tmp_path)]):
         assert cli.main(command) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err == "error: LinAlgError: SVD did not converge\n"
 
 
 @pytest.mark.parametrize(

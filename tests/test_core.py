@@ -10,6 +10,7 @@ from maslovflow import core
 from maslovflow.errors import (
     Degenerate,
     NotHermitian,
+    NonFinite,
     NonUnitaryGenerator,
     NotLagrangian,
     NotSkewHermitian,
@@ -149,6 +150,14 @@ def test_subspace_from_span_drops_dependent_columns():
     assert sub.dim == 2
     sub2 = core.subspace_from_span(np.array([[1.0, 2.0], [1.0, 2.0]]))
     assert sub2.dim == 1
+
+
+def test_subspace_from_span_refuses_non_finite():
+    with pytest.raises(NonFinite):
+        core.subspace_from_span([[np.nan], [1.0]])
+    with pytest.raises(NonFinite):
+        core.subspace_from_span([[np.inf, 0.0], [1.0, 1.0]])
+    assert core.subspace_from_span(np.zeros((3, 2))).dim == 0
 
 
 def test_classify_on_c4():

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from maslovflow import core, maslov
+from maslovflow import core, flow, harness, maslov
 from maslovflow.errors import NotLagrangianReal
 from maslovflow.flow import FlowOpts
 
@@ -53,6 +53,36 @@ def test_constant_pair_is_zero():
     path = maslov.PairPath.from_parts(STD2, frame, frame, (0.0, 1.0))
     total, _ = maslov.maslov_index(path)
     assert total == 0
+
+
+def test_results_do_not_depend_on_the_frames():
+    # Every reported number is an invariant of subspaces: right-multiplying
+    # each frame by a unitary (another orthonormal frame of the same
+    # subspace) changes no intersection, index, eigenphase or Maslov index.
+    rng = np.random.default_rng(17)
+    path = harness._random_pair_path(rng, 6)
+    gauges = {}
+
+    def regauge(sub):
+        if sub.dim not in gauges:
+            gauges[sub.dim] = harness._random_unitary(rng, sub.dim)
+        return core.Subspace(frame=sub.frame @ gauges[sub.dim])
+
+    space, lam, mu = path.sampler(0.3)
+    shared = core.subspace_from_span(np.hstack([lam.frame[:, :1], mu.frame[:, 1:]]))
+    splitting = core.make_splitting(space)
+    for a, b in ((lam, mu), (lam, lam), (shared, mu)):
+        ra, rb = regauge(a), regauge(b)
+        assert core.intersection_dim(ra, rb) == core.intersection_dim(a, b)
+        assert core.pair_index(space, ra, rb) == core.pair_index(space, a, b)
+    npt.assert_allclose(
+        flow.eigenphases(core.pair_unitary(splitting, regauge(lam), regauge(mu))),
+        flow.eigenphases(core.pair_unitary(splitting, lam, mu)), atol=1e-12)
+    moved = path._mapped(lambda s, space, lam, mu: (space, regauge(lam), regauge(mu)))
+    total, report = maslov.maslov_index(path)
+    moved_total, moved_report = maslov.maslov_index(moved)
+    assert moved_total == total
+    assert moved_report.partition == report.partition
 
 
 def test_product_identities_on_rotation():

@@ -186,18 +186,24 @@ def test_graph_subspace_is_lagrangian():
 
 def test_checkpoints_end_at_the_plain_propagation():
     g = np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.2]])
-    fam = first_order(
+    varying = first_order(
         2, 1.0,
         lambda s, t: 1j * (np.eye(2) + 0.5 * s * np.sin(np.pi * t) * g),
         lambda s, t: np.cos(t) * g + s * np.eye(2),
     )
-    system = odebvp._system(fam, 0.7, 256)
-    assert not system.const
+    constant = first_order(2, 1.0, const_coeff(1j * np.eye(2)), const_coeff(g))
     lams = [-0.3, 0.0, 0.4]
-    path = system.propagate(lams, True)
-    assert path.shape == (257, 3, 2, 2)
-    npt.assert_array_equal(path[0], np.broadcast_to(np.eye(2), (3, 2, 2)))
-    npt.assert_array_equal(path[-1], system.propagate(lams))
+    for fam, const in ((varying, False), (constant, True)):
+        system = odebvp._system(fam, 0.7, 256)
+        assert system.const is const
+        path = system.propagate(lams, True)
+        assert path.shape == (257, 3, 2, 2)
+        npt.assert_array_equal(path[0], np.broadcast_to(np.eye(2), (3, 2, 2)))
+        npt.assert_array_equal(path[-1], system.propagate(lams))
+    # with j = i I the constant system is exp(i (g + lambda I) t) at every grid time
+    for t, gammas in zip(np.linspace(0.0, 1.0, 257), path):
+        for lam, gamma in zip(lams, gammas):
+            npt.assert_allclose(gamma, expm(1j * (g + lam * np.eye(2)) * t), rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("r_fun, const", [
