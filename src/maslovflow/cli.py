@@ -69,6 +69,7 @@ from .errors import (
     ExpressionSyntaxError,
     InvalidTrials,
     MaslovFlowError,
+    NonFinite,
     UnknownIdentifier,
     UnresolvedFamily,
 )
@@ -387,6 +388,20 @@ def _coefficient(spec, where, rows, cols=None, variables="st"):
     return fun
 
 
+def _s_matrix(spec, where, rows, cols=None, variables="s"):
+    """A document matrix in s alone as ``f(s)``, which raises ``NonFinite``
+    naming the field and s where a value is not finite."""
+    fun = _coefficient(spec, where, rows, cols, variables)
+
+    def at(s):
+        value = fun(s, 0.0)
+        if not np.all(np.isfinite(value)):
+            raise NonFinite(f"{where}(s={s:.6g}) is not finite")
+        return value
+
+    return at
+
+
 # --------------------------------------------------------------------------
 # document -> scenario
 
@@ -443,13 +458,11 @@ def _boundary_from(doc, m, kind):
                               "second_order problems; use w_path")
         frame = boundary["r_subspace"]
         if frame is not None:  # None picks R = {0}
-            frame = _coefficient(frame, "boundary.r_subspace", 2 * m,
-                                 variables="")(0.0, 0.0)
+            frame = _s_matrix(frame, "boundary.r_subspace", 2 * m, variables="")(0.0)
         return odebvp.w_of_r(frame, m=m)
     rows = 2 * m if kind == "first_order" else 4 * m
-    fun = _coefficient(boundary["w_path"], "boundary.w_path", rows,
-                       variables="s")
-    return lambda s: core.subspace_from_span(fun(s, 0.0))
+    fun = _s_matrix(boundary["w_path"], "boundary.w_path", rows)
+    return lambda s: core.subspace_from_span(fun(s))
 
 
 def scenario_from_document(doc, default_name):
@@ -468,10 +481,8 @@ def scenario_from_document(doc, default_name):
             if key in numerics:
                 raise ConfigError(f"numerics.{key} does not apply to a "
                                   f"pair_path document")
-        parts = {}
-        for key, cols in (("j", 2 * m), ("lam", m), ("mu", m)):
-            fun = _coefficient(doc[key], key, 2 * m, cols, variables="s")
-            parts[key] = lambda s, fun=fun: fun(s, 0.0)
+        parts = {key: _s_matrix(doc[key], key, 2 * m, cols)
+                 for key, cols in (("j", 2 * m), ("lam", m), ("mu", m))}
         interval = tuple(doc.get("interval", (0.0, 1.0)))
         if not interval[1] > interval[0]:
             raise ConfigError("interval: need a < b")

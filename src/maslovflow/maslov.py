@@ -44,23 +44,15 @@ from .errors import Degenerate, NonUnitaryGenerator, NotLagrangianReal, NotSkewH
 from .flow import eigenphases, flow_from_sampler, unit_circle_residual
 
 
-def _as_space_fun(j):
-    if callable(j):
-        def fun(s):
-            v = j(s)
-            return v if isinstance(v, core.SymplecticSpace) else make_space(v)
-        return fun
-    space = j if isinstance(j, core.SymplecticSpace) else make_space(j)
-    return lambda s: space
+def _as_fun(value, cls, build):
+    """``value`` as a function of s returning a ``cls``: a ``cls``, what
+    ``build`` turns into one, or a callable of s returning either."""
+    def coerce(v):
+        return v if isinstance(v, cls) else build(v)
 
-
-def _as_subspace_fun(sub):
-    if callable(sub):
-        def fun(s):
-            v = sub(s)
-            return v if isinstance(v, Subspace) else subspace_from_span(v)
-        return fun
-    fixed = sub if isinstance(sub, Subspace) else subspace_from_span(sub)
+    if callable(value):
+        return lambda s: coerce(value(s))
+    fixed = coerce(value)
     return lambda s: fixed
 
 
@@ -78,7 +70,8 @@ class PairPath:
 
     @staticmethod
     def from_parts(j, lam, mu, interval):
-        jf, lf, mf = _as_space_fun(j), _as_subspace_fun(lam), _as_subspace_fun(mu)
+        jf = _as_fun(j, core.SymplecticSpace, make_space)
+        lf, mf = (_as_fun(sub, Subspace, subspace_from_span) for sub in (lam, mu))
         return PairPath(sampler=lambda s: (jf(s), lf(s), mf(s)), interval=tuple(interval))
 
     def _mapped(self, transform):

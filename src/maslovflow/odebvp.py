@@ -65,14 +65,14 @@ from .errors import (
     WindowBoundaryEigenvalue,
 )
 from .flow import FlowOpts, flow_from_sampler
-from .maslov import PairPath, _as_subspace_fun, maslov_index
+from .maslov import PairPath, _as_fun, maslov_index
 
 TOL_ODE = 1e-8  # symplectic transport budget at the default 2048 steps
 
 # Detector thresholds for shooting: a refined minimum of sigma_min below
 # ACCEPT is an eigenvalue; between ACCEPT and RETRY it gets re-polished on
-# the exact propagator before deciding; endpoints of the window must sit
-# above ACCEPT.
+# the exact propagator before deciding; ``eigen_count`` requires both
+# endpoints of its window to sit above ACCEPT.
 _ACCEPT = 1e-6
 _RETRY = 1e-3
 
@@ -413,10 +413,20 @@ def eigen_count(fam, s, w, window, steps=2048):
     ------
     WindowBoundaryEigenvalue
         If the detector at a window endpoint is below the safety margin.
+        The check is made here, on the exact propagator, before the count;
+        the detector pass that ``sf_bvp`` runs does not make it.
     RootCluster
         If two distinct roots are closer than 10x the root tolerance.
     """
+    lo, hi = float(window[0]), float(window[1])
+    if not hi > lo:
+        raise ValueError(f"empty window {window}")
     system = _system(fam, s, steps)
+    ends = system.propagate([lo, hi])
+    if _graph_detector(orthogonal_complement(w).frame, ends).min() < _ACCEPT:
+        raise WindowBoundaryEigenvalue(
+            f"detector at window endpoint(s) of ({lo:.6g}, {hi:.6g}) below margin"
+        )
     return _eigen_count_system(system, w, window, BvpOpts.grid)
 
 
@@ -435,29 +445,20 @@ def _eigen_count_system(system, w, window, grid):
 
     probes = np.linspace(lo, hi, max(16 * int(grid), 1024) + 1)
     gamma_fun = ev.gamma_proxy if ev.certified() else system.propagate
-    dvals = _graph_detector(wperp, gamma_fun(probes))
+    d = _graph_detector(wperp, gamma_fun(probes))
     dmin = detector_min(gamma_fun)
 
     # Bracket candidate roots at interior local minima of the detector.
-    cand = []
-    for i in range(1, len(probes) - 1):
-        if dvals[i] <= dvals[i - 1] and dvals[i] <= dvals[i + 1] and dvals[i] < 0.25:
-            cand.append(i)
+    cand = np.flatnonzero((d[1:-1] <= d[:-2]) & (d[1:-1] <= d[2:]) & (d[1:-1] < 0.25)) + 1
+    if not len(cand):
+        return []
     refined = [_golden_min(dmin, probes[i - 1], probes[i + 1], tau_root) for i in cand]
 
-    # Verification against the exact propagator (also covers the window
-    # endpoints), then multiplicity assignment.
-    check = np.array([lo, hi] + refined)
-    gam_exact = system.propagate(check)
+    # Verification against the exact propagator, then multiplicity assignment.
+    gam_exact = system.propagate(refined)
     sv = _graph_detector(wperp, gam_exact)
-    if sv[0] < _ACCEPT or sv[1] < _ACCEPT:
-        raise WindowBoundaryEigenvalue(
-            f"detector at window endpoint(s) of ({lo:.6g}, {hi:.6g}) below margin"
-        )
     roots = []
-    for k, lam in enumerate(refined):
-        dstar = sv[k + 2]
-        gamma = gam_exact[k + 2]
+    for lam, dstar, gamma in zip(refined, sv, gam_exact):
         if dstar >= _RETRY:
             continue
         if dstar >= _ACCEPT:
@@ -499,40 +500,26 @@ class BvpOpts(FlowOpts):
     interval: ClassVar[tuple] = (0.0, 1.0)
 
 
-def _radius_ladder(r):
-    yield r
-    for k in range(8):
-        yield r * (1.0 + 0.3 / 2.0**k)
-
-
 def sf_bvp(fam, w_path, opts=None):
     """Spectral flow of the boundary value family through 0.
 
-    For each sampled s the eigenvalues near 0 are localized by shooting
-    (:func:`eigen_count`) inside the window ``(-R, R)`` with
-    ``R = opts.lambda_window``; if an eigenvalue sits on the window boundary
-    the radius is nudged upward through a fixed ladder.  The resulting
-    coordinate lists feed the same adaptive crossing engine used everywhere
-    else.
+    For each sampled s one detector pass localizes the eigenvalues by
+    shooting inside the window ``(-R, R)`` with ``R = opts.lambda_window``,
+    and only those with ``|lambda| <= 0.6 R`` are kept: that horizon keeps
+    every kept root 0.4 R inside the window, so an eigenvalue on the window
+    edge is never counted and needs no check.  The resulting coordinate
+    lists feed the same adaptive crossing engine used everywhere else.
 
     Returns ``(integer, CrossingReport)``; the report's samples double as
     the eigenvalue river (``report.write_trace(path, prefix="lambda")``).
     """
     opts = opts or BvpOpts()
-    wfun = _as_subspace_fun(w_path)
+    wfun = _as_fun(w_path, Subspace, subspace_from_span)
     r0 = float(opts.lambda_window)
 
     def coords(s):
         system = _system(fam, s, opts.steps)
-        last_exc = None
-        for rj in _radius_ladder(r0):
-            try:
-                roots = _eigen_count_system(system, wfun(s), (-rj, rj), opts.grid)
-                break
-            except WindowBoundaryEigenvalue as exc:
-                last_exc = exc
-        else:
-            raise last_exc
+        roots = _eigen_count_system(system, wfun(s), (-r0, r0), opts.grid)
         vals = [lam for lam, mult in roots for _ in range(mult)]
         c = np.array([v for v in vals if abs(v) <= 0.6 * r0], dtype=float)
         return c
@@ -549,7 +536,7 @@ def mas_bvp(fam, w_path, opts=None):
     alongside the isotropy/unit-circle residuals from the Maslov engine.
     """
     opts = opts or BvpOpts()
-    wfun = _as_subspace_fun(w_path)
+    wfun = _as_fun(w_path, Subspace, subspace_from_span)
     stats = {"transport_residual": 0.0}
 
     def sampler(s):

@@ -3,12 +3,16 @@
 ``perfbench/tracer.py`` wraps module attributes by name, and a hook whose
 attribute was renamed or deleted only shows as a ``null`` metric in a traced
 benchmark run.  This checks the hook tables against the package directly,
-and the call shapes its wrappers assume.
+and the call shapes its wrappers assume.  A traced run also compares the
+crossing partitions of fixed inputs with ``perfbench/partitions.json``; the
+last test makes that comparison part of the test suite.
 """
 
 import ast
 import importlib.util
 import inspect
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,23 +21,26 @@ import pytest
 from maslovflow import errors, flow, harness, maslov, odebvp
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-TRACER = PERFBENCH / "tracer.py"
+MODULES = {"odebvp": odebvp, "flow": flow, "maslov": maslov, "errors": errors}
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    """Import ``perfbench/<name>.py``; it is registered first because
+    dataclasses look up their own module."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_benchmark_hook_resolves():
-    tracer = _load_tracer()
-    modules = {"odebvp": odebvp, "flow": flow, "maslov": maslov, "errors": errors}
+    tracer = _load("tracer")
     unresolved = []
     for module, dotted, _ in tracer.SPAN_HOOKS + tracer.COUNT_HOOKS:
         try:
-            tracer._resolve(modules[module], dotted)
+            tracer._resolve(MODULES[module], dotted)
         except AttributeError:
             unresolved.append(f"{module}.{dotted}")
     assert unresolved == []
@@ -75,3 +82,23 @@ def test_every_name_the_workloads_read_resolves():
     assert odebvp.BvpOpts(steps=8).interval == (0.0, 1.0)
     with pytest.raises(TypeError):
         odebvp.BvpOpts(interval=(0.0, 2.0))
+
+
+def test_crossing_partitions_match_the_stored_digests():
+    # the benchmark's flow.partition_changes, at the seed (42) and size the
+    # stored digests were written at
+    workloads = _load("workloads")
+    tracer = _load("tracer").Tracer(MODULES)
+    digests = {}
+    tracer.install()
+    try:
+        for name, workload in workloads.WORKLOADS.items():
+            digests[name] = {}
+            for op in workload.make_ops(42, **workload.sizes["smoke"]):
+                tracer.begin_op()
+                assert op.run().failure is None
+                digests[name][op.name] = tracer.end_op()
+    finally:
+        tracer.remove()
+    stored = json.loads((PERFBENCH / "partitions.json").read_text())
+    assert digests == {name: stored[name] for name in workloads.WORKLOADS}

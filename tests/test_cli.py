@@ -176,7 +176,11 @@ def test_nan_frame_is_not_the_zero_subspace(tmp_path, capsys):
     for command in ("sf", "maslov"):
         assert cli.main([command, cfg]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: NonFinite") and len(err.splitlines()) == 1
+        assert err.startswith("error: NonFinite: boundary.w_path(s=") and len(err.splitlines()) == 1
+    # a pair path names the field too, ahead of any structural check on it
+    for key, value in (("lam", [["s/s"], ["1"]]), ("j", [["s/s*1i", "0"], ["0", "-1i"]])):
+        assert cli.main(["maslov", write(tmp_path, dict(PAIR, **{key: value}))]) == 1
+        assert capsys.readouterr().err.startswith(f"error: NonFinite: {key}(s=")
 
 
 def test_linalg_error_exits_1(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from scipy.linalg import expm
 
-from maslovflow import core, flow, odebvp
+from maslovflow import core, flow, harness, odebvp
 from maslovflow.errors import SingularJ, WindowBoundaryEigenvalue
 
 
@@ -126,6 +126,34 @@ def test_eigen_count_window_boundary_raises():
     w = core.diagonal_subspace(1)
     with pytest.raises(WindowBoundaryEigenvalue):
         odebvp.eigen_count(fam, 0.0, w, (-1.0, 1.0))  # eigenvalue at -1 exactly
+
+
+def test_sf_counts_nothing_from_an_eigenvalue_on_any_window_edge():
+    # periodic eigenvalues -b_k + 2 pi n: -1 sits on the edge of the window
+    # (-1, 1), the others on the edges of eight wider windows; sf keeps only
+    # |lambda| <= 0.6 R, so nothing is counted and nothing raises
+    radii = [1.0] + [1.0 + 0.3 / 2.0**k for k in range(8)]
+    fam = first_order(9, 1.0, const_coeff(1j * np.eye(9)), const_coeff(np.diag(radii)))
+    w = core.diagonal_subspace(9)
+    opts = odebvp.BvpOpts(steps=64)
+    sf, _ = odebvp.sf_bvp(fam, w, opts)
+    mas, _ = odebvp.mas_bvp(fam, w, opts)
+    assert sf == mas == 0
+
+
+def test_sf_runs_one_detector_pass_per_sample(monkeypatch):
+    s4 = next(sc for sc in harness.builtin_scenarios() if sc.name == "S4")
+    fam, w_path = s4.build()
+    evaluator = odebvp._GammaEvaluator
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return evaluator(*args)
+
+    monkeypatch.setattr(odebvp, "_GammaEvaluator", counting)
+    _, rep = odebvp.sf_bvp(fam, w_path, odebvp.BvpOpts(steps=64))
+    assert len(built) == len(rep.samples) == 33
 
 
 def test_singular_structure_matrix_raises():
