@@ -16,12 +16,16 @@ with p Hermitian invertible and r Hermitian; in the phase-space variable
 system ``u' = J b_lam(t) u`` with the standard ``J = [[0, -I], [I, 0]]``.
 
 Both reductions share one numerical object: a linear system ``x' = (C0(t) +
-lambda C1(t)) x`` integrated by classical RK4 on a uniform grid (the
-lambda-affine structure is what makes batching over shooting parameters
-cheap, and constant-coefficient systems take an exact matrix-exponential
-shortcut).  Formal self-adjointness shows up numerically as symplectic
-transport: the fundamental solution intertwines the endpoint forms, which is
-checked rather than assumed.
+lambda C1(t)) x`` integrated by classical RK4 on a uniform grid, with no
+loop over steps.  The system is affine in lambda, so every RK4 step matrix
+is a degree-4 matrix polynomial in lambda, built once per system; a batch of
+lambdas evaluates the step matrices and multiplies them in a log-depth
+product tree, or, for the solution at every grid time, in a log-depth
+prefix scan whose last entry is the tree's product bit for bit.
+Constant-coefficient systems take an exact matrix-exponential shortcut.
+Formal self-adjointness shows up numerically as symplectic transport: the
+fundamental solution intertwines the endpoint forms, which is checked
+rather than assumed.
 
 On top of the propagator sit the two index pipelines:
 
@@ -76,6 +80,11 @@ TOL_ODE = 1e-8  # symplectic transport budget at the default 2048 steps
 _ACCEPT = 1e-6
 _RETRY = 1e-3
 
+# RK4 propagation takes the lambdas in chunks whose (chunk, steps, d, d)
+# stack of step matrices holds at most this many complex entries (256 KiB),
+# one lambda at least: memory stays flat in the batch size.
+_STACK_ENTRIES = 2 ** 14
+
 
 @dataclass(frozen=True)
 class FirstOrderFamily:
@@ -129,16 +138,19 @@ def _eval_grid(f, s, ts, m):
 
 
 class _ShootingSystem:
-    """x' = (C0(t) + lambda C1(t)) x on [0, T], RK4-ready.
+    """x' = (C0(t) + lambda C1(t)) x on [0, T], integrated without a loop
+    over steps.
 
     ``c0``/``c1`` are sampled on the doubled grid t_k = k T / (2 steps) so a
     step has its midpoint value available.  Constant-coefficient systems are
-    detected and integrated exactly with the matrix exponential.
+    detected and integrated exactly with the matrix exponential.  For any
+    other system the RK4 step matrices are built here once: the system is
+    affine in lambda, so the step matrix of step k is a degree-4 matrix
+    polynomial M_k(lambda) = sum_p lambda^p N[p, k] (``self.poly``, shape
+    ``(5, steps, d, d)``).
     """
 
     def __init__(self, c0, c1, T, steps):
-        self.c0 = c0
-        self.c1 = c1
         self.T = float(T)
         self.steps = int(steps)
         self.h = self.T / self.steps
@@ -147,6 +159,10 @@ class _ShootingSystem:
         dev1 = float(np.abs(c1 - c1[0]).max())
         ref = 1.0 + float(max(np.abs(c0).max(), np.abs(c1).max()))
         self.const = max(dev0, dev1) <= 1e-13 * ref
+        if self.const:
+            self.c0, self.c1 = c0[0], c1[0]
+        else:
+            self.poly = _rk4_step_polynomial(c0, c1, self.h)
 
     def propagate(self, lams, checkpoints=False):
         """Fundamental solutions at T for a batch of shooting parameters.
@@ -154,39 +170,96 @@ class _ShootingSystem:
         Returns ``(L, d, d)``, or ``(steps + 1, L, d, d)`` when
         ``checkpoints`` is set (values at the grid times
         ``linspace(0, T, steps + 1)``, the last of which is T itself).  A
-        constant system is propagated by the exact matrix exponential, any
-        other by RK4.
+        constant system is propagated by the exact matrix exponential.  Any
+        other gets its RK4 step matrices M_k(lambda) by Horner's rule on the
+        step polynomial and multiplies them in a pairwise product tree,
+        ceil(log2 steps) batched matmuls; checkpoints come from a
+        Hillis-Steele prefix scan instead, whose last entry equals the
+        tree's product bit for bit.  The lambdas go through in chunks whose
+        ``(chunk, steps, d, d)`` stack holds at most ``_STACK_ENTRIES``
+        entries (one lambda at least), so memory stays flat in the batch,
+        and each result is the same whatever batch it came in.
         """
         lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-        if not self.const:
-            return self._rk4(lams, checkpoints)
-        a = self.c0[0] + lams[:, None, None] * self.c1[0]
-        if checkpoints:
-            ts = np.linspace(0.0, self.T, self.steps + 1)
-            return la.expm(a * ts[:, None, None, None])
-        return la.expm(a * self.T)
-
-    def _rk4(self, lams, checkpoints):
-        L = len(lams)
-        lam = lams[:, None, None]
-        x = np.broadcast_to(np.eye(self.d, dtype=complex), (L, self.d, self.d)).copy()
-        h = self.h
-        out = None
-        if checkpoints:
-            out = np.empty((self.steps + 1, L, self.d, self.d), dtype=complex)
-            out[0] = x
-        for k in range(self.steps):
-            a0 = self.c0[2 * k] + lam * self.c1[2 * k]
-            am = self.c0[2 * k + 1] + lam * self.c1[2 * k + 1]
-            a1 = self.c0[2 * k + 2] + lam * self.c1[2 * k + 2]
-            k1 = a0 @ x
-            k2 = am @ (x + (0.5 * h) * k1)
-            k3 = am @ (x + (0.5 * h) * k2)
-            k4 = a1 @ (x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if self.const:
+            a = self.c0 + lams[:, None, None] * self.c1
             if checkpoints:
-                out[k + 1] = x
-        return out if checkpoints else x
+                ts = np.linspace(0.0, self.T, self.steps + 1)
+                return la.expm(a * ts[:, None, None, None])
+            return la.expm(a * self.T)
+        L, steps, d = len(lams), self.steps, self.d
+        if checkpoints:
+            out = np.empty((steps + 1, L, d, d), dtype=complex)
+            out[0] = np.eye(d)
+        else:
+            out = np.empty((L, d, d), dtype=complex)
+        chunk = max(1, _STACK_ENTRIES // (steps * d * d))
+        for i in range(0, L, chunk):
+            lam = lams[i:i + chunk, None, None, None]
+            m = lam * self.poly[4]
+            for p in (3, 2, 1, 0):
+                m += self.poly[p]
+                if p:
+                    m *= lam
+            if checkpoints:
+                out[1:, i:i + chunk] = _prefix_products(m).swapaxes(0, 1)
+            else:
+                out[i:i + chunk] = _tree_product(m)
+        return out
+
+
+def _rk4_step_polynomial(c0, c1, h):
+    """Coefficients ``(5, steps, d, d)`` of the RK4 step matrices of
+    x' = (C0 + lambda C1) x, M_k(lambda) = sum_p lambda^p N[p, k].
+
+    With a = C0 + lambda C1 at the start, middle and end of a step, RK4 is
+    x -> M x for M = I + h/6 (a0 + 2 (K2 + K3) + K4), K2 = am (I + h/2 a0),
+    K3 = am (I + h/2 K2), K4 = a1 (I + h K3); the polynomials are expanded as
+    coefficient lists, every product batched over steps.
+    """
+    eye = np.eye(c0.shape[1])
+
+    def times(a, poly):  # a poly, for a = (A0, A1) of degree 1
+        out = [a[0] @ c for c in poly] + [a[1] @ poly[-1]]
+        for p, c in enumerate(poly[:-1]):
+            out[p + 1] += a[1] @ c
+        return out
+
+    am, a1 = (c0[1::2], c1[1::2]), (c0[2::2], c1[2::2])
+    n = np.zeros((5,) + am[0].shape, dtype=complex)
+    n[0], n[1] = c0[0:-1:2], c1[0:-1:2]
+    k = [(0.5 * h) * n[0], (0.5 * h) * n[1]]  # h/2 a0
+    for a, w, f in ((am, 2.0, 0.5 * h), (am, 2.0, h), (a1, 1.0, 0.0)):
+        k[0] += eye
+        k = times(a, k)  # K2, K3, K4
+        for p, c in enumerate(k):
+            n[p] += w * c
+            c *= f  # f K, so the next stage forms I + f K
+    n *= h / 6.0
+    n[0] += eye
+    return n
+
+
+def _tree_product(m):
+    """M_{n-1} ... M_0 of a stack ``(L, n, d, d)``, pairing from the top end,
+    (M_{n-1} M_{n-2}), (M_{n-3} M_{n-4}), ..., with M_0 carried when n is
+    odd: ceil(log2 n) batched matmuls."""
+    while m.shape[1] > 1:
+        odd = m.shape[1] % 2
+        pairs = m[:, 1 + odd::2] @ m[:, odd::2]
+        m = np.concatenate([m[:, :1], pairs], axis=1) if odd else pairs
+    return m[:, 0]
+
+
+def _prefix_products(m):
+    """Every prefix product M_k ... M_0 of a stack ``(L, n, d, d)``, in place,
+    by a Hillis-Steele scan; its blocks pair from the top end as in
+    ``_tree_product``, so the last prefix is that product bit for bit."""
+    s = 1
+    while s < m.shape[1]:
+        m[:, s:] = m[:, s:] @ m[:, :-s]
+        s *= 2
+    return m
 
 
 def _build_first_order(fam, s, steps):

@@ -102,3 +102,12 @@ def test_crossing_partitions_match_the_stored_digests():
         tracer.remove()
     stored = json.loads((PERFBENCH / "partitions.json").read_text())
     assert digests == {name: stored[name] for name in workloads.WORKLOADS}
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_every_workload_warms_up(seed):
+    # an exception in a warm-up escapes the benchmark's per-op error
+    # handling and ends the whole run
+    workloads = _load("workloads")
+    for workload in workloads.WORKLOADS.values():
+        workload.warmup(seed, **workload.sizes["smoke"])

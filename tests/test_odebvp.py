@@ -1,5 +1,7 @@
 """Boundary value pipelines: shooting, eigenvalue location, both indices."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -221,17 +223,71 @@ def test_checkpoints_end_at_the_plain_propagation():
     )
     constant = first_order(2, 1.0, const_coeff(1j * np.eye(2)), const_coeff(g))
     lams = [-0.3, 0.0, 0.4]
-    for fam, const in ((varying, False), (constant, True)):
-        system = odebvp._system(fam, 0.7, 256)
-        assert system.const is const
-        path = system.propagate(lams, True)
-        assert path.shape == (257, 3, 2, 2)
-        npt.assert_array_equal(path[0], np.broadcast_to(np.eye(2), (3, 2, 2)))
-        npt.assert_array_equal(path[-1], system.propagate(lams))
+    for steps in (256, 100, 257):
+        for fam, const in ((varying, False), (constant, True)):
+            system = odebvp._system(fam, 0.7, steps)
+            assert system.const is const
+            path = system.propagate(lams, True)
+            assert path.shape == (steps + 1, 3, 2, 2)
+            npt.assert_array_equal(path[0], np.broadcast_to(np.eye(2), (3, 2, 2)))
+            npt.assert_array_equal(path[-1], system.propagate(lams))
     # with j = i I the constant system is exp(i (g + lambda I) t) at every grid time
-    for t, gammas in zip(np.linspace(0.0, 1.0, 257), path):
+    for t, gammas in zip(np.linspace(0.0, 1.0, 258), path):
         for lam, gamma in zip(lams, gammas):
             npt.assert_allclose(gamma, expm(1j * (g + lam * np.eye(2)) * t), rtol=0, atol=1e-13)
+
+
+def rk4_loop(c0, c1, T, steps, lams):
+    """Classical RK4 for x' = (C0 + lambda C1) x, one step at a time: the
+    reference the loop-free propagator must reproduce.  Returns the
+    fundamental solutions at every grid time, ``(steps + 1, L, d, d)``."""
+    h, lam = T / steps, np.asarray(lams, dtype=complex)[:, None, None]
+    x = np.broadcast_to(np.eye(c0.shape[1], dtype=complex), (len(lam),) + c0.shape[1:])
+    path = [x]
+    for k in range(steps):
+        a0, am, a1 = (c0[i] + lam * c1[i] for i in (2 * k, 2 * k + 1, 2 * k + 2))
+        k1 = a0 @ x
+        k2 = am @ (x + (0.5 * h) * k1)
+        k3 = am @ (x + (0.5 * h) * k2)
+        k4 = a1 @ (x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        path.append(x)
+    return np.array(path)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 100, 256])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_propagate_matches_the_reference_loop(d, steps):
+    rng = np.random.default_rng([d, steps])
+    shape = (2 * steps + 1, d, d)
+    c0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    system = odebvp._ShootingSystem(c0, c1, 1.0, steps)
+    assert system.const is False
+    for n_lams in (1, 3, 70):  # 70 at d = 4, 256 steps spans more than one chunk
+        lams = rng.uniform(-1.0, 1.0, n_lams)
+        reference = rk4_loop(c0, c1, 1.0, steps, lams)
+        gammas = system.propagate(lams)
+        npt.assert_allclose(gammas, reference[-1], rtol=0, atol=1e-12)
+        npt.assert_allclose(system.propagate(lams, True), reference, rtol=0, atol=1e-12)
+        # the result does not depend on the batch it came in
+        for lam, gamma in zip(lams, gammas):
+            npt.assert_array_equal(system.propagate([lam])[0], gamma)
+
+
+def test_propagation_memory_is_flat_in_the_batch():
+    # 257 lambdas is the detector's uncertified node count; unchunked, the
+    # stack of step matrices alone would take 135 MB here
+    fam = harness._random_second_order(np.random.default_rng(3), 2)
+    tracemalloc.start()
+    try:
+        system = odebvp._build_second_order(fam, 0.5, 2048)
+        gammas = system.propagate(np.linspace(-1.0, 1.0, 257))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.const is False and gammas.shape == (257, 4, 4)
+    assert peak <= 16e6
 
 
 @pytest.mark.parametrize("r_fun, const", [
