@@ -92,6 +92,14 @@ class RootCluster(MaslovFlowError):
     finder, so multiplicities cannot be assigned reliably."""
 
 
+class RootCountMismatch(MaslovFlowError):
+    """The shooting detector could not certify its eigenvalues: the winding
+    number of det F around its contour differs from the number of pencil
+    eigenvalues inside, a pencil root fails verification on the exactly
+    integrated transfer matrix, or no Chebyshev model of the window
+    certifies."""
+
+
 class InvalidTrials(MaslovFlowError):
     """A sweep was requested with a non-positive trial count."""
 

@@ -31,8 +31,11 @@ On top of the propagator sit the two index pipelines:
 
 * ``sf_bvp`` localizes eigenvalues near 0 for each s by shooting (the graph
   of the fundamental solution meets the boundary condition subspace exactly
-  at eigenvalues) and feeds the resulting crossing coordinates to the
-  adaptive flow engine;
+  at eigenvalues, the zeros of det W_perp* [I; Gamma(lambda)]): one
+  eigensolve of a colleague pencil gives every zero of a certified
+  Chebyshev model, a winding number checks their count, and the exact
+  propagator verifies each; the crossing coordinates feed the adaptive flow
+  engine;
 * ``mas_bvp`` forms the boundary symplectic space, the path of solution
   graphs, and the boundary condition path, and hands them to the Maslov
   index.
@@ -61,9 +64,11 @@ from .core import (
     subspace_from_span,
 )
 from .errors import (
+    DimensionMismatch,
     NonFinite,
     NotSkewHermitian,
     RootCluster,
+    RootCountMismatch,
     SingularJ,
     SingularP,
     WindowBoundaryEigenvalue,
@@ -73,12 +78,15 @@ from .maslov import PairPath, _as_fun, maslov_index
 
 TOL_ODE = 1e-8  # symplectic transport budget at the default 2048 steps
 
-# Detector thresholds for shooting: a refined minimum of sigma_min below
-# ACCEPT is an eigenvalue; between ACCEPT and RETRY it gets re-polished on
-# the exact propagator before deciding; ``eigen_count`` requires both
-# endpoints of its window to sit above ACCEPT.
+# Shooting detector, with the window mapped to u in [-1, 1]: pencil roots
+# with |Im u| <= REAL are verified, and accepted where the exact detector is
+# below ACCEPT (``eigen_count`` needs its window endpoints above it); STRIP
+# is the half-height of the certificate's contour of at most 2^14 points; a
+# window that does not certify is halved at most MAX_SPLITS times deep.
 _ACCEPT = 1e-6
-_RETRY = 1e-3
+_REAL = 1e-6
+_STRIP = 0.1
+_MAX_SPLITS = 8
 
 # RK4 propagation takes the lambdas in chunks whose (chunk, steps, d, d)
 # stack of step matrices holds at most this many complex entries (256 KiB),
@@ -262,17 +270,33 @@ def _prefix_products(m):
     return m
 
 
+def _checked_inv(a, exc, name):
+    """Inverses of a stack of matrices, raising ``exc`` exactly when
+    ``require_nonsingular`` on their singular values would.  Since
+    sigma_max / sigma_min <= |A|_F |A^-1|_F, members with that bound below
+    1e11 are cleared by the inverse alone; only the others get an SVD, or
+    the whole stack when ``inv`` meets an exact zero pivot."""
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        require_nonsingular(np.linalg.svd(a, compute_uv=False), exc, name)
+        raise
+    bound = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
+    unclear = ~(bound < 1e11)
+    if unclear.any():
+        require_nonsingular(np.linalg.svd(a[unclear], compute_uv=False), exc, name)
+    return inv
+
+
 def _build_first_order(fam, s, steps):
     ts = np.linspace(0.0, fam.T, 2 * steps + 1)
     jg = _eval_grid(fam.j, s, ts, fam.m)
     require_hermitian(jg, f"j(s={s:.6g}, t) on the t-grid", NotSkewHermitian, sign=-1)
-    require_nonsingular(np.linalg.svd(jg, compute_uv=False), SingularJ,
-                        f"j(s={s:.6g}, t) at a grid point")
+    jinv = _checked_inv(jg, SingularJ, f"j(s={s:.6g}, t) at a grid point")
     bg = require_hermitian(_eval_grid(fam.b, s, ts, fam.m), f"b(s={s:.6g}, t) on the t-grid")
     hd = fam.T / (8.0 * steps)
     jd = (_eval_grid(fam.j, s, ts + hd, fam.m)
           - _eval_grid(fam.j, s, ts - hd, fam.m)) / (2.0 * hd)
-    jinv = np.linalg.inv(jg)
     c0 = -jinv @ (bg + 0.5 * jd)
     c1 = -jinv
     return _ShootingSystem(c0, c1, fam.T, steps)
@@ -282,13 +306,11 @@ def _build_second_order(fam, s, steps):
     m = fam.m
     ts = np.linspace(0.0, fam.T, 2 * steps + 1)
     pg = require_hermitian(_eval_grid(fam.p, s, ts, m), f"p(s={s:.6g}, t) on the t-grid")
-    require_nonsingular(np.linalg.svd(pg, compute_uv=False), SingularP,
-                        f"p(s={s:.6g}, t) at a grid point")
+    pinv = _checked_inv(pg, SingularP, f"p(s={s:.6g}, t) at a grid point")
     qg = _eval_grid(fam.q, s, ts, m)
     if not np.all(np.isfinite(qg)):
         raise NonFinite(f"q(s={s:.6g}, t) is not finite at a grid point")
     rg = require_hermitian(_eval_grid(fam.r, s, ts, m), f"r(s={s:.6g}, t) on the t-grid")
-    pinv = np.linalg.inv(pg)
     nt = len(ts)
     b0 = np.zeros((nt, 2 * m, 2 * m), dtype=complex)
     b0[:, :m, :m] = pinv
@@ -413,61 +435,138 @@ def _graph_detector(wperp_frame, gammas):
     return np.linalg.svd(wperp_frame.conj().T[None] @ q, compute_uv=False)[:, -1]
 
 
-def _golden_min(f, a, b, xtol):
-    """Golden-section minimizer; f is a scalar function, deterministic."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
-
-
 class _GammaEvaluator:
-    """Chebyshev-interpolated Gamma(lambda) on a window, when certified.
+    """Chebyshev interpolant of Gamma(lambda) on a window, when certified.
 
     The transfer matrix is entire in lambda, so on a bounded window its
-    Chebyshev coefficients decay superexponentially; once the tail is below
-    1e-12 of the leading coefficient the interpolant is a faithful stand-in
-    for root *location*, and every accepted root is still verified against
-    the exactly integrated matrix.
+    Chebyshev coefficients decay superexponentially.  They are the DCT of
+    the values at n first-kind nodes, n = ``nodes``, then 2n - 1, up to
+    257; once the last five are below 1e-12 of the largest, ``coef`` (shape
+    ``(n, d, d)``, in u = (2 lambda - hi - lo) / (hi - lo)) is a faithful
+    stand-in for root *location*, and every root is still verified against
+    the exactly integrated matrix.  Otherwise ``coef`` is None.
     """
 
     def __init__(self, system, lo, hi, nodes):
-        self.system = system
-        self.lo, self.hi = lo, hi
         self.coef = None
         n = nodes
         while True:
-            pts = ncheb.chebpts1(n)
-            lams = 0.5 * (hi + lo) + 0.5 * (hi - lo) * pts
-            vals = system.propagate(lams)
-            coef = ncheb.chebfit(pts, vals.reshape(n, -1), n - 1)
+            vals = system.propagate(0.5 * (hi + lo) + 0.5 * (hi - lo) * ncheb.chebpts1(n))
+            if not np.all(np.isfinite(vals)):
+                raise NonFinite(f"transfer matrix overflows on the window ({lo:.6g}, {hi:.6g})")
+            # DCT-II at the ascending nodes cos(theta_k): c_j = 2/n sum f cos(j theta_k)
+            theta = (np.arange(n)[::-1] + 0.5) * (np.pi / n)
+            coef = np.tensordot(np.cos(np.outer(np.arange(n), theta)), vals, axes=1) * (2.0 / n)
+            coef[0] *= 0.5
             top = float(np.abs(coef).max())
             tail = float(np.abs(coef[-5:]).max())
             if top == 0.0 or tail <= 1e-12 * top:
                 self.coef = coef
                 break
             if n >= 257:
-                break  # interpolation not certified; exact evals only
+                break  # not certified; the caller splits the window
             n = 2 * n - 1
 
     def certified(self):
         return self.coef is not None
 
-    def gamma_proxy(self, lams):
-        u = (2.0 * np.asarray(lams) - (self.hi + self.lo)) / (self.hi - self.lo)
-        vals = ncheb.chebval(u, self.coef)  # (d*d, P)
-        d = self.system.d
-        return np.moveaxis(vals, -1, 0).reshape(np.shape(lams) + (d, d))
+
+def _colleague_eigvals(f):
+    """Finite eigenvalues u of the matrix polynomial P(u) = sum_k f[k] T_k(u),
+    from its colleague pencil on v = (T_0 x, ..., T_{n-1} x), n = deg P: block
+    rows u T_0 = T_1 and u T_k = (T_{k-1} + T_{k+1}) / 2, closed by
+    P(u) x = 0 (Good, Q. J. Math. 12, 1961; Effenberger & Kressner, BIT 52,
+    2012)."""
+    n, d = len(f) - 1, f.shape[1]
+    if n == 0:
+        return np.empty(0, dtype=complex)
+    t = np.diag(np.full(n - 1, 0.5), 1) + np.diag(np.full(n - 1, 0.5), -1)
+    t[0, 1:2] = 1.0
+    a = np.kron(t, np.eye(d)).astype(complex)
+    b = np.eye(n * d, dtype=complex)
+    # F_n u T_{n-1} = (F_n T_{n-2} - sum_{k<n} F_k T_k) / 2, or F_1 u = -F_0
+    c = 0.5 if n > 1 else 1.0
+    a[-d:] = -c * np.hstack(f[:n])
+    if n > 1:
+        a[-d:, -2 * d:-d] += c * f[n]
+    b[-d:, -d:] = f[n]
+    u = la.eigvals(a, b)
+    return u[np.isfinite(u)]
+
+
+def _gap_middle(x, lo, hi):
+    """Middle of the widest gap that the points ``x`` leave in [lo, hi]."""
+    ends = np.sort(np.concatenate([[lo, hi], x[(x > lo) & (x < hi)]]))
+    i = int(np.argmax(np.diff(ends)))
+    return 0.5 * (ends[i] + ends[i + 1])
+
+
+def _certify_count(f, u):
+    """Raise RootCountMismatch unless the winding number of det P around the
+    rectangle a < Re u < b, |Im u| < ``_STRIP`` equals the number of pencil
+    eigenvalues ``u`` inside; a and b sit in the widest root-free gaps of
+    [-1, -0.6] and [0.6, 1].  The contour starts at 64 points and doubles
+    until every step in arg det P is below pi/2 and within pi/4 of the
+    trapezoid rule on the log-derivative tr(P^-1 P'), so that a step of
+    2 pi more is not taken for a small one.  Roots are never edited."""
+    deg = len(f) - 1
+    if deg == 0:
+        return  # a constant F has no roots, and the pencil gave none
+    near = u.real[np.abs(u.imag) < 2.0 * _STRIP]
+    a, b = _gap_middle(near, -1.0, -0.6), _gap_middle(near, 0.6, 1.0)
+    inside = np.count_nonzero((u.real > a) & (u.real < b) & (np.abs(u.imag) < _STRIP))
+    corners = [b - 1j * _STRIP, b + 1j * _STRIP, a + 1j * _STRIP, a - 1j * _STRIP]
+    length = 2.0 * (b - a) + 4.0 * _STRIP
+    for n in 64 * 2 ** np.arange(9):
+        z = np.concatenate([
+            np.linspace(p, q, max(2, int(np.ceil(n * abs(q - p) / length))), endpoint=False)
+            for p, q in zip(corners, corners[1:] + corners[:1])
+        ])
+        vander = ncheb.chebvander(z, deg)
+        vals = np.tensordot(vander, f, axes=1)
+        det = np.linalg.det(vals)
+        if not np.all(det != 0.0):
+            continue
+        ders = np.tensordot(vander[:, :deg], ncheb.chebder(f), axes=1)
+        logder = np.trace(np.linalg.solve(vals, ders), axis1=1, axis2=2)
+        step = np.angle(np.roll(det, -1) * det.conj())
+        trapezoid = np.imag(0.5 * (logder + np.roll(logder, -1)) * (np.roll(z, -1) - z))
+        if np.all(np.abs(step) < 0.5 * np.pi) and np.all(np.abs(trapezoid - step) < 0.25 * np.pi):
+            winding = round(step.sum() / (2.0 * np.pi))
+            if winding != inside:
+                raise RootCountMismatch(f"det F winds {winding} times around ({a:.6g}, {b:.6g}) "
+                                        f"x (-{_STRIP}, {_STRIP})i, the pencil has {inside} roots inside")
+            return
+    raise RootCountMismatch(f"arg det F unresolved with {n} contour points")
+
+
+def _window_roots(system, wperp, lo, hi, nodes, splits=0):
+    """Candidate roots lambda in [lo, hi] of det F, F = W_perp* [I; Gamma].
+
+    On a certified window F is a matrix polynomial, F_k = W_perp*
+    [delta_k0 I; C_k] with trailing F_k below 1e-14 of the largest dropped;
+    its pencil eigenvalues u with |Re u| <= 1 and |Im u| <= ``_REAL`` give
+    the candidates, at Re u.  A window that does not certify is halved, each
+    half with its own fit.  A half keeps roots up to 1e-9 of its width past
+    its edges, so a root on a shared edge is found from both sides and the
+    caller merges it into one.
+    """
+    ev = _GammaEvaluator(system, lo, hi, nodes)
+    if not ev.certified():
+        if splits == _MAX_SPLITS:
+            raise RootCountMismatch(f"no certified Chebyshev fit on ({lo:.6g}, {hi:.6g})")
+        mid = 0.5 * (lo + hi)
+        return (_window_roots(system, wperp, lo, mid, nodes, splits + 1)
+                + _window_roots(system, wperp, mid, hi, nodes, splits + 1))
+    d = system.d
+    f = wperp[d:].conj().T @ ev.coef
+    f[0] += wperp[:d].conj().T
+    size = np.abs(f).max(axis=(1, 2))
+    f = f[:np.flatnonzero(size >= 1e-14 * size.max())[-1] + 1]
+    u = _colleague_eigvals(f)
+    _certify_count(f, u)
+    u = u[(np.abs(u.imag) <= _REAL) & (np.abs(u.real) <= 1.0 + 1e-9)]
+    return list(0.5 * (hi + lo) + 0.5 * (hi - lo) * u.real)
 
 
 def eigen_count(fam, s, w, window, steps=2048):
@@ -475,10 +574,14 @@ def eigen_count(fam, s, w, window, steps=2048):
     parameter s inside a real window.
 
     An eigenvalue is a shooting parameter where the graph of the fundamental
-    solution meets the boundary subspace ``w``; the detector is the smallest
-    singular value of ``frame(w)^perp* @ frame(graph)``, whose V-shaped local
-    minima are refined by golden section to ``1e-9 * window width`` and then
-    verified on the exactly integrated transfer matrix.
+    solution meets the boundary subspace ``w``, a zero of det F for the
+    Evans matrix F(lambda) = frame(w)^perp* @ [I; Gamma(lambda)].  On the
+    window, Gamma is replaced by its certified Chebyshev interpolant, which
+    makes F a matrix polynomial; every root of it comes from one eigensolve
+    of its colleague pencil, and a winding number of det F checks their
+    count.  A window too wide to certify is halved until each piece is.
+    Every root is verified on the exactly integrated transfer matrix, and
+    its multiplicity is the dimension of the intersection there.
 
     Returns a sorted list of ``(lambda, multiplicity)`` pairs.
 
@@ -488,6 +591,9 @@ def eigen_count(fam, s, w, window, steps=2048):
         If the detector at a window endpoint is below the safety margin.
         The check is made here, on the exact propagator, before the count;
         the detector pass that ``sf_bvp`` runs does not make it.
+    RootCountMismatch
+        If the winding number disagrees with the pencil's count, a pencil
+        root fails verification, or no piece of the window certifies.
     RootCluster
         If two distinct roots are closer than 10x the root tolerance.
     """
@@ -507,46 +613,25 @@ def _eigen_count_system(system, w, window, grid):
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError(f"empty window {window}")
-    width = hi - lo
-    tau_root = 1e-9 * width
+    tau_root = 1e-9 * (hi - lo)
     wperp = orthogonal_complement(w).frame
-    nodes = max(65, int(grid) + 1)
-    ev = _GammaEvaluator(system, lo, hi, nodes)
-
-    def detector_min(gamma_fun):
-        return lambda lam: float(_graph_detector(wperp, gamma_fun([lam]))[0])
-
-    probes = np.linspace(lo, hi, max(16 * int(grid), 1024) + 1)
-    gamma_fun = ev.gamma_proxy if ev.certified() else system.propagate
-    d = _graph_detector(wperp, gamma_fun(probes))
-    dmin = detector_min(gamma_fun)
-
-    # Bracket candidate roots at interior local minima of the detector.
-    cand = np.flatnonzero((d[1:-1] <= d[:-2]) & (d[1:-1] <= d[2:]) & (d[1:-1] < 0.25)) + 1
-    if not len(cand):
+    if wperp.shape[1] != system.d:
+        raise DimensionMismatch(f"boundary subspace of dimension {w.dim}, not {system.d}")
+    found = np.array(_window_roots(system, wperp, lo, hi, max(65, int(grid) + 1)))
+    found = found[(lo <= found) & (found <= hi)]
+    if not len(found):
         return []
-    refined = [_golden_min(dmin, probes[i - 1], probes[i + 1], tau_root) for i in cand]
-
-    # Verification against the exact propagator, then multiplicity assignment.
-    gam_exact = system.propagate(refined)
-    sv = _graph_detector(wperp, gam_exact)
-    roots = []
-    for lam, dstar, gamma in zip(refined, sv, gam_exact):
-        if dstar >= _RETRY:
-            continue
-        if dstar >= _ACCEPT:
-            # The interpolant found a shallow dip; re-polish on exact values.
-            lam = _golden_min(detector_min(system.propagate), lam - 64 * tau_root,
-                              lam + 64 * tau_root, tau_root)
-            gamma = system.propagate([lam])[0]
-            if _graph_detector(wperp, gamma[None])[0] >= _ACCEPT:
-                continue
-        roots.append((float(lam), max(intersection_dim(graph_subspace(gamma), w), 1)))
-    roots.sort()
+    gammas = system.propagate(found)
+    sv = _graph_detector(wperp, gammas)
+    if sv.max() >= _ACCEPT:
+        raise RootCountMismatch(f"pencil root {found[sv.argmax()]:.12g} fails verification "
+                                f"on the exact propagator (detector {sv.max():.3g})")
+    roots = sorted((float(lam), max(intersection_dim(graph_subspace(g), w), 1))
+                   for lam, g in zip(found, gammas))
     merged = []
     for lam, mult in roots:
         if merged and abs(lam - merged[-1][0]) < 2.0 * tau_root:
-            continue  # same root found from two brackets
+            continue  # one root, from a double eigenvalue or two pieces
         merged.append((lam, mult))
     for (l1, _), (l2, _) in zip(merged, merged[1:]):
         if abs(l2 - l1) < 10.0 * tau_root:

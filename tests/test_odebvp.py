@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from maslovflow import core, flow, harness, odebvp
-from maslovflow.errors import SingularJ, WindowBoundaryEigenvalue
+from maslovflow.errors import RootCountMismatch, SingularJ, WindowBoundaryEigenvalue
 
 
 def const_coeff(mat):
@@ -111,8 +111,8 @@ def test_eigen_count_multiplicity_two():
 
 def test_eigen_count_uncertified_window_finds_every_eigenvalue():
     # T = 40 packs the 63 periodic eigenvalues 2 pi k / 40 into the window,
-    # too many for the Chebyshev proxy to certify, so the exact fallback runs
-    # and must probe as finely as the proxy would
+    # too many for the Chebyshev proxy to certify, so the window is split
+    # into pieces that certify, each with its own pencil
     fam = first_order(1, 40.0, const_coeff(1j * np.eye(1)), const_coeff(np.zeros((1, 1))))
     window = (-4.987, 5.013)
     ev = odebvp._GammaEvaluator(odebvp._system(fam, 0.3, 256), *window, 65)
@@ -121,6 +121,115 @@ def test_eigen_count_uncertified_window_finds_every_eigenvalue():
     assert [mult for _, mult in found] == [1] * 63
     want = 2.0 * np.pi * np.arange(-31, 32) / 40.0
     npt.assert_allclose([lam for lam, _ in found], want, atol=1e-8)
+
+
+def periodic_ladder(T):
+    # j = i, b = 0 with periodic conditions: eigenvalues 2 pi k / T
+    return first_order(1, T, const_coeff(1j * np.eye(1)), const_coeff(np.zeros((1, 1))))
+
+
+def test_eigen_count_finds_every_root_of_a_dense_ladder():
+    # 191 eigenvalues 2 pi k / 60, |k| <= 95, in (-10, 10), 0.105 apart: the
+    # window needs halving twice before a fit certifies, and none may be lost
+    found = odebvp.eigen_count(periodic_ladder(60.0), 0.3, core.diagonal_subspace(1), (-10.0, 10.0))
+    assert [mult for _, mult in found] == [1] * 191
+    want = 2.0 * np.pi * np.arange(-95, 96) / 60.0
+    npt.assert_allclose([lam for lam, _ in found], want, rtol=0, atol=1e-8)
+
+
+def test_root_on_a_piece_edge_is_counted_once():
+    # (-10, 10) does not certify at T = 60 and is first halved at 0, itself
+    # an eigenvalue: both halves find it, the count keeps it once
+    system = odebvp._system(periodic_ladder(60.0), 0.3, 64)
+    w = core.diagonal_subspace(1)
+    assert not odebvp._GammaEvaluator(system, -10.0, 10.0, 65).certified()
+    pieces = odebvp._window_roots(system, core.orthogonal_complement(w).frame, -10.0, 10.0, 65)
+    assert sum(abs(lam) < 1e-12 for lam in pieces) == 2
+    found = odebvp._eigen_count_system(system, w, (-10.0, 10.0), 64)
+    assert [lam for lam, _ in found if abs(lam) < 1e-12] == [pytest.approx(0.0, abs=1e-12)]
+    assert len(found) == 191
+
+
+def test_certificate_raises_when_the_eigensolve_drops_a_root(monkeypatch):
+    fam = dirichlet_second(lambda s, t: 0.0)
+    w = odebvp.w_of_r(None, m=1)
+    solve = odebvp._colleague_eigvals
+
+    def drop_one(f):
+        u = solve(f)
+        return np.delete(u, np.argmin(np.abs(u)))
+
+    monkeypatch.setattr(odebvp, "_colleague_eigvals", drop_one)
+    with pytest.raises(RootCountMismatch, match="winds"):
+        odebvp.eigen_count(fam, 0.0, w, (0.5, 6.0))
+
+
+def test_pencil_root_failing_verification_raises(monkeypatch):
+    # a real pencil root where the exact propagator sees no eigenvalue is
+    # reported, never dropped
+    fam = dirichlet_second(lambda s, t: 0.0)
+    w = odebvp.w_of_r(None, m=1)
+    solve = odebvp._colleague_eigvals
+    monkeypatch.setattr(odebvp, "_colleague_eigvals", lambda f: np.append(solve(f), 0.0))
+    monkeypatch.setattr(odebvp, "_certify_count", lambda f, u: None)
+    with pytest.raises(RootCountMismatch, match="verification"):
+        odebvp.eigen_count(fam, 0.0, w, (0.5, 6.0))
+
+
+@pytest.mark.parametrize("deg", [1, 2, 3, 6])
+def test_colleague_pencil_gives_every_root_of_the_matrix_polynomial(deg):
+    rng = np.random.default_rng(deg)
+    f = rng.normal(size=(deg + 1, 2, 2)) + 1j * rng.normal(size=(deg + 1, 2, 2))
+    u = odebvp._colleague_eigvals(f)
+    assert len(u) == 2 * deg
+    vander = np.polynomial.chebyshev.chebvander(u, deg)
+    p = np.tensordot(vander, f, axes=1)
+    # P(u) is singular at each eigenvalue, relative to the size of its terms
+    size = np.abs(vander) @ np.linalg.norm(f, 2, axis=(1, 2))
+    assert np.all(np.linalg.svd(p, compute_uv=False)[:, -1] <= 1e-12 * size)
+
+
+def test_chebyshev_fit_by_dct_matches_chebfit():
+    s3 = next(sc for sc in harness.builtin_scenarios() if sc.name == "S3")
+    fam, _ = s3.build()
+    system = odebvp._system(fam, 0.5, 256)
+    ev = odebvp._GammaEvaluator(system, -1.0, 1.0, 65)
+    assert ev.coef.shape == (65, system.d, system.d)
+    pts = np.polynomial.chebyshev.chebpts1(65)
+    vals = system.propagate(pts).reshape(65, -1)
+    want = np.polynomial.chebyshev.chebfit(pts, vals, 64)
+    npt.assert_allclose(ev.coef.reshape(65, -1), want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_checked_inverse_raises_exactly_when_the_svd_check_does(d):
+    rng = np.random.default_rng(d)
+
+    def stack(cond):
+        a = rng.normal(size=(50, d, d)) + 1j * rng.normal(size=(50, d, d)) + 3 * np.eye(d)
+        if cond is not None:
+            u, _, vh = np.linalg.svd(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            sv = np.geomspace(1.0, 1.0 / cond, d) if d > 1 else np.array([1.0])
+            a[17] = (u * sv) @ vh
+        return a
+
+    for cond in (None, 1e10, 10**11.5, 1e13):
+        a = stack(cond)
+        try:
+            core.require_nonsingular(np.linalg.svd(a, compute_uv=False), SingularJ, "a")
+            expected = False
+        except SingularJ:
+            expected = True
+        if expected:
+            with pytest.raises(SingularJ):
+                odebvp._checked_inv(a, SingularJ, "a")
+        else:
+            npt.assert_array_equal(odebvp._checked_inv(a, SingularJ, "a"), np.linalg.inv(a))
+        assert expected == (cond is not None and cond > 1e12 and d > 1)
+    exact = stack(None)
+    exact[3] = 0.0  # an exact zero pivot
+    with pytest.raises(SingularJ):
+        odebvp._checked_inv(exact, SingularJ, "a")
 
 
 def test_eigen_count_window_boundary_raises():
