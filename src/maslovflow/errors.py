@@ -100,6 +100,11 @@ class RootCountMismatch(MaslovFlowError):
     certifies."""
 
 
+class TransportBudgetExceeded(MaslovFlowError):
+    """Fundamental solutions stay further from symplectic transport than
+    the residual budget allows, even after the time grid was refined."""
+
+
 class InvalidTrials(MaslovFlowError):
     """A sweep was requested with a non-positive trial count."""
 

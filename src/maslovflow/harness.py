@@ -377,10 +377,10 @@ def _random_first_order(rng, m):
     eye = np.eye(m)
 
     def j(s, t):
-        return 1j * (eye + s * g1 + np.sin(2.0 * np.pi * t) * g2)
+        return 1j * (eye + s * g1 + np.sin(2.0 * np.pi * np.asarray(t))[..., None, None] * g2)
 
     def b(s, t):
-        return b1 + s * np.cos(t) * b2
+        return b1 + s * np.cos(np.asarray(t))[..., None, None] * b2
 
     return odebvp.FirstOrderFamily(m=m, T=1.0, j=j, b=b)
 
@@ -393,13 +393,13 @@ def _random_second_order(rng, m):
     eye = np.eye(m)
 
     def p(s, t):
-        return eye + np.sin(t) * p1
+        return eye + np.sin(np.asarray(t))[..., None, None] * p1
 
     def q(s, t):
-        return 0.4 * s * q1
+        return np.broadcast_to(0.4 * s * q1, np.shape(t) + (m, m))
 
     def r(s, t):
-        return r1 + s * np.cos(2.0 * t) * r2
+        return r1 + s * np.cos(2.0 * np.asarray(t))[..., None, None] * r2
 
     return odebvp.SecondOrderFamily(m=m, T=1.0, p=p, q=q, r=r)
 

@@ -33,9 +33,10 @@ On top of the propagator sit the two index pipelines:
   of the fundamental solution meets the boundary condition subspace exactly
   at eigenvalues, the zeros of det W_perp* [I; Gamma(lambda)]): one
   eigensolve of a colleague pencil gives every zero of a certified
-  Chebyshev model, a winding number checks their count, and the exact
-  propagator verifies each; the crossing coordinates feed the adaptive flow
-  engine;
+  Chebyshev model, fitted on a nested ladder of Chebyshev-Lobatto nodes
+  that propagates only the nodes a refinement adds, a winding number
+  checks their count, and the exact propagator verifies each; the crossing
+  coordinates feed the adaptive flow engine;
 * ``mas_bvp`` forms the boundary symplectic space, the path of solution
   graphs, and the boundary condition path, and hands them to the Maslov
   index.
@@ -71,12 +72,18 @@ from .errors import (
     RootCountMismatch,
     SingularJ,
     SingularP,
+    TransportBudgetExceeded,
     WindowBoundaryEigenvalue,
 )
 from .flow import FlowOpts, flow_from_sampler
 from .maslov import PairPath, _as_fun, maslov_index
 
 TOL_ODE = 1e-8  # symplectic transport budget at the default 2048 steps
+# ``maslov_long`` refines its grid until its transport residual is below this
+# margin: the Maslov engine's unitarity check refused a t-path whose worst
+# checkpoint residual was 8.0e-9, inside TOL_ODE.
+_TRANSPORT_MARGIN = 1e-9
+_TRANSPORT_REFINEMENTS = 3
 
 # Shooting detector, with the window mapped to u in [-1, 1]: pencil roots
 # with |Im u| <= REAL are verified, and accepted where the exact detector is
@@ -359,10 +366,11 @@ def _end_forms(fam, s):
 
 
 def transport_residual(fam, s, gamma):
-    """Deviation of a fundamental solution from symplectic transport:
-    max |Gamma* j(T) Gamma - j(0)| (first-order) or |Gamma* J Gamma - J|."""
+    """Deviation of a fundamental solution, or the worst of a stack of them,
+    from symplectic transport: max |Gamma* j(T) Gamma - j(0)| (first-order)
+    or |Gamma* J Gamma - J|."""
     j0, jT = _end_forms(fam, s)
-    return float(np.abs(gamma.conj().T @ jT @ gamma - j0).max())
+    return float(np.abs(np.swapaxes(gamma.conj(), -1, -2) @ jT @ gamma - j0).max())
 
 
 def boundary_space(fam, s):
@@ -439,36 +447,56 @@ class _GammaEvaluator:
     """Chebyshev interpolant of Gamma(lambda) on a window, when certified.
 
     The transfer matrix is entire in lambda, so on a bounded window its
-    Chebyshev coefficients decay superexponentially.  They are the DCT of
-    the values at n first-kind nodes, n = ``nodes``, then 2n - 1, up to
-    257; once the last five are below 1e-12 of the largest, ``coef`` (shape
-    ``(n, d, d)``, in u = (2 lambda - hi - lo) / (hi - lo)) is a faithful
-    stand-in for root *location*, and every root is still verified against
-    the exactly integrated matrix.  Otherwise ``coef`` is None.
+    Chebyshev coefficients decay superexponentially.  They are the DCT-I of
+    the values at n Chebyshev-Lobatto nodes, n = ``nodes``, then 2n - 1 and
+    4n - 3 (17, 33, 65 from the default grid); the nodes are nested, so a
+    refinement propagates only its new, odd-index nodes and reuses every
+    value it has.  Once the last five coefficients are below 1e-12 of the
+    largest, ``coef`` (shape ``(n, d, d)``, in u = (2 lambda - hi - lo) /
+    (hi - lo)) is a faithful stand-in for root *location*, and every root is
+    still verified against the exactly integrated matrix.  Otherwise
+    ``coef`` is None and the caller halves the window.
     """
 
     def __init__(self, system, lo, hi, nodes):
         self.coef = None
-        n = nodes
-        while True:
-            vals = system.propagate(0.5 * (hi + lo) + 0.5 * (hi - lo) * ncheb.chebpts1(n))
-            if not np.all(np.isfinite(vals)):
+        n, vals = nodes, None
+        for _ in range(3):
+            x = ncheb.chebpts2(n)
+            if vals is not None:
+                x = x[1::2]  # the nodes not propagated yet
+            new = system.propagate(0.5 * (hi + lo) + 0.5 * (hi - lo) * x)
+            if not np.all(np.isfinite(new)):
                 raise NonFinite(f"transfer matrix overflows on the window ({lo:.6g}, {hi:.6g})")
-            # DCT-II at the ascending nodes cos(theta_k): c_j = 2/n sum f cos(j theta_k)
-            theta = (np.arange(n)[::-1] + 0.5) * (np.pi / n)
-            coef = np.tensordot(np.cos(np.outer(np.arange(n), theta)), vals, axes=1) * (2.0 / n)
-            coef[0] *= 0.5
+            if vals is not None:
+                old, vals = vals, np.empty((n,) + new.shape[1:], dtype=complex)
+                vals[0::2], vals[1::2] = old, new
+            else:
+                vals = new
+            coef = _dct1(vals)
             top = float(np.abs(coef).max())
             tail = float(np.abs(coef[-5:]).max())
             if top == 0.0 or tail <= 1e-12 * top:
                 self.coef = coef
                 break
-            if n >= 257:
-                break  # not certified; the caller splits the window
             n = 2 * n - 1
 
     def certified(self):
         return self.coef is not None
+
+
+def _dct1(vals):
+    """Chebyshev coefficients of the interpolant through values at the
+    ascending Lobatto nodes x_k = -cos(pi k / N), k = 0..N: the DCT-I
+    c_j = 2/N sum'' f_k cos(j (N - k) pi / N), the end terms of the sum and
+    c_0, c_N halved, as a cosine-matrix product (reduced mod 2N so that
+    every cosine is taken of an argument in [0, 2 pi))."""
+    n = len(vals) - 1
+    w = np.concatenate([[0.5], np.ones(n - 1), [0.5]])
+    jk = np.outer(np.arange(n + 1), np.arange(n, -1, -1)) % (2 * n)
+    coef = np.tensordot(np.cos(jk * (np.pi / n)) * w, vals, axes=1) * (2.0 / n)
+    coef[[0, -1]] *= 0.5
+    return coef
 
 
 def _colleague_eigvals(f):
@@ -546,10 +574,10 @@ def _window_roots(system, wperp, lo, hi, nodes, splits=0):
     On a certified window F is a matrix polynomial, F_k = W_perp*
     [delta_k0 I; C_k] with trailing F_k below 1e-14 of the largest dropped;
     its pencil eigenvalues u with |Re u| <= 1 and |Im u| <= ``_REAL`` give
-    the candidates, at Re u.  A window that does not certify is halved, each
-    half with its own fit.  A half keeps roots up to 1e-9 of its width past
-    its edges, so a root on a shared edge is found from both sides and the
-    caller merges it into one.
+    the candidates, at Re u.  A window whose fit does not certify by
+    4 ``nodes`` - 3 nodes is halved, each half with its own fit.  A half
+    keeps roots up to 1e-9 of its width past its edges, so a root on a
+    shared edge is found from both sides and the caller merges it into one.
     """
     ev = _GammaEvaluator(system, lo, hi, nodes)
     if not ev.certified():
@@ -617,7 +645,7 @@ def _eigen_count_system(system, w, window, grid):
     wperp = orthogonal_complement(w).frame
     if wperp.shape[1] != system.d:
         raise DimensionMismatch(f"boundary subspace of dimension {w.dim}, not {system.d}")
-    found = np.array(_window_roots(system, wperp, lo, hi, max(65, int(grid) + 1)))
+    found = np.array(_window_roots(system, wperp, lo, hi, max(17, int(grid) + 1)))
     found = found[(lo <= found) & (found <= hi)]
     if not len(found):
         return []
@@ -649,11 +677,13 @@ def _eigen_count_system(system, w, window, grid):
 @dataclass
 class BvpOpts(FlowOpts):
     """Options of the BVP pipelines: the crossing engine's partition plus
-    time steps, spectral grid and eigenvalue window.  The parameter range
-    is fixed at [0, 1]."""
+    time steps, spectral grid and eigenvalue window.  ``grid`` is the number
+    of Lobatto intervals of the detector's first Chebyshev fit (17 nodes at
+    least, refined twice at most).  The parameter range is fixed at
+    [0, 1]."""
 
     steps: int = 2048
-    grid: int = 64
+    grid: int = 16
     lambda_window: float = 1.0
     interval: ClassVar[tuple] = (0.0, 1.0)
 
@@ -718,15 +748,29 @@ def maslov_long(fam, s, w, opts=None):
     interval [0, T] (the appendix endpoint convention absorbs the maximal
     intersection at t = 0).  t snaps to the grid of one checkpointed
     propagation, which the crossing engine tolerates since only window
-    counts at sampled points enter the index.
+    counts at sampled points enter the index.  While some checkpoint is
+    further than ``_TRANSPORT_MARGIN`` from symplectic transport,
+    max_k |Gamma_k* J Gamma_k - J|, the steps are doubled, at most
+    ``_TRANSPORT_REFINEMENTS`` times; a residual still over it raises
+    ``TransportBudgetExceeded``.
     """
     if not isinstance(fam, SecondOrderFamily):
         raise TypeError("maslov_long expects a SecondOrderFamily")
     opts = opts or BvpOpts()
-    system = _system(fam, s, opts.steps)
     bspace = boundary_space(fam, s)
     wsub = w if isinstance(w, Subspace) else subspace_from_span(w)
-    gammas = system.propagate([0.0], checkpoints=True)[:, 0]
+    steps = int(opts.steps)
+    for refinement in range(_TRANSPORT_REFINEMENTS + 1):
+        system = _system(fam, s, steps)
+        gammas = system.propagate([0.0], checkpoints=True)[:, 0]
+        resid = transport_residual(fam, s, gammas)
+        if resid <= _TRANSPORT_MARGIN:
+            break
+        if refinement == _TRANSPORT_REFINEMENTS:
+            raise TransportBudgetExceeded(
+                f"maslov_long at s={s:.6g}: transport residual {resid:.3g} at {steps} steps "
+                f"exceeds {_TRANSPORT_MARGIN:g}")
+        steps *= 2
 
     def sampler(t):
         gamma = gammas[min(max(int(round(float(t) / system.h)), 0), system.steps)]

@@ -3,7 +3,8 @@
 Each test is one verdict: an exact integer identity between independently
 computed quantities, checked at a tight tolerance and, where cost is part of
 the contract, inside a work budget: crossing-engine samples per pipeline and
-propagator calls, both deterministic, so a loaded host cannot fail them.
+shooting parameters propagated, both deterministic, so a loaded host cannot
+fail them.
 One printed pass line each.
 """
 
@@ -22,28 +23,30 @@ def _stamp(name, detail):
     print(f"{name}: PASS -- {detail}", flush=True)
 
 
-def _count_propagations(monkeypatch):
-    """Count ``_ShootingSystem.propagate`` calls; returns a one-item list."""
-    calls = [0]
+def _count_lambdas(monkeypatch):
+    """Count the shooting parameters ``_ShootingSystem.propagate`` is given
+    (a refined Chebyshev fit is a second, smaller call, so calls are not the
+    work); returns a one-item list."""
+    lams = [0]
     propagate = odebvp._ShootingSystem.propagate
 
-    def counting(self, *args, **kwargs):
-        calls[0] += 1
-        return propagate(self, *args, **kwargs)
+    def counting(self, batch, *args, **kwargs):
+        lams[0] += len(np.atleast_1d(batch))
+        return propagate(self, batch, *args, **kwargs)
 
     monkeypatch.setattr(odebvp._ShootingSystem, "propagate", counting)
-    return calls
+    return lams
 
 
-def _assert_work(sf_rep, mas_rep, calls, samples, propagations):
+def _assert_work(sf_rep, mas_rep, lams, samples, propagated):
     # bounds are the counts the two pipelines needed when they were set
     assert len(sf_rep.samples) <= samples[0]
     assert len(mas_rep.samples) <= samples[1]
-    assert calls[0] <= propagations
+    assert lams[0] <= propagated
 
 
 def test_c1_rotating_boundary_closed_form(monkeypatch):
-    calls = _count_propagations(monkeypatch)
+    lams = _count_lambdas(monkeypatch)
     sc = STOCK["S1"]
     fam, w_path = sc.build()
     sf, sf_rep = odebvp.sf_bvp(fam, w_path, sc.opts)
@@ -56,13 +59,13 @@ def test_c1_rotating_boundary_closed_form(monkeypatch):
             k = np.round(c / (2.0 * np.pi) - s)
             worst = max(worst, abs(c - 2.0 * np.pi * (s + k)))
     assert worst <= 1e-7
-    _assert_work(sf_rep, mas_rep, calls, (41, 33), 115)
+    _assert_work(sf_rep, mas_rep, lams, (41, 33), 1406)
     _stamp("acceptance 1", f"S1 sf=mas=+1, river max deviation {worst:.2e}, "
-                          f"{calls[0]} propagations")
+                          f"{lams[0]} lambdas propagated")
 
 
 def test_c2_softening_oscillator_closed_form(monkeypatch):
-    calls = _count_propagations(monkeypatch)
+    lams = _count_lambdas(monkeypatch)
     sc = STOCK["S2"]
     fam, w_path = sc.build()
     sf, sf_rep = odebvp.sf_bvp(fam, w_path, sc.opts)
@@ -74,35 +77,40 @@ def test_c2_softening_oscillator_closed_form(monkeypatch):
         for c in coords:
             worst = max(worst, abs(c - (1.0 - 1.5 * s)))
     assert worst <= 1e-7
-    _assert_work(sf_rep, mas_rep, calls, (33, 33), 101)
+    _assert_work(sf_rep, mas_rep, lams, (33, 33), 627)
     _stamp("acceptance 2", f"S2 sf=mas=-1, branch max deviation {worst:.2e}, "
-                          f"{calls[0]} propagations")
+                          f"{lams[0]} lambdas propagated")
 
 
 def test_c3_varying_structure_grid_stability(monkeypatch):
-    calls = _count_propagations(monkeypatch)
+    lams = _count_lambdas(monkeypatch)
     sc = STOCK["S3"]
     base = harness.run_scenario(sc)
     assert base.error is None
     assert base.agree
-    _assert_work(base.flow_reports["sf"], base.flow_reports["mas"], calls, (39, 33), 111)
-    calls[0] = 0
+    _assert_work(base.flow_reports["sf"], base.flow_reports["mas"], lams, (39, 33), 789)
+    lams[0] = 0
     doubled = harness.run_scenario(replace(sc, opts=harness.doubled_opts(sc.opts)))
     assert doubled.error is None
     assert doubled.agree
     assert (base.sf, base.mas) == (doubled.sf, doubled.mas)
-    _assert_work(doubled.flow_reports["sf"], doubled.flow_reports["mas"], calls,
-                 (67, 65), 199)
+    _assert_work(doubled.flow_reports["sf"], doubled.flow_reports["mas"], lams,
+                 (67, 65), 2292)
     _stamp("acceptance 3", f"S3 sf=mas={base.sf} stable under doubling "
                           "of steps/grid/partition")
 
 
-def test_c4_periodic_moving_mean_grid_stability():
+def test_c4_periodic_moving_mean_grid_stability(monkeypatch):
+    lams = _count_lambdas(monkeypatch)
     sc = STOCK["S5"]
     base = harness.run_scenario(sc)
     assert base.error is None and base.agree
+    _assert_work(base.flow_reports["sf"], base.flow_reports["mas"], lams, (33, 33), 1155)
+    lams[0] = 0
     doubled = harness.run_scenario(replace(sc, opts=harness.doubled_opts(sc.opts)))
     assert doubled.error is None and doubled.agree
+    _assert_work(doubled.flow_reports["sf"], doubled.flow_reports["mas"], lams,
+                 (65, 65), 2275)
     assert (base.sf, base.mas) == (doubled.sf, doubled.mas) == (-1, -1)
     _stamp("acceptance 4", "S5 sf=mas=-1, grid-stable")
 

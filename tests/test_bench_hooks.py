@@ -104,10 +104,11 @@ def test_crossing_partitions_match_the_stored_digests():
     assert digests == {name: stored[name] for name in workloads.WORKLOADS}
 
 
-@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("seed", [0, 42, 62])
 def test_every_workload_warms_up(seed):
     # an exception in a warm-up escapes the benchmark's per-op error
-    # handling and ends the whole run
+    # handling and ends the whole run; seed 62's second-order family is
+    # 1.1e-8 from symplectic transport at the warm-up's 64 steps
     workloads = _load("workloads")
     for workload in workloads.WORKLOADS.values():
         workload.warmup(seed, **workload.sizes["smoke"])

@@ -8,7 +8,12 @@ import pytest
 from scipy.linalg import expm
 
 from maslovflow import core, flow, harness, odebvp
-from maslovflow.errors import RootCountMismatch, SingularJ, WindowBoundaryEigenvalue
+from maslovflow.errors import (
+    RootCountMismatch,
+    SingularJ,
+    TransportBudgetExceeded,
+    WindowBoundaryEigenvalue,
+)
 
 
 def const_coeff(mat):
@@ -190,15 +195,45 @@ def test_colleague_pencil_gives_every_root_of_the_matrix_polynomial(deg):
 
 
 def test_chebyshev_fit_by_dct_matches_chebfit():
+    # the DCT-I of the values at n Lobatto nodes is their interpolant
     s3 = next(sc for sc in harness.builtin_scenarios() if sc.name == "S3")
     fam, _ = s3.build()
     system = odebvp._system(fam, 0.5, 256)
-    ev = odebvp._GammaEvaluator(system, -1.0, 1.0, 65)
-    assert ev.coef.shape == (65, system.d, system.d)
-    pts = np.polynomial.chebyshev.chebpts1(65)
-    vals = system.propagate(pts).reshape(65, -1)
-    want = np.polynomial.chebyshev.chebfit(pts, vals, 64)
-    npt.assert_allclose(ev.coef.reshape(65, -1), want, rtol=0, atol=1e-14 * np.abs(want).max())
+    for n in (17, 33, 65):
+        pts = np.polynomial.chebyshev.chebpts2(n)
+        vals = system.propagate(pts)
+        coef = odebvp._dct1(vals).reshape(n, -1)
+        want = np.polynomial.chebyshev.chebfit(pts, vals.reshape(n, -1), n - 1)
+        npt.assert_allclose(coef, want, rtol=0, atol=1e-14 * np.abs(want).max())
+    ev = odebvp._GammaEvaluator(system, -1.0, 1.0, 17)
+    assert ev.coef.shape == (17, system.d, system.d)
+    npt.assert_array_equal(ev.coef, odebvp._dct1(system.propagate(pts[::4])))
+
+
+def test_fit_ladder_propagates_only_the_new_nodes(monkeypatch):
+    # (-10, 10) on S3 certifies at 65 nodes: the ladder from 17 propagates
+    # 17, then the 16 and 32 nodes that interleave the ones it has, and
+    # ends at the coefficients of a direct 65-node fit; (-10, 10) on the
+    # T = 60 ladder stops uncertified at 65 nodes
+    s3 = next(sc for sc in harness.builtin_scenarios() if sc.name == "S3")
+    fam, _ = s3.build()
+    system = odebvp._system(fam, 0.5, 256)
+    sizes = []
+    propagate = odebvp._ShootingSystem.propagate
+
+    def counting(self, lams, checkpoints=False):
+        sizes.append(len(lams))
+        return propagate(self, lams, checkpoints)
+
+    monkeypatch.setattr(odebvp._ShootingSystem, "propagate", counting)
+    ladder = odebvp._GammaEvaluator(system, -10.0, 10.0, 17)
+    assert sizes == [17, 16, 32]
+    direct = odebvp._GammaEvaluator(system, -10.0, 10.0, 65)
+    assert sizes == [17, 16, 32, 65]
+    npt.assert_array_equal(ladder.coef, direct.coef)
+    sizes.clear()
+    dense = odebvp._GammaEvaluator(odebvp._system(periodic_ladder(60.0), 0.3, 64), -10.0, 10.0, 17)
+    assert not dense.certified() and sizes == [17, 16, 32]
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])
@@ -463,6 +498,24 @@ def test_maslov_long_conjugate_points():
     # sin(2t): interior conjugate point at pi/2, then the arrival at pi
     val, _ = odebvp.maslov_long(dirichlet_second(lambda s, t: -4.0), 0.0, w, opts)
     assert val == -2
+
+
+def test_maslov_long_refines_its_grid_to_the_transport_margin(monkeypatch):
+    # r = -4 - 2 sin t: the worst checkpoint residual is 1.9e-6 at 64 steps
+    # and falls 32-fold per doubling, under 1e-9 only at 512 steps, three
+    # doublings up; from 32 steps three doublings are not enough
+    fam = dirichlet_second(lambda s, t: -4.0 - 2.0 * np.sin(t))
+    w = odebvp.w_of_r(None, m=1)
+    seen = []
+    system = odebvp._system
+    monkeypatch.setattr(odebvp, "_system", lambda f, s, n: seen.append(n) or system(f, s, n))
+    val, _ = odebvp.maslov_long(fam, 0.5, w, odebvp.BvpOpts(steps=64))
+    assert seen == [64, 128, 256, 512]
+    assert val == odebvp.maslov_long(fam, 0.5, w, odebvp.BvpOpts(steps=512))[0]
+    seen.clear()
+    with pytest.raises(TransportBudgetExceeded, match=r"s=0\.5: transport residual .* at 256 steps"):
+        odebvp.maslov_long(fam, 0.5, w, odebvp.BvpOpts(steps=32))
+    assert seen == [32, 64, 128, 256]
 
 
 def test_index_difference_check():
