@@ -64,17 +64,19 @@ class SymplecticSpace:
 
     @property
     def dim(self):
-        return self.form.shape[0]
+        return self.form.shape[-1]
 
     def omega(self, x, y):
         """Evaluate omega(x, y) = y* J x on vectors or frames.
 
         For matrices X (n x p) and Y (n x q) the result is the q x p array
-        with entries omega(x_j, y_i) = y_i* J x_j.
+        with entries omega(x_j, y_i) = y_i* J x_j.  A space whose ``form``
+        is a stack ``(..., n, n)`` pairs it with frame stacks ``(..., n, p)``
+        and ``(..., n, q)`` member by member.
         """
         x = np.asarray(x, dtype=complex)
-        y = np.asarray(y, dtype=complex)
-        return y.conj().T @ (self.form @ x)
+        y = np.asarray(y, dtype=complex).conj()
+        return (y.swapaxes(-1, -2) if y.ndim > 1 else y) @ (self.form @ x)
 
     def k_operator(self):
         """K = -iJ, which defines the canonical splitting; exactly Hermitian
@@ -112,17 +114,18 @@ def make_space(j):
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace stored as an orthonormal frame (columns)."""
+    """A linear subspace stored as an orthonormal frame (columns), or a
+    stack of subspaces stored as a frame stack ``(..., n, k)``."""
 
     frame: np.ndarray
 
     @property
     def dim(self):
-        return self.frame.shape[1]
+        return self.frame.shape[-1]
 
     @property
     def ambient_dim(self):
-        return self.frame.shape[0]
+        return self.frame.shape[-2]
 
 
 def subspace_from_span(vectors):
@@ -210,7 +213,8 @@ def classify(space, sub):
 
 
 def isotropy_residual(space, sub):
-    """max |omega(f_i, f_j)| over an orthonormal frame of the subspace."""
+    """max |omega(f_i, f_j)| over an orthonormal frame of the subspace (over
+    every member of a stack)."""
     if sub.dim == 0:
         return 0.0
     return float(np.abs(space.omega(sub.frame, sub.frame)).max())
@@ -256,7 +260,8 @@ class Splitting:
     """A decomposition H = H+ (+) H- adapted to the form.
 
     ``hframe_plus`` and ``hframe_minus`` are frames of H+ and H- that are
-    orthonormal for the metrics ``h_+ = -i omega`` and ``h_- = +i omega``.
+    orthonormal for the metrics ``h_+ = -i omega`` and ``h_- = +i omega``;
+    the splitting of a stack of spaces holds frame stacks ``(..., n, k)``.
     """
 
     hframe_plus: np.ndarray
@@ -264,19 +269,18 @@ class Splitting:
 
     @property
     def balanced(self):
-        return self.hframe_plus.shape[1] == self.hframe_minus.shape[1]
+        return self.hframe_plus.shape[-1] == self.hframe_minus.shape[-1]
 
 
 def _h_orthonormalize(frame, gram):
     # Cholesky of the (Hermitian positive definite) metric Gram matrix turns
     # the frame into an h-orthonormal one.
-    gram = 0.5 * (gram + gram.conj().T)
+    gram = 0.5 * (gram + gram.conj().swapaxes(-1, -2))
     try:
-        lo = la.cholesky(gram, lower=True)
-    except la.LinAlgError as exc:
+        lo = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
         raise BadMetric(f"metric Gram matrix is not positive definite: {exc}") from exc
-    x = la.solve_triangular(lo.conj().T, np.eye(gram.shape[0], dtype=complex), lower=False)
-    return frame @ x
+    return frame @ np.linalg.inv(lo.conj().swapaxes(-1, -2))
 
 
 def make_splitting(space, metric=None):
@@ -286,6 +290,8 @@ def make_splitting(space, metric=None):
     Parameters
     ----------
     space : SymplecticSpace
+        Its ``form`` may be a stack ``(..., n, n)``; every member is split
+        by its own eigendecomposition, bit for bit as if split alone.
     metric : array_like, optional
         Hermitian positive definite matrix G.  When given, the splitting is
         taken from the generalized eigenproblem ``K v = theta G v``; positive
@@ -296,24 +302,36 @@ def make_splitting(space, metric=None):
     Returns
     -------
     Splitting
+
+    Raises
+    ------
+    UnbalancedSplitting
+        If the members of a stack have different signatures, which leaves
+        some member without Lagrangians.
     """
     n = space.dim
     k = space.k_operator()
-    if metric is None:
-        theta, vecs = la.eigh(k)
-    else:
-        g = np.asarray(metric, dtype=complex)
-        if g.shape != (n, n):
-            raise DimensionMismatch(f"metric must be {n} x {n}, got {g.shape}")
-        g = require_hermitian(g, "metric", BadMetric)
+    if metric is not None:
+        metric = np.asarray(metric, dtype=complex)
+        if metric.shape != (n, n):
+            raise DimensionMismatch(f"metric must be {n} x {n}, got {metric.shape}")
+        metric = require_hermitian(metric, "metric", BadMetric)
         try:
-            la.cholesky(g)
+            la.cholesky(metric)
         except la.LinAlgError as exc:
             raise BadMetric("metric is not positive definite") from exc
-        theta, vecs = la.eigh(k, g)
+    # SciPy's eigh, one member at a time: the eigenvector gauge it picks is
+    # what random families are planted in, so it must not depend on stacking.
+    theta = np.empty(k.shape[:-1])
+    vecs = np.empty(k.shape, dtype=complex)
+    for i in np.ndindex(k.shape[:-2]):
+        theta[i], vecs[i] = la.eigh(k[i], metric)
     require_nonsingular(np.abs(theta), Degenerate, "K = -iJ (the form)")
-    pos = theta > 0
-    fp, fm = vecs[:, pos], vecs[:, ~pos]
+    # eigenvalues ascend, so the negative ones lead every member
+    n_minus = np.count_nonzero(theta < 0, axis=-1)
+    if np.any(n_minus != n_minus.flat[0]):
+        raise UnbalancedSplitting("the signature of K = -iJ changes across the stack")
+    fm, fp = np.split(vecs, [int(n_minus.flat[0])], axis=-1)
     return Splitting(
         hframe_plus=_h_orthonormalize(fp, -1j * space.omega(fp, fp)),
         hframe_minus=_h_orthonormalize(fm, 1j * space.omega(fm, fm)),
@@ -324,7 +342,8 @@ def graph_rep(splitting, lam):
     """Represent a Lagrangian subspace as the graph of a unitary.
 
     Returns the k x k unitary U, in the splitting's h-orthonormal frames,
-    whose graph ``hframe_plus + hframe_minus @ U`` spans ``lam``.
+    whose graph ``hframe_plus + hframe_minus @ U`` spans ``lam``.  A
+    splitting and subspace of stacks give the stack of unitaries.
 
     Raises
     ------
@@ -334,21 +353,21 @@ def graph_rep(splitting, lam):
         If the subspace has the wrong dimension, projects degenerately onto
         H+, or the resulting matrix fails its unitarity residual.
     """
-    k = splitting.hframe_plus.shape[1]
+    k = splitting.hframe_plus.shape[-1]
     if not splitting.balanced:
         raise UnbalancedSplitting(
-            f"splitting has dims ({k}, {splitting.hframe_minus.shape[1]}); "
+            f"splitting has dims ({k}, {splitting.hframe_minus.shape[-1]}); "
             "no Lagrangian subspaces exist"
         )
     if lam.dim != k:
         raise NotLagrangian(f"subspace has dim {lam.dim}, Lagrangians have dim {k}")
-    basis = np.hstack([splitting.hframe_plus, splitting.hframe_minus])
-    coords = la.solve(basis, lam.frame)
-    a, b = coords[:k], coords[k:]
-    sv = la.svdvals(a)
-    if sv.size and sv[-1] <= 1e-10 * max(1.0, sv[0]):
+    basis = np.concatenate([splitting.hframe_plus, splitting.hframe_minus], axis=-1)
+    coords = np.linalg.solve(basis, lam.frame)
+    a, b = coords[..., :k, :], coords[..., k:, :]
+    sv = np.linalg.svd(a, compute_uv=False)
+    if sv.size and not np.all(sv[..., -1] > 1e-10 * np.maximum(1.0, sv[..., 0])):
         raise NotLagrangian("subspace projects degenerately onto the positive half")
-    u = b @ la.inv(a)
+    u = b @ np.linalg.inv(a)
     require_unitary(u, NotLagrangian, "graph matrix of a non-Lagrangian subspace")
     return u
 
@@ -362,7 +381,7 @@ def pair_unitary(splitting, lam, mu):
     """
     u = graph_rep(splitting, lam)
     v = graph_rep(splitting, mu)
-    return u @ v.conj().T
+    return u @ v.conj().swapaxes(-1, -2)
 
 
 def normalize_metric(space):
@@ -431,11 +450,23 @@ def require_hermitian(a, name="matrix", exc=NotHermitian, sign=1):
 
 
 def require_unitary(u, exc, name):
-    """Raise ``exc`` when ``max |u* u - I|`` exceeds TAU_UNIT or is NaN; a
-    0 x 0 matrix passes."""
-    resid = float(np.abs(u.conj().T @ u - np.eye(u.shape[-1])).max()) if u.size else 0.0
+    """Raise ``exc`` when ``max |u* u - I|`` over a matrix, or over every
+    matrix in a stack ``(..., n, n)``, exceeds TAU_UNIT or is NaN; a 0 x 0
+    matrix passes."""
+    u = np.asarray(u)
+    resid = (float(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max())
+             if u.size else 0.0)
     if not resid <= TAU_UNIT:
         raise exc(f"{name} is not unitary (residual {resid:.3e} exceeds {TAU_UNIT:.3e})")
+
+
+def stacked(arrays, exc, what):
+    """The arrays of one engine batch as one stack; raise ``exc`` naming
+    ``what`` when their shapes differ."""
+    shapes = {a.shape for a in arrays}
+    if len(shapes) > 1:
+        raise exc(f"{what} changes shape along the path: {sorted(shapes)}")
+    return np.stack(arrays)
 
 
 def require_nonsingular(sv, exc, name):

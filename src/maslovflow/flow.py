@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .core import require_hermitian, require_unitary
-from .errors import NotUnitary, SpectrumOnBoundary, UnresolvedFamily
+from .core import require_hermitian, require_unitary, stacked
+from .errors import DimensionMismatch, NotUnitary, SpectrumOnBoundary, UnresolvedFamily
 
 
 @dataclass
@@ -123,12 +123,9 @@ def _sorted_movement(x, y, circular):
     if not circular:
         return float(np.max(np.abs(x - y)))
     n = x.size
-    best = np.inf
-    for k in range(n):
-        yk = np.concatenate([y[k:], y[:k]])
-        d = np.abs(np.mod(yk - x + np.pi, 2.0 * np.pi) - np.pi)
-        best = min(best, float(d.max()))
-    return best
+    shifts = (np.arange(n)[:, None] + np.arange(n)) % n  # row k: y rolled by k
+    d = np.abs(np.mod(y[shifts] - x + np.pi, 2.0 * np.pi) - np.pi)
+    return float(d.max(axis=1).min())
 
 
 def _station_movement(cl, cm, cr, circular, delta_max):
@@ -188,22 +185,55 @@ def _candidate_deltas(abs_coords, delta_max, floor):
     return sorted(cands, reverse=True)
 
 
+def _admissible_delta(cl, cm, cr, circular, delta_max, eta, floor):
+    """The largest candidate window half-width that is admissible on a
+    segment with station coordinates ``cl``, ``cm``, ``cr`` (left, middle,
+    right), or None when the segment must be bisected."""
+    merged = np.abs(np.concatenate([cl, cr, cm]))
+    # Window walls must clear every sampled coordinate by more than the
+    # coordinates move across half the segment; otherwise a pair can
+    # trade places across the walls, which keeps the station totals
+    # equal while silently breaking the count bookkeeping.
+    movement = _station_movement(cl, cm, cr, circular, delta_max)
+    if movement is None:
+        return None
+    clearance = max(eta, 1.5 * movement)
+    for cand in _candidate_deltas(merged, delta_max, floor):
+        if merged.size and np.min(np.abs(merged - cand)) < clearance:
+            continue  # a coordinate could reach the window edge
+        counts = {int(np.count_nonzero(np.abs(c) < cand)) for c in (cl, cm, cr)}
+        if len(counts) != 1:
+            continue  # window contents changed across the segment
+        return cand
+    return None
+
+
 def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
     """Run the crossing engine over ``interval`` using ``sampler``.
+
+    The engine refines a partition one depth at a time.  Every segment is
+    accepted or bisected from its own three stations (endpoints and
+    midpoint), so a whole depth can be sampled at once without changing any
+    decision.  The first sampler call takes the ``initial_segments + 1``
+    grid points and the midpoints of the grid's segments; each later call
+    takes the midpoints of the segments bisected at the depth before.  No
+    s is sent twice.
 
     Parameters
     ----------
     sampler : callable
-        Maps a parameter value s to a 1-D array of real crossing
-        coordinates.  Must be deterministic; values are cached by s.
+        Maps a 1-D array of parameter values s to a sequence of 1-D arrays
+        of real crossing coordinates, one per s.  Must be deterministic, and
+        an s must get the same coordinates whatever else is in its batch.
     interval : (float, float)
         Endpoints a < b.
     opts : FlowOpts, optional
     scale : float, optional
-        Coordinate scale; measured from the initial samples when omitted.
-        The largest window half-width, the smallest coordinate movement a
-        window wall must clear, and the kernel tolerance are 0.25, 1e-6
-        and 1e-9 times the scale.
+        Coordinate scale; when omitted, the largest coordinate magnitude
+        over the grid points (not their midpoints).  The largest window
+        half-width, the smallest coordinate movement a window wall must
+        clear, and the kernel tolerance are 0.25, 1e-6 and 1e-9 times the
+        scale.
     circular : bool
         True when the coordinates are angles on (-pi, pi] (eigenphases), so
         that coordinate movement is measured around the circle.
@@ -211,6 +241,7 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
     Returns
     -------
     (int, CrossingReport)
+        The report's segments run left to right.
     """
     opts = opts or FlowOpts()
     a, b = float(interval[0]), float(interval[1])
@@ -218,17 +249,17 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
         raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
     cache: dict[float, np.ndarray] = {}
 
-    def coords_at(s):
-        if s not in cache:
-            c = np.sort(np.asarray(sampler(s), dtype=float))
-            cache[s] = c
-        return cache[s]
+    def sample(points):
+        new = sorted({s for s in points if s not in cache})
+        if new:
+            for s, c in zip(new, sampler(np.array(new)), strict=True):
+                cache[s] = np.sort(np.asarray(c, dtype=float))
 
-    grid = np.linspace(a, b, opts.initial_segments + 1)
-    for s in grid:
-        coords_at(float(s))
+    grid = [float(s) for s in np.linspace(a, b, opts.initial_segments + 1)]
+    level = list(zip(grid[:-1], grid[1:]))
+    sample(grid + [0.5 * (left + right) for left, right in level])
     if scale is None:
-        top = max((float(np.abs(c).max()) for c in cache.values() if c.size), default=0.0)
+        top = max((float(np.abs(cache[s]).max()) for s in grid if cache[s].size), default=0.0)
         scale = top if top > 0 else 1.0
     delta_max = 0.25 * scale
     eta = 1e-6 * scale
@@ -237,49 +268,33 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
 
     report = CrossingReport(samples=cache)
     total = 0
-    # LIFO stack, pushed right-then-left so work proceeds left to right.
-    stack = [
-        (float(grid[i]), float(grid[i + 1]), 0)
-        for i in range(opts.initial_segments - 1, -1, -1)
-    ]
-    while stack:
-        left, right, depth = stack.pop()
-        mid = 0.5 * (left + right)
-        cl, cr, cm = coords_at(left), coords_at(right), coords_at(mid)
-        merged = np.abs(np.concatenate([cl, cr, cm]))
-        # Window walls must clear every sampled coordinate by more than the
-        # coordinates move across half the segment; otherwise a pair can
-        # trade places across the walls, which keeps the station totals
-        # equal while silently breaking the count bookkeeping.
-        movement = _station_movement(cl, cm, cr, circular, delta_max)
-        delta = None
-        if movement is not None:
-            clearance = max(eta, 1.5 * movement)
-            for cand in _candidate_deltas(merged, delta_max, floor):
-                if merged.size and np.min(np.abs(merged - cand)) < clearance:
-                    continue  # a coordinate could reach the window edge
-                counts = {int(np.count_nonzero(np.abs(c) < cand)) for c in (cl, cm, cr)}
-                if len(counts) != 1:
-                    continue  # window contents changed across the segment
-                delta = cand
-                break
-        if delta is None:
-            if depth >= opts.max_depth:
-                raise UnresolvedFamily(
-                    f"no admissible window on [{left:.17g}, {right:.17g}] "
-                    f"at depth {depth}; family varies too fast near this segment",
-                    s_left=left,
-                    s_right=right,
-                )
-            stack.append((mid, right, depth + 1))
-            stack.append((left, mid, depth + 1))
-            continue
-        wl = window_count(cl, delta, tau_zero)
-        wr = window_count(cr, delta, tau_zero)
-        seg = SegmentRecord(s_left=left, s_right=right, delta=delta,
-                            count_left=wl, count_right=wr)
-        report.segments.append(seg)
-        total += seg.contribution
+    depth = 0
+    while level:
+        sample(0.5 * (left + right) for left, right in level)
+        bisected = []
+        for left, right in level:
+            mid = 0.5 * (left + right)
+            cl, cm, cr = cache[left], cache[mid], cache[right]
+            delta = _admissible_delta(cl, cm, cr, circular, delta_max, eta, floor)
+            if delta is None:
+                if depth >= opts.max_depth:
+                    raise UnresolvedFamily(
+                        f"no admissible window on [{left:.17g}, {right:.17g}] "
+                        f"at depth {depth}; family varies too fast near this segment",
+                        s_left=left,
+                        s_right=right,
+                    )
+                bisected += [(left, mid), (mid, right)]
+                continue
+            wl = window_count(cl, delta, tau_zero)
+            wr = window_count(cr, delta, tau_zero)
+            seg = SegmentRecord(s_left=left, s_right=right, delta=delta,
+                                count_left=wl, count_right=wr)
+            report.segments.append(seg)
+            total += seg.contribution
+        level = bisected
+        depth += 1
+    report.segments.sort(key=lambda seg: seg.s_left)
     return total, report
 
 
@@ -290,38 +305,42 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
 def eigenphases(u):
     """Eigenphases of a unitary matrix, wrapped to (-pi, pi], ascending.
 
-    Eigenvalues come from the complex Schur form, which stays backward
-    stable even when the matrix is a hair away from normal.
+    A stack ``(..., n, n)`` gives the stack ``(..., n)`` of each member's
+    phases.  The eigenvalues come from LAPACK's general eigensolver, whose
+    Hessenberg QR iteration is backward stable even when a matrix is a hair
+    away from normal.
     """
     u = np.asarray(u, dtype=complex)
     require_unitary(u, NotUnitary, "matrix")
-    if u.shape[0] == 0:
-        return np.empty(0)
-    t, _ = la.schur(u, output="complex")
-    phases = np.angle(np.diag(t))
-    phases[phases <= -np.pi + 1e-12] += 2.0 * np.pi
-    return np.sort(phases)
+    if u.shape[-1] == 0:
+        return np.empty(u.shape[:-1])
+    phases = np.angle(np.linalg.eigvals(u))
+    phases = np.where(phases <= -np.pi + 1e-12, phases + 2.0 * np.pi, phases)
+    return np.sort(phases, axis=-1)
 
 
 def unit_circle_residual(u):
-    """max | |eig| - 1 | over the spectrum; a health metric for reports."""
+    """max | |eig| - 1 | over the spectrum (of every member of a stack); a
+    health metric for reports."""
     u = np.asarray(u, dtype=complex)
-    if u.shape[0] == 0:
+    if u.size == 0:
         return 0.0
-    t, _ = la.schur(u, output="complex")
-    return float(np.abs(np.abs(np.diag(t)) - 1.0).max())
+    return float(np.abs(np.abs(np.linalg.eigvals(u)) - 1.0).max())
 
 
 def spectral_flow(family, interval, opts=None):
     """Spectral flow through 0 of ``family``, s -> Hermitian matrix
     (validated at every sample); returns ``(int, CrossingReport)``.
 
-    A unitary family's flow through 1 is :func:`flow_from_sampler` on its
-    :func:`eigenphases` with ``circular=True``.
+    The eigenvalues of one engine batch come from one stacked call, so its
+    matrices must share a size (``DimensionMismatch`` otherwise).  A unitary
+    family's flow through 1 is :func:`flow_from_sampler` on the
+    :func:`eigenphases` of its batch with ``circular=True``.
     """
 
-    def sampler(s):
-        return la.eigvalsh(require_hermitian(family(s), name=f"family({s:.6g})"))
+    def sampler(ss):
+        mats = [require_hermitian(family(s), name=f"family({s:.6g})") for s in ss]
+        return np.linalg.eigvalsh(stacked(mats, DimensionMismatch, "the family"))
 
     return flow_from_sampler(sampler, interval, opts)
 

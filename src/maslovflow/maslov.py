@@ -14,6 +14,11 @@ lets an adaptive sampler make sense of it.  The kernel of ``W_s - I`` matches
 ``lambda_s ∩ mu_s`` dimension for dimension, so crossings of 1 are exactly
 the parameter values where the pair touches.
 
+The crossing engine asks for a batch of s at a time.  :func:`maslov_index`
+evaluates the path once per s, stacks the forms and frames, and takes the
+splittings, graph unitaries and eigenphases of the whole batch from one
+stacked call each; an s gets the same eigenphases in any batch.
+
 Several equivalent formulas are implemented independently (a block unitary,
 direct sums against the diagonal, flipped forms) because their agreement is
 the cheapest interesting consistency check the theory offers.
@@ -38,9 +43,17 @@ from .core import (
     isotropy_residual,
     make_space,
     make_splitting,
+    stacked,
     subspace_from_span,
 )
-from .errors import Degenerate, NonUnitaryGenerator, NotLagrangianReal, NotSkewHermitian
+from .errors import (
+    Degenerate,
+    DimensionMismatch,
+    NonUnitaryGenerator,
+    NotLagrangian,
+    NotLagrangianReal,
+    NotSkewHermitian,
+)
 from .flow import eigenphases, flow_from_sampler, unit_circle_residual
 
 
@@ -117,6 +130,12 @@ class PairPath:
 def maslov_index(path, opts=None, metric=None):
     """Maslov index of a path of Lagrangian pairs.
 
+    The engine hands the sampler a batch of s.  ``path.sampler`` is called
+    once per s; the forms and the two frames are then stacked, and the
+    splitting, both graph unitaries, the comparison unitary and its phases
+    come from one stacked call each.  Every s gets the coordinates it would
+    get alone.
+
     Parameters
     ----------
     path : PairPath
@@ -130,18 +149,28 @@ def maslov_index(path, opts=None, metric=None):
     (int, CrossingReport)
         The report's ``extras`` carry the worst isotropy and unit-circle
         residuals seen along the path.
+
+    Raises
+    ------
+    DimensionMismatch, NotLagrangian
+        If the form, or the frame of lambda or mu, changes shape inside one
+        batch of s.
     """
     stats = {"isotropy_residual": 0.0, "unit_circle_residual": 0.0}
 
-    def sampler(s):
-        space, lam, mu = path.sampler(s)
+    def sampler(ss):
+        spaces, lams, mus = zip(*(path.sampler(s) for s in ss))
+        space = core.SymplecticSpace(
+            form=stacked([sp.form for sp in spaces], DimensionMismatch, "the form"))
+        lam = Subspace(frame=stacked([sub.frame for sub in lams], NotLagrangian, "lambda"))
+        mu = Subspace(frame=stacked([sub.frame for sub in mus], NotLagrangian, "mu"))
         stats["isotropy_residual"] = max(
             stats["isotropy_residual"], isotropy_residual(space, lam), isotropy_residual(space, mu)
         )
         splitting = make_splitting(space, metric=metric)
         u = graph_rep(splitting, lam)
         v = graph_rep(splitting, mu)
-        w = u @ v.conj().T
+        w = u @ v.conj().swapaxes(-1, -2)
         stats["unit_circle_residual"] = max(stats["unit_circle_residual"], unit_circle_residual(w))
         return eigenphases(w)
 
@@ -160,7 +189,7 @@ def maslov_index_block(path, opts=None):
     beyond the generic engine.
     """
 
-    def sampler(s):
+    def block_phases(s):
         space, lam, mu = path.sampler(s)
         splitting = make_splitting(space)
         u = graph_rep(splitting, lam)
@@ -171,7 +200,8 @@ def maslov_index_block(path, opts=None):
         block[k:, :k] = v.conj().T
         return eigenphases(block)
 
-    return flow_from_sampler(sampler, path.interval, opts, circular=True)
+    return flow_from_sampler(lambda ss: [block_phases(s) for s in ss], path.interval, opts,
+                             circular=True)
 
 
 @dataclass(frozen=True)
@@ -331,7 +361,7 @@ def complexify_and_compare(data, opts=None):
     u_inv = la.inv(coords_lam[m:] @ la.inv(coords_lam[:m]))
     stats = {"residual": 0.0}
 
-    def generator_sampler(s):
+    def generator_phases(s):
         mfr = mu_at(s)
         _, smat = real_generator(j, q, mfr)
         coords_mu = la.solve(basis, mfr.astype(complex))
@@ -340,5 +370,6 @@ def complexify_and_compare(data, opts=None):
         stats["residual"] = max(stats["residual"], float(np.abs(bridge + smat.conj()).max()))
         return eigenphases(-smat.conj())
 
-    mas_bf, _ = flow_from_sampler(generator_sampler, data.interval, opts, circular=True)
+    mas_bf, _ = flow_from_sampler(lambda ss: [generator_phases(s) for s in ss],
+                                  data.interval, opts, circular=True)
     return RealComparison(mas=mas, mas_bf=mas_bf, residual=stats["residual"])

@@ -712,7 +712,7 @@ def sf_bvp(fam, w_path, opts=None):
         c = np.array([v for v in vals if abs(v) <= 0.6 * r0], dtype=float)
         return c
 
-    return flow_from_sampler(coords, opts.interval, opts, scale=r0)
+    return flow_from_sampler(lambda ss: [coords(s) for s in ss], opts.interval, opts, scale=r0)
 
 
 def mas_bvp(fam, w_path, opts=None):

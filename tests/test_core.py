@@ -79,6 +79,52 @@ def test_structure_checks_raise_the_given_class():
             core.require_unitary(np.diag([1.0, 1.0 + 1e-6]), exc, "u")
 
 
+def test_unitary_check_takes_a_stack():
+    core.require_unitary(np.stack([np.eye(3)] * 3), NotUnitary, "u")
+    rng = np.random.default_rng(2)
+    stack = np.stack([rand_unitary(rng, 2) for _ in range(5)])
+    core.require_unitary(stack, NotUnitary, "u")
+    stack[3] *= 1.0 + 1e-6
+    with pytest.raises(NotUnitary):
+        core.require_unitary(stack, NotUnitary, "u")
+
+
+def balanced_space(rng, m):
+    u = rand_unitary(rng, 2 * m)
+    vals = np.concatenate([rng.uniform(0.5, 2.0, m), -rng.uniform(0.5, 2.0, m)])
+    return core.make_space(1j * (u * vals) @ u.conj().T)
+
+
+@pytest.mark.parametrize("with_metric", [False, True], ids=["canonical", "metric"])
+def test_a_stack_splits_and_graphs_as_its_members_alone(with_metric):
+    rng = np.random.default_rng(17)
+    spaces = [balanced_space(rng, 3) for _ in range(4)]
+    metric = None
+    if with_metric:
+        u = rand_unitary(rng, 6)
+        metric = (u * rng.uniform(0.4, 2.5, 6)) @ u.conj().T
+    alone = [core.make_splitting(space, metric=metric) for space in spaces]
+    lams = [core.subspace_from_span(sp.hframe_plus + sp.hframe_minus @ rand_unitary(rng, 3))
+            for sp in alone]
+    space = core.SymplecticSpace(form=np.stack([sp.form for sp in spaces]))
+    lam = core.Subspace(frame=np.stack([sub.frame for sub in lams]))
+    stacked = core.make_splitting(space, metric=metric)
+    graphs = core.graph_rep(stacked, lam)
+    assert (space.dim, lam.dim, lam.ambient_dim) == (6, 3, 6) and stacked.balanced
+    for i, (sp, sub) in enumerate(zip(alone, lams)):
+        npt.assert_array_equal(stacked.hframe_plus[i], sp.hframe_plus)
+        npt.assert_array_equal(stacked.hframe_minus[i], sp.hframe_minus)
+        npt.assert_array_equal(graphs[i], core.graph_rep(sp, sub))
+    assert core.isotropy_residual(space, lam) == max(
+        core.isotropy_residual(sp, sub) for sp, sub in zip(spaces, lams))
+
+
+def test_a_stack_whose_signature_changes_has_no_splitting():
+    forms = np.stack([np.diag([1j, -1j, 1j, -1j]), np.diag([1j, 1j, -1j, 1j])])
+    with pytest.raises(UnbalancedSplitting):
+        core.make_splitting(core.SymplecticSpace(form=forms))
+
+
 def _with_nan(a):
     a = np.array(a, dtype=complex)
     a[-1, -1] = np.nan

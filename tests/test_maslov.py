@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from maslovflow import core, flow, harness, maslov
-from maslovflow.errors import NotLagrangianReal
+from maslovflow.errors import DimensionMismatch, NotLagrangian, NotLagrangianReal
 from maslovflow.flow import FlowOpts
 
 STD2 = np.array([[1j, 0], [0, -1j]])
@@ -201,3 +201,20 @@ def test_opts_are_honored():
     total, rep = maslov.maslov_index(rotation_path(1), FlowOpts(initial_segments=8))
     assert total == 1
     assert len(rep.partition) >= 9
+
+
+def test_a_shape_change_inside_a_batch_raises_a_typed_error():
+    # the frame of lambda loses its rank at s = 0.5, a first-depth midpoint
+    base = rotation_path(1)
+
+    def lam(s):
+        return np.zeros((2, 1)) if s == 0.5 else base.sampler(s)[1].frame
+
+    path = maslov.PairPath.from_parts(STD2, lam, base.sampler(0.0)[2], (0.0, 1.0))
+    with pytest.raises(NotLagrangian):
+        maslov.maslov_index(path)
+    grown = maslov.PairPath.from_parts(
+        lambda s: np.kron(np.eye(2), STD2) if s == 0.5 else STD2,
+        base.sampler(0.0)[1], base.sampler(0.0)[2], (0.0, 1.0))
+    with pytest.raises(DimensionMismatch):
+        maslov.maslov_index(grown)
