@@ -245,14 +245,11 @@ def _entry_ast(entry, where):
     if isinstance(entry, bool):
         raise ConfigError(f"{where}: booleans are not matrix entries")
     if isinstance(entry, (int, float)):
-        return expressions.Num(float(entry))
+        return expressions.Expression.constant(np.complex128(float(entry)))
     if isinstance(entry, list) and len(entry) == 2:
         re_part, im_part = entry
-        return expressions.BinOp(
-            "+",
-            expressions.Num(float(re_part)),
-            expressions.Num(float(im_part), imag=True),
-        )
+        return expressions.Expression.constant(
+            np.complex128(float(re_part)) + np.complex128(1j * float(im_part)))
     raise ConfigError(f"{where}: expected an expression string, a number, "
                       f"or a [re, im] pair, got {entry!r}")
 
@@ -267,8 +264,8 @@ def _matrix_asts(rows, where, variables):
         asts.append([_entry_ast(e, f"{where}[{i}][{k}]")
                      for k, e in enumerate(row)])
     for i, row in enumerate(asts):
-        for k, tree in enumerate(row):
-            extra = expressions.variables(tree) - set(variables)
+        for k, expr in enumerate(row):
+            extra = expr.names - set(variables)
             if extra:
                 raise ConfigError(f"{where}[{i}][{k}]: {min(extra)!r} is not a "
                                   f"variable here (allowed: {variables or 'none'})")
@@ -288,10 +285,9 @@ def _matrix_function(rows, where, variables):
         # Non-finite values are refused downstream by a named check.
         with np.errstate(all="ignore"):
             for i, row in enumerate(asts):
-                for k, tree in enumerate(row):
-                    out[:, i, k] = np.broadcast_to(
-                        np.asarray(expressions.evaluate(tree, s, tt)), tt.shape
-                    )
+                for k, expr in enumerate(row):
+                    value = expressions.evaluate(expr, s, tt)
+                    out[:, i, k] = np.broadcast_to(np.asarray(value), tt.shape)
         if t_arr.ndim == 0:
             return out[0]
         return out

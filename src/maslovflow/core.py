@@ -214,7 +214,11 @@ def classify(space, sub):
 
 def isotropy_residual(space, sub):
     """max |omega(f_i, f_j)| over an orthonormal frame of the subspace (over
-    every member of a stack)."""
+    every member of a stack); raises DimensionMismatch when the subspace
+    does not live in the space."""
+    if sub.ambient_dim != space.dim:
+        raise DimensionMismatch(f"a subspace of C^{sub.ambient_dim} in a space of "
+                                f"dimension {space.dim}")
     if sub.dim == 0:
         return 0.0
     return float(np.abs(space.omega(sub.frame, sub.frame)).max())

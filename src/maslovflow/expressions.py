@@ -14,8 +14,12 @@ The grammar, with insignificant whitespace::
 Numbers are ordinary floating point literals.  A trailing ``i`` makes the
 literal imaginary: ``2i``, ``0.5i``, ``1e-3i``.  There is no bare ``i``;
 write ``1i``.  The Unicode minus sign U+2212 is accepted anywhere ``-``
-is.  Evaluation is complex throughout and vectorizes over numpy arrays
-by ordinary broadcasting.
+is.
+
+``parse`` compiles a string into an :class:`Expression`: each grammar
+construct becomes a closure over its operands' closures, so there is no
+syntax tree to walk.  Evaluation is complex throughout and vectorizes over
+numpy arrays by ordinary broadcasting.
 
 ``parse`` raises :class:`~maslovflow.errors.ExpressionSyntaxError` with
 the zero-based character offset of the offending token, or
@@ -25,71 +29,53 @@ grammar.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable
 
 import numpy as np
 
 from .errors import ExpressionSyntaxError, UnknownIdentifier
 
-__all__ = [
-    "Num",
-    "Const",
-    "Var",
-    "Neg",
-    "BinOp",
-    "Call",
-    "parse",
-    "evaluate",
-    "variables",
-]
+__all__ = ["Expression", "parse", "evaluate", "variables"]
 
 _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
-_VARS = ("s", "t")
-
-
-# --------------------------------------------------------------------------
-# syntax tree
-
-
-@dataclass(frozen=True)
-class Num:
-    """Literal; ``imag`` marks the ``i`` suffix (value times 1j)."""
-
-    value: float
-    imag: bool = False
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# binary operators by precedence, loosest first; all associate to the left
+_LEVELS = (("+", "-"), ("*", "/"))
 
 
 @dataclass(frozen=True)
-class Const:
-    name: str  # only "pi"
+class Expression:
+    """A compiled expression: ``fn(s, t)`` evaluates it and ``names`` is
+    the set of variables it uses."""
+
+    fn: Callable
+    names: frozenset = frozenset()
+
+    @classmethod
+    def constant(cls, value):
+        """The expression that always evaluates to ``value``."""
+        return cls(lambda s, t: value)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str  # "s" or "t"
+# Operands are bound through these helpers: a lambda built inside the
+# parser's operator loop would capture the loop variable and call itself.
+def _unary(fn, arg):
+    f = arg.fn
+    return Expression(lambda s, t: fn(f(s, t)), arg.names)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
+def _binary(op, left, right):
+    f, g = left.fn, right.fn
+    return Expression(lambda s, t: op(f(s, t), g(s, t)), left.names | right.names)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Node"
-
-
-Node = Union[Num, Const, Var, Neg, BinOp, Call]
+def _variable(name):
+    if name == "s":
+        return Expression(lambda s, t: np.asarray(s, dtype=np.complex128), frozenset("s"))
+    return Expression(lambda s, t: np.asarray(t, dtype=np.complex128), frozenset("t"))
 
 
 # --------------------------------------------------------------------------
@@ -128,12 +114,11 @@ def _tokenize(src):
 
 
 # --------------------------------------------------------------------------
-# parser
+# parser: each production returns the Expression it has read
 
 
 class _Parser:
     def __init__(self, src):
-        self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
 
@@ -164,44 +149,41 @@ class _Parser:
             )
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.factor())
+    def expr(self, level=0):
+        """``expr`` at level 0, ``term`` at level 1."""
+        if level == len(_LEVELS):
+            return self.factor()
+        node = self.expr(level + 1)
+        while self.peek()[0] in _LEVELS[level]:
+            op = _OPS[self.advance()[0]]
+            node = _binary(op, node, self.expr(level + 1))
         return node
 
     def factor(self):
         if self.peek()[0] == "-":
             self.advance()
-            return Neg(self.atom())
+            return _unary(operator.neg, self.atom())
         return self.atom()
 
     def atom(self):
         kind, text, offset = self.peek()
         if kind == "num":
             self.advance()
+            # numpy scalars so that 0/0 follows array semantics (nan, not a raise)
             if text.endswith("i"):
-                return Num(float(text[:-1]), imag=True)
-            return Num(float(text))
+                return Expression.constant(np.complex128(1j * float(text[:-1])))
+            return Expression.constant(np.complex128(float(text)))
         if kind == "name":
             self.advance()
-            if text in _VARS:
-                return Var(text)
+            if text in ("s", "t"):
+                return _variable(text)
             if text == "pi":
-                return Const("pi")
+                return Expression.constant(np.complex128(np.pi))
             if text in _FUNCS:
                 self.expect("(", "'(' after function name")
                 node = self.expr()
                 self.expect(")", "')'")
-                return Call(text, node)
+                return _unary(_FUNCS[text], node)
             raise UnknownIdentifier(text, offset)
         if kind == "(":
             self.advance()
@@ -214,7 +196,7 @@ class _Parser:
 
 
 def parse(src):
-    """Parse ``src`` into a syntax tree."""
+    """Compile ``src`` into an :class:`Expression`."""
     if not isinstance(src, str):
         raise ExpressionSyntaxError(
             f"expression must be a string, got {type(src).__name__}", 0
@@ -222,50 +204,12 @@ def parse(src):
     return _Parser(src).parse()
 
 
-# --------------------------------------------------------------------------
-# evaluation
+def evaluate(expr, s, t):
+    """Evaluate ``expr`` at ``(s, t)``: either may be a scalar or a numpy
+    array; the result follows numpy broadcasting and is always complex."""
+    return expr.fn(s, t)
 
 
-def evaluate(node, s, t):
-    """Evaluate a tree at ``(s, t)``.
-
-    Either argument may be a scalar or a numpy array; the result follows
-    numpy broadcasting and is always complex.
-    """
-    if isinstance(node, Num):
-        # numpy scalars so that 0/0 follows array semantics (nan, not a raise)
-        return np.complex128(1j * node.value if node.imag else node.value)
-    if isinstance(node, Const):
-        return np.complex128(np.pi)
-    if isinstance(node, Var):
-        val = s if node.name == "s" else t
-        return np.asarray(val, dtype=np.complex128)
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, s, t)
-    if isinstance(node, BinOp):
-        a = evaluate(node.left, s, t)
-        b = evaluate(node.right, s, t)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a / b
-    if isinstance(node, Call):
-        return _FUNCS[node.fn](evaluate(node.arg, s, t))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def variables(node):
-    """Set of variable names that actually occur in the tree."""
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Neg):
-        return variables(node.arg)
-    if isinstance(node, BinOp):
-        return variables(node.left) | variables(node.right)
-    if isinstance(node, Call):
-        return variables(node.arg)
-    return set()
-
+def variables(expr):
+    """Set of variable names that actually occur in ``expr``."""
+    return expr.names

@@ -36,13 +36,20 @@ from .core import require_hermitian, require_unitary, stacked
 from .errors import DimensionMismatch, NotUnitary, SpectrumOnBoundary, UnresolvedFamily
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowOpts:
     """Partition of the crossing engine: the number of uniform segments it
-    starts from and how many times it may bisect one of them."""
+    starts from and how many times it may bisect one of them.  Frozen, so
+    the check at construction holds for the object's life."""
 
     initial_segments: int = 16
     max_depth: int = 12
+
+    def __post_init__(self):
+        if not self.initial_segments >= 1:
+            raise ValueError(f"initial_segments must be at least 1, got {self.initial_segments}")
+        if not self.max_depth >= 0:
+            raise ValueError(f"max_depth must be at least 0, got {self.max_depth}")
 
 
 @dataclass(frozen=True)

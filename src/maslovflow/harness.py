@@ -804,6 +804,8 @@ def property_sweep(seed, trials, dims=(2, 4, 6, 8), suites=None):
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
         selected = set(suites)
+        if not selected:
+            raise ValueError("no suites selected")
     else:
         selected = set(SUITE_NAMES)
 

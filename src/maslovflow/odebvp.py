@@ -56,8 +56,8 @@ import numpy.polynomial.chebyshev as ncheb
 import scipy.linalg as la
 
 from .core import (
+    TAU_RANK,
     Subspace,
-    intersection_dim,
     make_space,
     orthogonal_complement,
     require_hermitian,
@@ -94,6 +94,11 @@ _ACCEPT = 1e-6
 _REAL = 1e-6
 _STRIP = 0.1
 _MAX_SPLITS = 8
+# A root's multiplicity dim(graph ∩ W) counts the detector's singular values
+# (sines of principal angles) whose cosines are within TAU_RANK of 1, as
+# ``intersection_dim`` counts cosines; _ACCEPT lies below it, so a verified
+# root has multiplicity 1 at least.
+_SIN_RANK = float(np.sqrt(TAU_RANK * (2.0 - TAU_RANK)))
 
 # RK4 propagation takes the lambdas in chunks whose (chunk, steps, d, d)
 # stack of step matrices holds at most this many complex entries (256 KiB),
@@ -433,14 +438,16 @@ def w_of_r(r, m=None):
 # ---------------------------------------------------------------------------
 
 def _graph_detector(wperp_frame, gammas):
-    """sigma_min of W_perp* @ orth[I; Gamma] for a stack ``(P, d, d)`` of
-    Gammas; returns ``(P,)``."""
+    """Singular values, descending, of W_perp* @ orth[I; Gamma] for a stack
+    ``(P, d, d)`` of Gammas; returns ``(P, d)``.  They are the sines of the
+    principal angles between graph(Gamma) and W, so the last is the
+    detector and the number near 0 is dim(graph ∩ W)."""
     P, d, _ = gammas.shape
     stacked = np.empty((P, 2 * d, d), dtype=complex)
     stacked[:, :d] = np.eye(d)
     stacked[:, d:] = gammas
     q = np.linalg.qr(stacked)[0]
-    return np.linalg.svd(wperp_frame.conj().T[None] @ q, compute_uv=False)[:, -1]
+    return np.linalg.svd(wperp_frame.conj().T[None] @ q, compute_uv=False)
 
 
 class _GammaEvaluator:
@@ -624,17 +631,29 @@ def eigen_count(fam, s, w, window, steps=2048):
         root fails verification, or no piece of the window certifies.
     RootCluster
         If two distinct roots are closer than 10x the root tolerance.
+    DimensionMismatch
+        If ``w`` is not a d-dimensional subspace of C^{2d}, d the system size.
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError(f"empty window {window}")
     system = _system(fam, s, steps)
+    wperp = _boundary_perp(w, system.d)
     ends = system.propagate([lo, hi])
-    if _graph_detector(orthogonal_complement(w).frame, ends).min() < _ACCEPT:
+    if _graph_detector(wperp, ends).min() < _ACCEPT:
         raise WindowBoundaryEigenvalue(
             f"detector at window endpoint(s) of ({lo:.6g}, {hi:.6g}) below margin"
         )
     return _eigen_count_system(system, w, window, BvpOpts.grid)
+
+
+def _boundary_perp(w, d):
+    """Frame of the complement of ``w``, once ``w`` is checked to be a
+    d-dimensional subspace of C^{2d}, before any product with it."""
+    if (w.ambient_dim, w.dim) != (2 * d, d):
+        raise DimensionMismatch(f"boundary subspace of dimension {w.dim} in C^{w.ambient_dim}, "
+                                f"not {d} in C^{2 * d}")
+    return orthogonal_complement(w).frame
 
 
 def _eigen_count_system(system, w, window, grid):
@@ -642,31 +661,27 @@ def _eigen_count_system(system, w, window, grid):
     if not hi > lo:
         raise ValueError(f"empty window {window}")
     tau_root = 1e-9 * (hi - lo)
-    wperp = orthogonal_complement(w).frame
-    if wperp.shape[1] != system.d:
-        raise DimensionMismatch(f"boundary subspace of dimension {w.dim}, not {system.d}")
+    wperp = _boundary_perp(w, system.d)
     found = np.array(_window_roots(system, wperp, lo, hi, max(17, int(grid) + 1)))
     found = found[(lo <= found) & (found <= hi)]
     if not len(found):
         return []
-    gammas = system.propagate(found)
-    sv = _graph_detector(wperp, gammas)
-    if sv.max() >= _ACCEPT:
-        raise RootCountMismatch(f"pencil root {found[sv.argmax()]:.12g} fails verification "
-                                f"on the exact propagator (detector {sv.max():.3g})")
-    roots = sorted((float(lam), max(intersection_dim(graph_subspace(g), w), 1))
-                   for lam, g in zip(found, gammas))
+    sv = _graph_detector(wperp, system.propagate(found))
+    worst = int(sv[:, -1].argmax())
+    if sv[worst, -1] >= _ACCEPT:
+        raise RootCountMismatch(f"pencil root {found[worst]:.12g} fails verification "
+                                f"on the exact propagator (detector {sv[worst, -1]:.3g})")
+    mults = np.count_nonzero(sv <= _SIN_RANK, axis=1)
     merged = []
-    for lam, mult in roots:
-        if merged and abs(lam - merged[-1][0]) < 2.0 * tau_root:
+    for lam, mult in sorted(zip(found.tolist(), mults.tolist())):
+        if merged and lam - merged[-1][0] < 2.0 * tau_root:
             continue  # one root, from a double eigenvalue or two pieces
-        merged.append((lam, mult))
-    for (l1, _), (l2, _) in zip(merged, merged[1:]):
-        if abs(l2 - l1) < 10.0 * tau_root:
+        if merged and lam - merged[-1][0] < 10.0 * tau_root:
             raise RootCluster(
-                f"roots {l1:.12g} and {l2:.12g} closer than 10x root tolerance; "
+                f"roots {merged[-1][0]:.12g} and {lam:.12g} closer than 10x root tolerance; "
                 "use a finer grid or smaller window"
             )
+        merged.append((lam, mult))
     return merged
 
 
@@ -674,7 +689,7 @@ def _eigen_count_system(system, w, window, grid):
 # The two index pipelines
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class BvpOpts(FlowOpts):
     """Options of the BVP pipelines: the crossing engine's partition plus
     time steps, spectral grid and eigenvalue window.  ``grid`` is the number
@@ -686,6 +701,13 @@ class BvpOpts(FlowOpts):
     grid: int = 16
     lambda_window: float = 1.0
     interval: ClassVar[tuple] = (0.0, 1.0)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.steps >= 1:
+            raise ValueError(f"steps must be at least 1, got {self.steps}")
+        if not self.lambda_window > 0:
+            raise ValueError(f"lambda_window must be positive, got {self.lambda_window}")
 
 
 def sf_bvp(fam, w_path, opts=None):

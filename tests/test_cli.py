@@ -150,13 +150,41 @@ J_IN_T = [[[[0, 1], [0, 0]], [[0, 0], [0, -1]]]] * 2  # the PAIR j at t = 0, 1
         (dict(PAIR, j={"samples": {"t": [0.0, 1.0], "values": J_IN_T}}), "j"),
         (dict(ROT, boundary={"w_path": [["1"], ["s"], ["1"]]}), "boundary.w_path"),
         (dict(PAIR, mu=[["1", "0"], ["1", "1"]]), "mu"),
+        (dict(ROT, b=[["0"], ["0", "1"]]), "b: row 1 has 2 entries"),
+        (dict(ROT, b={"samples": {"t": [0.0, 0.0], "values": [[[0.0]], [[0.0]]]}}),
+         "b: samples axis 't' must increase"),
+        (dict(ROT, b={"samples": {"t": [0.0, 0.5, 1.0], "values": [[[0.0]], [[0.0]]]}}),
+         "b: values axis 0 has length 2"),
+        (dict(ROT, b={"samples": {"values": [[]]}}), "b: empty sample matrices"),
+        (dict(ROT, expected={"mas": 1, "provenance": "no sf"}), "expected:"),
+        (dict(PAIR, T=1.0), "'T' does not apply"),
+        (dict(PAIR, interval=[1.0, 1.0]), "interval: need a < b"),
     ],
     ids=["r_subspace-in-s", "pair-lam-in-t", "pair-j-t-axis", "w_path-rows",
-         "pair-mu-cols"],
+         "pair-mu-cols", "ragged-rows", "axis-not-increasing", "axis-length",
+         "empty-samples", "expected-without-sf", "pair-T", "empty-interval"],
 )
 def test_exit_3_names_the_field(tmp_path, doc, field, capsys):
     assert cli.main(["verify", write(tmp_path, doc)]) == 3
     assert capsys.readouterr().err.startswith(f"error: {field}")
+
+
+def test_number_and_pair_entries_match_their_expression_twins(tmp_path):
+    # 1 and [1, 0] are "1", [0, 1] is "1i", 0 is "0": same integers, same bytes
+    w_path = [[1], ROT["boundary"]["w_path"][1]]
+    twins = [(ROT, dict(ROT, j=[[[0, 1]]], b=[[0]], boundary={"w_path": w_path})),
+             (PAIR, dict(PAIR, j=[[[0, 1], 0], [0, "-1i"]], mu=[[1], [[1, 0]]]))]
+    for k, pair in enumerate(twins):
+        outs = [tmp_path / f"{k}{side}" for side in "ab"]
+        for doc, out in zip(pair, outs):
+            cfg = write(tmp_path, dict(doc, name="twin"))
+            assert cli.main(["verify", cfg, "--out", str(out)]) == 0
+        a, b = (json.loads((out / "twin.json").read_text()) for out in outs)
+        assert (a["sf"], a["mas"], a["partitions"]) == (b["sf"], b["mas"], b["partitions"])
+        traces = sorted(path.name for path in outs[0].glob("*.csv"))
+        assert traces and traces == sorted(path.name for path in outs[1].glob("*.csv"))
+        for name in traces:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_nan_coefficient_fails_the_structural_check(tmp_path, capsys):

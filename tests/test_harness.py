@@ -106,6 +106,8 @@ def test_sweep_rejects_bad_inputs():
         harness.property_sweep(seed=1, trials=0)
     with pytest.raises(ValueError):
         harness.property_sweep(seed=1, trials=1, suites=("no_such_suite",))
+    with pytest.raises(ValueError, match="no suites"):
+        harness.property_sweep(seed=42, trials=1, suites=[])
     for dims in [(3,), (0,), (2, -2)]:
         with pytest.raises(ValueError, match="dims"):
             harness.property_sweep(seed=1, trials=1, dims=dims)

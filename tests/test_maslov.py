@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from maslovflow import core, flow, harness, maslov
-from maslovflow.errors import DimensionMismatch, NotLagrangian, NotLagrangianReal
+from maslovflow.errors import BadMetric, DimensionMismatch, NotLagrangian, NotLagrangianReal
 from maslovflow.flow import FlowOpts
 
 STD2 = np.array([[1j, 0], [0, -1j]])
@@ -218,3 +218,8 @@ def test_a_shape_change_inside_a_batch_raises_a_typed_error():
         base.sampler(0.0)[1], base.sampler(0.0)[2], (0.0, 1.0))
     with pytest.raises(DimensionMismatch):
         maslov.maslov_index(grown)
+
+
+def test_an_indefinite_metric_is_refused():
+    with pytest.raises(BadMetric, match="positive definite"):
+        maslov.maslov_index(rotation_path(1), metric=np.diag([1.0, -1.0]))

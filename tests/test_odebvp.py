@@ -9,6 +9,8 @@ from scipy.linalg import expm
 
 from maslovflow import core, flow, harness, odebvp
 from maslovflow.errors import (
+    DimensionMismatch,
+    RootCluster,
     RootCountMismatch,
     SingularJ,
     TransportBudgetExceeded,
@@ -181,6 +183,33 @@ def test_pencil_root_failing_verification_raises(monkeypatch):
         odebvp.eigen_count(fam, 0.0, w, (0.5, 6.0))
 
 
+def test_roots_closer_than_ten_tolerances_raise(monkeypatch):
+    # Dirichlet eigenvalue 1 and a copy 3 root tolerances away: both pass
+    # verification, and neither is merged into the other nor dropped
+    fam = dirichlet_second(lambda s, t: 0.0)
+    tau = 1e-9 * (6.0 - 0.5)
+    monkeypatch.setattr(odebvp, "_window_roots", lambda *args: [1.0, 1.0 + 3.0 * tau])
+    with pytest.raises(RootCluster):
+        odebvp.eigen_count(fam, 0.0, odebvp.w_of_r(None, m=1), (0.5, 6.0))
+
+
+def test_a_window_that_never_certifies_raises(monkeypatch):
+    # the T = 40 window needs halving before a fit certifies
+    monkeypatch.setattr(odebvp, "_MAX_SPLITS", 0)
+    with pytest.raises(RootCountMismatch, match="no certified Chebyshev fit"):
+        odebvp.eigen_count(periodic_ladder(40.0), 0.3, core.diagonal_subspace(1),
+                           (-4.987, 5.013), steps=256)
+
+
+def test_a_root_on_the_contour_leaves_the_winding_unresolved():
+    # P(u) = u - z0, z0 1e-12 inside the contour's top edge Im u = _STRIP:
+    # no number of contour points resolves arg det P next to it
+    z0 = 1j * (odebvp._STRIP - 1e-12)
+    f = np.array([[[-z0]], [[1.0]]], dtype=complex)
+    with pytest.raises(RootCountMismatch, match="unresolved"):
+        odebvp._certify_count(f, np.array([z0]))
+
+
 @pytest.mark.parametrize("deg", [1, 2, 3, 6])
 def test_colleague_pencil_gives_every_root_of_the_matrix_polynomial(deg):
     rng = np.random.default_rng(deg)
@@ -300,6 +329,38 @@ def test_sf_runs_one_detector_pass_per_sample(monkeypatch):
     monkeypatch.setattr(odebvp, "_GammaEvaluator", counting)
     _, rep = odebvp.sf_bvp(fam, w_path, odebvp.BvpOpts(steps=64))
     assert len(built) == len(rep.samples) == 33
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (3, 1)])
+@pytest.mark.parametrize("entry", ["eigen_count", "sf_bvp", "mas_bvp", "maslov_long"])
+def test_a_boundary_subspace_in_the_wrong_ambient_space_raises(shape, entry):
+    # d = 2, so W must be a 2-dimensional subspace of C^4
+    fam = dirichlet_second(lambda s, t: -1.5 * s)
+    w = core.subspace_from_span(np.eye(*shape))
+    opts = odebvp.BvpOpts(steps=64)
+    run = {"eigen_count": lambda: odebvp.eigen_count(fam, 0.5, w, (-1.0, 1.0), steps=64),
+           "sf_bvp": lambda: odebvp.sf_bvp(fam, w, opts),
+           "mas_bvp": lambda: odebvp.mas_bvp(fam, w, opts),
+           "maslov_long": lambda: odebvp.maslov_long(fam, 0.5, w, opts)}[entry]
+    with pytest.raises(DimensionMismatch):
+        run()
+
+
+@pytest.mark.parametrize("opts, kw", [
+    (flow.FlowOpts, {"initial_segments": 0}),
+    (flow.FlowOpts, {"max_depth": -1}),
+    (odebvp.BvpOpts, {"initial_segments": 0}),
+    (odebvp.BvpOpts, {"steps": 0}),
+    (odebvp.BvpOpts, {"lambda_window": 0.0}),
+    (odebvp.BvpOpts, {"lambda_window": float("nan")}),
+])
+def test_options_without_a_meaning_are_refused(opts, kw):
+    # initial_segments=0 made spectral_flow return 0 for a crossing family,
+    # steps=0 a ZeroDivisionError
+    with pytest.raises(ValueError):
+        opts(**kw)
+    with pytest.raises(AttributeError):  # frozen: the check cannot be bypassed
+        setattr(opts(), *next(iter(kw.items())))
 
 
 def test_singular_structure_matrix_raises():
