@@ -22,7 +22,10 @@ is a degree-4 matrix polynomial in lambda, built once per system; a batch of
 lambdas evaluates the step matrices and multiplies them in a log-depth
 product tree, or, for the solution at every grid time, in a log-depth
 prefix scan whose last entry is the tree's product bit for bit.
-Constant-coefficient systems take an exact matrix-exponential shortcut.
+Constant-coefficient systems take an exact matrix-exponential shortcut.  A
+family whose raw coefficient grids are exactly constant in t is checked,
+inverted and assembled at one grid point; a rounding-level deviation builds
+the whole grid and is judged by the system's 1e-13 test on C0 and C1.
 Formal self-adjointness shows up numerically as symplectic transport: the
 fundamental solution intertwines the endpoint forms, which is checked
 rather than assumed.
@@ -112,8 +115,14 @@ class FirstOrderFamily:
 
     ``j`` and ``b`` map ``(s, t)`` to m x m matrices (scalar t; an
     implementation may also accept a t-array and return ``(nt, m, m)``,
-    which is used for speed when available).  The t-derivative of ``j``
-    is a central difference with step ``T / (8 * steps)``.
+    which is used when available).  The t-derivative of ``j`` is a central
+    difference with step ``T / (8 * steps)``.
+
+    Every build evaluates ``j`` on three grids of 2 steps + 1 times and
+    ``b`` on one.  A scalar-only callable costs one Python call per time,
+    so with t-array callables a build is several times cheaper.  When every
+    grid is exactly constant in t, the checks, the inverse and the algebra
+    run at one grid point.
     """
 
     m: int
@@ -125,7 +134,13 @@ class FirstOrderFamily:
 @dataclass(frozen=True)
 class SecondOrderFamily:
     """Coefficients p, q, r of a formally self-adjoint second-order family;
-    p(s,t) Hermitian invertible, r(s,t) Hermitian, q arbitrary."""
+    p(s,t) Hermitian invertible, r(s,t) Hermitian, q arbitrary.
+
+    The coefficients are called as ``FirstOrderFamily``'s are, each on one
+    grid of 2 steps + 1 times per build: a t-array callable saves a Python
+    call per time, and when p, q and r are all exactly constant in t, the
+    build works at one grid point.
+    """
 
     m: int
     T: float
@@ -162,8 +177,11 @@ class _ShootingSystem:
     over steps.
 
     ``c0``/``c1`` are sampled on the doubled grid t_k = k T / (2 steps) so a
-    step has its midpoint value available.  Constant-coefficient systems are
-    detected and integrated exactly with the matrix exponential.  For any
+    step has its midpoint value available; a build whose raw coefficients
+    are exactly constant in t passes that grid's first row alone.
+    Constant-coefficient systems, including those whose grids stray from
+    their first row only at rounding level (by at most 1e-13 (1 + max |C|)),
+    are detected and integrated exactly with the matrix exponential.  For any
     other system the RK4 step matrices are built here once: the system is
     affine in lambda, so the step matrix of step k is a degree-4 matrix
     polynomial M_k(lambda) = sum_p lambda^p N[p, k] (``self.poly``, shape
@@ -300,15 +318,27 @@ def _checked_inv(a, exc, name):
     return inv
 
 
+def _cut_if_constant(*grids):
+    """The grids, each cut to its first row when every one of them equals
+    its first row exactly at every point (-0.0 matches 0.0, a NaN matches
+    nothing).  The cut rows are the full grid's first rows, and every check
+    and product downstream works row by row, so a constant system comes out
+    bit for bit as the full grid's first row would."""
+    if all((g == g[:1]).all() for g in grids):
+        return [g[:1] for g in grids]
+    return grids
+
+
 def _build_first_order(fam, s, steps):
     ts = np.linspace(0.0, fam.T, 2 * steps + 1)
-    jg = _eval_grid(fam.j, s, ts, fam.m)
+    hd = fam.T / (8.0 * steps)
+    jg, bg, jp, jm = _cut_if_constant(
+        _eval_grid(fam.j, s, ts, fam.m), _eval_grid(fam.b, s, ts, fam.m),
+        _eval_grid(fam.j, s, ts + hd, fam.m), _eval_grid(fam.j, s, ts - hd, fam.m))
     require_hermitian(jg, f"j(s={s:.6g}, t) on the t-grid", NotSkewHermitian, sign=-1)
     jinv = _checked_inv(jg, SingularJ, f"j(s={s:.6g}, t) at a grid point")
-    bg = require_hermitian(_eval_grid(fam.b, s, ts, fam.m), f"b(s={s:.6g}, t) on the t-grid")
-    hd = fam.T / (8.0 * steps)
-    jd = (_eval_grid(fam.j, s, ts + hd, fam.m)
-          - _eval_grid(fam.j, s, ts - hd, fam.m)) / (2.0 * hd)
+    bg = require_hermitian(bg, f"b(s={s:.6g}, t) on the t-grid")
+    jd = (jp - jm) / (2.0 * hd)
     c0 = -jinv @ (bg + 0.5 * jd)
     c1 = -jinv
     return _ShootingSystem(c0, c1, fam.T, steps)
@@ -317,13 +347,14 @@ def _build_first_order(fam, s, steps):
 def _build_second_order(fam, s, steps):
     m = fam.m
     ts = np.linspace(0.0, fam.T, 2 * steps + 1)
-    pg = require_hermitian(_eval_grid(fam.p, s, ts, m), f"p(s={s:.6g}, t) on the t-grid")
+    pg, qg, rg = _cut_if_constant(
+        _eval_grid(fam.p, s, ts, m), _eval_grid(fam.q, s, ts, m), _eval_grid(fam.r, s, ts, m))
+    pg = require_hermitian(pg, f"p(s={s:.6g}, t) on the t-grid")
     pinv = _checked_inv(pg, SingularP, f"p(s={s:.6g}, t) at a grid point")
-    qg = _eval_grid(fam.q, s, ts, m)
     if not np.all(np.isfinite(qg)):
         raise NonFinite(f"q(s={s:.6g}, t) is not finite at a grid point")
-    rg = require_hermitian(_eval_grid(fam.r, s, ts, m), f"r(s={s:.6g}, t) on the t-grid")
-    nt = len(ts)
+    rg = require_hermitian(rg, f"r(s={s:.6g}, t) on the t-grid")
+    nt = len(pg)
     b0 = np.zeros((nt, 2 * m, 2 * m), dtype=complex)
     b0[:, :m, :m] = pinv
     b0[:, :m, m:] = -pinv @ qg

@@ -10,9 +10,13 @@ from scipy.linalg import expm
 from maslovflow import core, flow, harness, odebvp
 from maslovflow.errors import (
     DimensionMismatch,
+    NonFinite,
+    NotHermitian,
+    NotSkewHermitian,
     RootCluster,
     RootCountMismatch,
     SingularJ,
+    SingularP,
     TransportBudgetExceeded,
     WindowBoundaryEigenvalue,
 )
@@ -383,6 +387,157 @@ def test_coefficient_errors_other_than_shape_or_type_surface():
     fam = first_order(1, 1.0, const_coeff([[1j]]), b)
     with pytest.raises(RuntimeError, match="t-array"):
         odebvp.transfer_matrix(fam, 0.0, steps=16)
+
+
+def full_grid_row0(fam, s, steps):
+    """Row 0 of ``(c0, c1)`` as the build forms them on all 2 steps + 1 grid
+    points: the reference a one-point build must reproduce bit for bit."""
+    ts = np.linspace(0.0, fam.T, 2 * steps + 1)
+    m = fam.m
+    if isinstance(fam, odebvp.FirstOrderFamily):
+        jinv = np.linalg.inv(odebvp._eval_grid(fam.j, s, ts, m))
+        bg = core.require_hermitian(odebvp._eval_grid(fam.b, s, ts, m))
+        hd = fam.T / (8.0 * steps)
+        jd = (odebvp._eval_grid(fam.j, s, ts + hd, m)
+              - odebvp._eval_grid(fam.j, s, ts - hd, m)) / (2.0 * hd)
+        return (-jinv @ (bg + 0.5 * jd))[0], (-jinv)[0]
+    pinv = np.linalg.inv(core.require_hermitian(odebvp._eval_grid(fam.p, s, ts, m)))
+    qg = odebvp._eval_grid(fam.q, s, ts, m)
+    rg = core.require_hermitian(odebvp._eval_grid(fam.r, s, ts, m))
+    qh = qg.conj().transpose(0, 2, 1)
+    b0 = np.zeros((len(ts), 2 * m, 2 * m), dtype=complex)
+    b0[:, :m, :m] = pinv
+    b0[:, :m, m:] = -pinv @ qg
+    b0[:, m:, :m] = -qh @ pinv
+    b0[:, m:, m:] = qh @ pinv @ qg - rg
+    shift = np.zeros((2 * m, 2 * m), dtype=complex)
+    shift[:m, m:] = -np.eye(m)
+    return (odebvp.std_j(m) @ b0)[0], shift
+
+
+def constant_second_order():
+    return odebvp.SecondOrderFamily(
+        m=2, T=1.5,
+        p=const_coeff([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.0]]),
+        q=const_coeff([[0.3, -0.1j], [0.2 + 0.4j, -0.7]]),
+        r=const_coeff([[-1.0, 0.2j], [-0.2j, 0.5]]),
+    )
+
+
+def stock_family(name):
+    return next(sc.build()[0] for sc in harness.builtin_scenarios() if sc.name == name)
+
+
+CONSTANT_IN_T = {
+    "S1": (lambda: stock_family("S1"), 0.37),
+    "S2": (lambda: stock_family("S2"), 0.37),
+    "S4": (lambda: stock_family("S4"), 1.0),
+    "S3 at s=0": (lambda: stock_family("S3"), 0.0),
+    "m=2 second order": (constant_second_order, 0.5),
+}
+
+
+def inverted_stacks(monkeypatch):
+    """Record the length of every stack the build inverts."""
+    seen, checked_inv = [], odebvp._checked_inv
+    monkeypatch.setattr(odebvp, "_checked_inv",
+                        lambda a, exc, name: seen.append(len(a)) or checked_inv(a, exc, name))
+    return seen
+
+
+@pytest.mark.parametrize("steps", [16, 2048])
+@pytest.mark.parametrize("case", CONSTANT_IN_T)
+def test_a_constant_system_is_row_0_of_the_full_grid_bit_for_bit(case, steps):
+    make, s = CONSTANT_IN_T[case]
+    fam = make()
+    system = odebvp._system(fam, s, steps)
+    assert system.const is True
+    c0, c1 = full_grid_row0(fam, s, steps)
+    assert system.c0.tobytes() == c0.tobytes()
+    assert system.c1.tobytes() == c1.tobytes()
+
+
+@pytest.mark.parametrize("case", CONSTANT_IN_T)
+def test_a_constant_system_is_built_at_one_grid_point(case, monkeypatch):
+    make, s = CONSTANT_IN_T[case]
+    fam = make()
+    seen = inverted_stacks(monkeypatch)
+    assert odebvp._system(fam, s, 64).const is True
+    assert seen == [1]
+
+
+def spike_at_grid_point(value, base, k, T, steps):
+    """A coefficient equal to ``base`` except at grid point ``k``."""
+    spike = np.linspace(0.0, T, 2 * steps + 1)[k]
+    base = np.asarray(base, dtype=complex)
+
+    def f(s, t):
+        t = np.asarray(t, dtype=float)
+        hit = (t == spike)[..., None, None]
+        return np.where(hit, np.asarray(value, dtype=complex), base)
+
+    return f
+
+
+def test_only_a_bitwise_constant_grid_takes_the_one_point_build(monkeypatch):
+    steps = 64
+    seen = inverted_stacks(monkeypatch)
+    # t-dependence in the coefficients: the full grid
+    assert odebvp._system(stock_family("S3"), 0.5, steps).const is False
+    # constant except at one interior grid point, of b or of q: the full grid
+    # for every coefficient, j and p included
+    spiked = [
+        first_order(2, 1.0, const_coeff(1j * np.eye(2)),
+                    spike_at_grid_point(np.eye(2), np.zeros((2, 2)), 37, 1.0, steps)),
+        odebvp.SecondOrderFamily(
+            m=1, T=1.0, p=const_coeff([[1.0]]),
+            q=spike_at_grid_point([[0.5]], [[0.0]], 37, 1.0, steps),
+            r=const_coeff([[1.0]])),
+    ]
+    for fam in spiked:
+        assert odebvp._system(fam, 0.5, steps).const is False
+    # rounding-level t-dependence: the full grid, then constant by the
+    # system's tolerance test on c0 and c1
+    rounding = first_order(
+        1, 1.0, scalar_coeff(lambda s, t: 1j * (1.0 + 1e-15 * np.sin(2.0 * np.pi * t))),
+        const_coeff([[0.5]]))
+    ts = np.linspace(0.0, 1.0, 2 * steps + 1)
+    assert len(np.unique(rounding.j(0.0, ts))) > 1
+    assert odebvp._system(rounding, 0.0, steps).const is True
+    assert seen == [2 * steps + 1] * 4
+
+
+def one_nan_q(s, t):
+    # NaN at grid point 7 of 16 steps on [0, 1], 0.5 elsewhere
+    t = np.asarray(t, dtype=float)
+    return np.where(t == np.linspace(0.0, 1.0, 33)[7], np.nan, 0.5)[:, None, None]
+
+
+@pytest.mark.parametrize("fam, exc, message", [
+    (first_order(2, 1.0, const_coeff(np.zeros((2, 2))), const_coeff(np.zeros((2, 2)))),
+     SingularJ,
+     "j(s=0.25, t) at a grid point is numerically singular (sigma_min <= 1e-12 sigma_max)"),
+    (first_order(2, 1.0, const_coeff(np.eye(2)), const_coeff(np.zeros((2, 2)))),
+     NotSkewHermitian,
+     "j(s=0.25, t) on the t-grid residual |A + A*| = 2.000e+00 exceeds 1.000e-10"),
+    (first_order(2, 1.0, const_coeff(1j * np.eye(2)), const_coeff([[0.0, 1.0], [0.0, 0.0]])),
+     NotHermitian,
+     "b(s=0.25, t) on the t-grid residual |A - A*| = 1.000e+00 exceeds 1.000e-10"),
+    (odebvp.SecondOrderFamily(1, 1.0, const_coeff([[0.0]]), const_coeff([[0.0]]),
+                              const_coeff([[1.0]])),
+     SingularP,
+     "p(s=0.25, t) at a grid point is numerically singular (sigma_min <= 1e-12 sigma_max)"),
+    (odebvp.SecondOrderFamily(1, 1.0, const_coeff([[1.0]]), const_coeff([[np.nan]]),
+                              const_coeff([[1.0]])),
+     NonFinite, "q(s=0.25, t) is not finite at a grid point"),
+    (odebvp.SecondOrderFamily(1, 1.0, const_coeff([[1.0]]), one_nan_q, const_coeff([[1.0]])),
+     NonFinite, "q(s=0.25, t) is not finite at a grid point"),
+], ids=["j=0", "j Hermitian", "b not Hermitian", "p=0", "q=NaN", "q NaN at one point"])
+def test_constant_grids_raise_the_typed_errors(fam, exc, message):
+    # each message is the one the build raised when it checked every grid point
+    with pytest.raises(exc) as err:
+        odebvp._system(fam, 0.25, 16)
+    assert type(err.value) is exc and str(err.value) == message
 
 
 def test_w_of_r_is_always_lagrangian():
