@@ -286,7 +286,7 @@ def _matrix_function(rows, where, variables):
         with np.errstate(all="ignore"):
             for i, row in enumerate(asts):
                 for k, expr in enumerate(row):
-                    value = expressions.evaluate(expr, s, tt)
+                    value = expr.fn(s, tt)
                     out[:, i, k] = np.broadcast_to(np.asarray(value), tt.shape)
         if t_arr.ndim == 0:
             return out[0]
@@ -464,8 +464,10 @@ def _boundary_from(doc, m, kind):
 def scenario_from_document(doc, default_name):
     """Turn a schema-valid document into a runnable scenario."""
     kind = doc["kind"]
-    m = doc["m"]
-    numerics = doc.get("numerics", {})
+    # the schema's "integer" admits 4.0; counts go on as int
+    m = int(doc["m"])
+    numerics = {key: value if key == "lambda_window" else int(value)
+                for key, value in doc.get("numerics", {}).items()}
     expected = _expected_from(doc, kind)
 
     if kind == "pair_path":

@@ -22,6 +22,7 @@ module exists to produce it reliably.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -484,3 +485,10 @@ def require_nonsingular(sv, exc, name):
     """
     if not np.all(sv.min(axis=-1) > 1e-12 * sv.max(axis=-1)):
         raise exc(f"{name} is numerically singular (sigma_min <= 1e-12 sigma_max)")
+
+
+def require_count(value, name, least):
+    """Raise ``ValueError`` unless ``value`` is an integer (not a bool) of
+    at least ``least``: 4.0 and True are refused, not read as 4 and 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ExpressionSyntaxError, UnknownIdentifier
 
-__all__ = ["Expression", "parse", "evaluate", "variables"]
+__all__ = ["Expression", "parse"]
 
 _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -203,13 +203,3 @@ def parse(src):
         )
     return _Parser(src).parse()
 
-
-def evaluate(expr, s, t):
-    """Evaluate ``expr`` at ``(s, t)``: either may be a scalar or a numpy
-    array; the result follows numpy broadcasting and is always complex."""
-    return expr.fn(s, t)
-
-
-def variables(expr):
-    """Set of variable names that actually occur in ``expr``."""
-    return expr.names

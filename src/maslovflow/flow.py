@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .core import require_hermitian, require_unitary, stacked
+from .core import require_count, require_hermitian, require_unitary, stacked
 from .errors import DimensionMismatch, NotUnitary, SpectrumOnBoundary, UnresolvedFamily
 
 
@@ -46,10 +46,8 @@ class FlowOpts:
     max_depth: int = 12
 
     def __post_init__(self):
-        if not self.initial_segments >= 1:
-            raise ValueError(f"initial_segments must be at least 1, got {self.initial_segments}")
-        if not self.max_depth >= 0:
-            raise ValueError(f"max_depth must be at least 0, got {self.max_depth}")
+        require_count(self.initial_segments, "initial_segments", 1)
+        require_count(self.max_depth, "max_depth", 0)
 
 
 @dataclass(frozen=True)

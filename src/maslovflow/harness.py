@@ -16,7 +16,7 @@ suites are selected.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -753,16 +753,6 @@ class SuiteSummary:
     worst_residual: float
     first_failure: Optional[str] = None
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "passed": self.passed,
-            "failed": self.failed,
-            "worst_residual": self.worst_residual,
-            "first_failure": self.first_failure,
-        }
-
 
 @dataclass
 class SweepSummary:
@@ -781,7 +771,7 @@ class SweepSummary:
             "trials": self.trials,
             "dims": list(self.dims),
             "all_passed": self.all_passed,
-            "suites": [s.to_dict() for s in self.suites],
+            "suites": [asdict(s) for s in self.suites],
         }
 
 

@@ -63,6 +63,7 @@ from .core import (
     Subspace,
     make_space,
     orthogonal_complement,
+    require_count,
     require_hermitian,
     require_nonsingular,
     subspace_from_span,
@@ -116,7 +117,8 @@ class FirstOrderFamily:
     ``j`` and ``b`` map ``(s, t)`` to m x m matrices (scalar t; an
     implementation may also accept a t-array and return ``(nt, m, m)``,
     which is used when available).  The t-derivative of ``j`` is a central
-    difference with step ``T / (8 * steps)``.
+    difference with step ``T / (8 * steps)``.  ``m`` must be an integer of
+    at least 1 and ``T`` finite and positive, in both family kinds.
 
     Every build evaluates ``j`` on three grids of 2 steps + 1 times and
     ``b`` on one.  A scalar-only callable costs one Python call per time,
@@ -129,6 +131,9 @@ class FirstOrderFamily:
     T: float
     j: Callable
     b: Callable
+
+    def __post_init__(self):
+        _check_size(self)
 
 
 @dataclass(frozen=True)
@@ -148,6 +153,18 @@ class SecondOrderFamily:
     q: Callable
     r: Callable
 
+    def __post_init__(self):
+        _check_size(self)
+
+
+def _check_size(fam):
+    """Refuse a family whose ``m`` is not an integer of at least 1 or whose
+    ``T`` is not finite and positive (``ValueError``): a negative T runs
+    time backwards and flips the sign of the spectral flow."""
+    require_count(fam.m, "m", 1)
+    if not (np.isfinite(fam.T) and fam.T > 0):
+        raise ValueError(f"T must be finite and positive, got {fam.T!r}")
+
 
 def std_j(m):
     """The standard real symplectic structure [[0, -I], [I, 0]] on C^{2m}."""
@@ -157,8 +174,11 @@ def std_j(m):
     return j
 
 
-def _eval_grid(f, s, ts, m):
-    """Evaluate a coefficient callable on a t-grid, vectorized if it allows."""
+def _eval_grid(fam, name, s, ts):
+    """Evaluate the coefficient ``name`` of ``fam`` on a t-grid, vectorized
+    if it allows; a scalar-t value without m x m entries raises
+    ``DimensionMismatch``."""
+    f, m = getattr(fam, name), fam.m
     ts = np.asarray(ts, dtype=float)
     try:
         out = np.asarray(f(s, ts), dtype=complex)
@@ -168,7 +188,11 @@ def _eval_grid(f, s, ts, m):
         pass
     out = np.empty((len(ts), m, m), dtype=complex)
     for i, t in enumerate(ts):
-        out[i] = np.asarray(f(s, float(t)), dtype=complex).reshape(m, m)
+        value = np.asarray(f(s, float(t)), dtype=complex)
+        if value.size != m * m:
+            raise DimensionMismatch(f"{name}(s={s:.6g}, t={t:.6g}) has shape {value.shape}, "
+                                    f"not {m} x {m}")
+        out[i] = value.reshape(m, m)
     return out
 
 
@@ -333,8 +357,8 @@ def _build_first_order(fam, s, steps):
     ts = np.linspace(0.0, fam.T, 2 * steps + 1)
     hd = fam.T / (8.0 * steps)
     jg, bg, jp, jm = _cut_if_constant(
-        _eval_grid(fam.j, s, ts, fam.m), _eval_grid(fam.b, s, ts, fam.m),
-        _eval_grid(fam.j, s, ts + hd, fam.m), _eval_grid(fam.j, s, ts - hd, fam.m))
+        _eval_grid(fam, "j", s, ts), _eval_grid(fam, "b", s, ts),
+        _eval_grid(fam, "j", s, ts + hd), _eval_grid(fam, "j", s, ts - hd))
     require_hermitian(jg, f"j(s={s:.6g}, t) on the t-grid", NotSkewHermitian, sign=-1)
     jinv = _checked_inv(jg, SingularJ, f"j(s={s:.6g}, t) at a grid point")
     bg = require_hermitian(bg, f"b(s={s:.6g}, t) on the t-grid")
@@ -347,8 +371,7 @@ def _build_first_order(fam, s, steps):
 def _build_second_order(fam, s, steps):
     m = fam.m
     ts = np.linspace(0.0, fam.T, 2 * steps + 1)
-    pg, qg, rg = _cut_if_constant(
-        _eval_grid(fam.p, s, ts, m), _eval_grid(fam.q, s, ts, m), _eval_grid(fam.r, s, ts, m))
+    pg, qg, rg = _cut_if_constant(*(_eval_grid(fam, name, s, ts) for name in "pqr"))
     pg = require_hermitian(pg, f"p(s={s:.6g}, t) on the t-grid")
     pinv = _checked_inv(pg, SingularP, f"p(s={s:.6g}, t) at a grid point")
     if not np.all(np.isfinite(qg)):
@@ -370,6 +393,7 @@ def _build_second_order(fam, s, steps):
 
 
 def _system(fam, s, steps):
+    require_count(steps, "steps", 1)
     if isinstance(fam, FirstOrderFamily):
         return _build_first_order(fam, float(s), int(steps))
     if isinstance(fam, SecondOrderFamily):
@@ -735,8 +759,8 @@ class BvpOpts(FlowOpts):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.steps >= 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps}")
+        require_count(self.steps, "steps", 1)
+        require_count(self.grid, "grid", 1)
         if not self.lambda_window > 0:
             raise ValueError(f"lambda_window must be positive, got {self.lambda_window}")
 

@@ -120,6 +120,21 @@ def test_exit_2_on_unresolved_family(tmp_path, capsys):
     assert cli.main(["sf", cfg]) == 2
 
 
+@pytest.mark.parametrize("doc", [
+    dict(OSC, m=1.0, numerics={"steps": 512.0, "initial_segments": 16.0, "max_depth": 12.0}),
+    dict(PAIR, m=1.0, numerics={"initial_segments": 16.0, "max_depth": 12.0}),
+], ids=["second_order", "pair_path"])
+def test_integral_floats_in_documents_are_counts(tmp_path, doc, capsys):
+    # the schema's "integer" admits 4.0; verify exited 1 on it, sf died
+    cfg = write(tmp_path, doc)
+    sc = cli.scenario_from_document(json.loads(json.dumps(doc)), "x")
+    counts = [v for k, v in vars(sc.opts).items() if k != "lambda_window"]
+    assert all(type(v) is int for v in counts)
+    assert cli.main(["verify", cfg]) == 0
+    assert cli.main(["maslov", cfg]) == 0
+    assert capsys.readouterr().out.endswith(f"\n{doc['expected']['mas']}\n")
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -130,6 +145,7 @@ def test_exit_2_on_unresolved_family(tmp_path, capsys):
         lambda d: d.update(boundary={"r_subspace": None}),  # wrong boundary kind
         lambda d: d.update(j=[["1i", "0"]]),        # wrong shape
         lambda d: d.update(boundary={"w_path": [["t"], ["1"]]}),  # t in frame
+        lambda d: d.update(numerics={"steps": 512.5}),  # count not integral
     ],
 )
 def test_exit_3_on_bad_documents(tmp_path, mangle, capsys):

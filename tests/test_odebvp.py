@@ -357,14 +357,58 @@ def test_a_boundary_subspace_in_the_wrong_ambient_space_raises(shape, entry):
     (odebvp.BvpOpts, {"steps": 0}),
     (odebvp.BvpOpts, {"lambda_window": 0.0}),
     (odebvp.BvpOpts, {"lambda_window": float("nan")}),
+    (flow.FlowOpts, {"initial_segments": 4.0}),
+    (flow.FlowOpts, {"max_depth": 2.5}),
+    (flow.FlowOpts, {"max_depth": True}),
+    (odebvp.BvpOpts, {"steps": 256.7}),
+    (odebvp.BvpOpts, {"steps": True}),
+    (odebvp.BvpOpts, {"grid": 16.0}),
 ])
 def test_options_without_a_meaning_are_refused(opts, kw):
     # initial_segments=0 made spectral_flow return 0 for a crossing family,
-    # steps=0 a ZeroDivisionError
+    # steps=0 a ZeroDivisionError; steps=256.7 ran 256 steps, steps=True one
     with pytest.raises(ValueError):
         opts(**kw)
     with pytest.raises(AttributeError):  # frozen: the check cannot be bypassed
         setattr(opts(), *next(iter(kw.items())))
+
+
+def test_numpy_integer_counts_are_accepted():
+    opts = odebvp.BvpOpts(steps=np.int64(64), grid=np.int32(16), max_depth=np.int16(3))
+    assert (opts.steps, opts.grid, opts.max_depth) == (64, 16, 3)
+
+
+@pytest.mark.parametrize("m, T", [(1, -1.0), (1, 0.0), (1, np.inf), (1, np.nan),
+                                  (0, 1.0), (1.0, 1.0), (True, 1.0)])
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_families_without_a_meaning_are_refused(kind, m, T):
+    # with S3's coefficients T = -1 gave sf_bvp == -1, T = 0 an IndexError
+    one = const_coeff([[1.0]])
+    with pytest.raises(ValueError, match="m must|T must"):
+        if kind == "first":
+            odebvp.FirstOrderFamily(m=m, T=T, j=const_coeff([[1j]]), b=one)
+        else:
+            odebvp.SecondOrderFamily(m=m, T=T, p=one, q=one, r=one)
+
+
+@pytest.mark.parametrize("steps", [0, 2.5, True])
+def test_step_counts_without_a_meaning_are_refused(steps):
+    # steps=0 raised ZeroDivisionError, 2.5 ran 2 steps and True one
+    fam = first_order(1, 1.0, const_coeff([[1j]]), const_coeff([[1.0]]))
+    with pytest.raises(ValueError, match="steps must"):
+        odebvp.transfer_matrix(fam, 0.0, steps=steps)
+    with pytest.raises(ValueError, match="steps must"):
+        odebvp.eigen_count(fam, 0.0, core.diagonal_subspace(1), (-1.0, 1.0), steps=steps)
+
+
+def test_a_coefficient_value_that_is_not_m_by_m_is_named():
+    # m = 2 with 1 x 1 coefficients raised a bare "cannot reshape"
+    fam = first_order(2, 1.0, const_coeff(1j * np.eye(2)), scalar_coeff(lambda s, t: 0.0))
+    with pytest.raises(DimensionMismatch, match=r"b\(s=0.5, t=0\) has shape \(1, 1\), not 2 x 2"):
+        odebvp.transfer_matrix(fam, 0.5, steps=8)
+    one = scalar_coeff(lambda s, t: 1.0)
+    with pytest.raises(DimensionMismatch, match=r"^p\(s=0,"):
+        odebvp.transfer_matrix(odebvp.SecondOrderFamily(2, 1.0, one, one, one), 0.0, steps=8)
 
 
 def test_singular_structure_matrix_raises():
@@ -395,15 +439,15 @@ def full_grid_row0(fam, s, steps):
     ts = np.linspace(0.0, fam.T, 2 * steps + 1)
     m = fam.m
     if isinstance(fam, odebvp.FirstOrderFamily):
-        jinv = np.linalg.inv(odebvp._eval_grid(fam.j, s, ts, m))
-        bg = core.require_hermitian(odebvp._eval_grid(fam.b, s, ts, m))
+        jinv = np.linalg.inv(odebvp._eval_grid(fam, "j", s, ts))
+        bg = core.require_hermitian(odebvp._eval_grid(fam, "b", s, ts))
         hd = fam.T / (8.0 * steps)
-        jd = (odebvp._eval_grid(fam.j, s, ts + hd, m)
-              - odebvp._eval_grid(fam.j, s, ts - hd, m)) / (2.0 * hd)
+        jd = (odebvp._eval_grid(fam, "j", s, ts + hd)
+              - odebvp._eval_grid(fam, "j", s, ts - hd)) / (2.0 * hd)
         return (-jinv @ (bg + 0.5 * jd))[0], (-jinv)[0]
-    pinv = np.linalg.inv(core.require_hermitian(odebvp._eval_grid(fam.p, s, ts, m)))
-    qg = odebvp._eval_grid(fam.q, s, ts, m)
-    rg = core.require_hermitian(odebvp._eval_grid(fam.r, s, ts, m))
+    pinv = np.linalg.inv(core.require_hermitian(odebvp._eval_grid(fam, "p", s, ts)))
+    qg = odebvp._eval_grid(fam, "q", s, ts)
+    rg = core.require_hermitian(odebvp._eval_grid(fam, "r", s, ts))
     qh = qg.conj().transpose(0, 2, 1)
     b0 = np.zeros((len(ts), 2 * m, 2 * m), dtype=complex)
     b0[:, :m, :m] = pinv
