@@ -9,7 +9,7 @@ from maslovflow import harness
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--double", action="store_true",
-                    help="double steps/grid/partition before running")
+                    help="double steps/partition before running")
     args = ap.parse_args()
 
     scens = harness.builtin_scenarios()

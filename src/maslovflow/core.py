@@ -105,7 +105,7 @@ def make_space(j):
         If ``j`` is numerically singular.
     """
     j = np.asarray(j, dtype=complex)
-    if j.ndim != 2 or j.shape[0] != j.shape[1]:
+    if j.ndim != 2:
         raise DimensionMismatch(f"form matrix must be square, got shape {j.shape}")
     form = require_hermitian(j, "form", NotSkewHermitian, sign=-1)
     require_nonsingular(la.svdvals(j), Degenerate, "form")
@@ -443,8 +443,11 @@ def require_hermitian(a, name="matrix", exc=NotHermitian, sign=1):
     """Validate Hermitian symmetry (``sign=1``) or skew-Hermitian symmetry
     (``sign=-1``) of a matrix, or of every matrix in a stack ``(..., n, n)``,
     within tolerance, raising ``exc`` otherwise (a NaN entry fails), and
-    return the exactly (skew-)symmetrized representative."""
+    return the exactly (skew-)symmetrized representative.  Anything that is
+    not a square matrix or a stack of them raises ``DimensionMismatch``."""
     a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"{name} must be a square matrix, got shape {a.shape}")
     ah = (a if sign > 0 else -a).conj().swapaxes(-1, -2)
     scale = max(1.0, float(np.abs(a).max()))
     resid = float(np.abs(a - ah).max())
@@ -487,8 +490,8 @@ def require_nonsingular(sv, exc, name):
         raise exc(f"{name} is numerically singular (sigma_min <= 1e-12 sigma_max)")
 
 
-def require_count(value, name, least):
-    """Raise ``ValueError`` unless ``value`` is an integer (not a bool) of
-    at least ``least``: 4.0 and True are refused, not read as 4 and 1."""
+def require_count(value, name, least, exc=ValueError):
+    """Raise ``exc`` unless ``value`` is an integer (not a bool) of at least
+    ``least``: 4.0 and True are refused, not read as 4 and 1."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        raise exc(f"{name} must be an integer of at least {least}, got {value!r}")

@@ -106,7 +106,8 @@ class TransportBudgetExceeded(MaslovFlowError):
 
 
 class InvalidTrials(MaslovFlowError):
-    """A sweep was requested with a non-positive trial count."""
+    """A sweep was requested with a trial count that is not an integer of
+    at least 1."""
 
 
 class ConfigError(MaslovFlowError):

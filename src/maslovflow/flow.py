@@ -231,7 +231,7 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
         of real crossing coordinates, one per s.  Must be deterministic, and
         an s must get the same coordinates whatever else is in its batch.
     interval : (float, float)
-        Endpoints a < b.
+        Finite endpoints a < b (``ValueError`` otherwise).
     opts : FlowOpts, optional
     scale : float, optional
         Coordinate scale; when omitted, the largest coordinate magnitude
@@ -250,8 +250,8 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
     """
     opts = opts or FlowOpts()
     a, b = float(interval[0]), float(interval[1])
-    if not b > a:
-        raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
+    if not (np.isfinite(a) and np.isfinite(b) and b > a):
+        raise ValueError(f"interval must be finite with a < b, got ({a}, {b})")
     cache: dict[float, np.ndarray] = {}
 
     def sample(points):

@@ -93,13 +93,8 @@ class VerificationReport:
 
 def doubled_opts(opts):
     """The same options with every grid halved in step size: twice the time
-    steps, twice the spectral grid, twice the initial partition."""
-    return replace(
-        opts,
-        steps=2 * opts.steps,
-        grid=2 * opts.grid,
-        initial_segments=2 * opts.initial_segments,
-    )
+    steps and twice the initial partition."""
+    return replace(opts, steps=2 * opts.steps, initial_segments=2 * opts.initial_segments)
 
 
 def pipelines(sc):
@@ -161,15 +156,11 @@ def run_scenario(sc):
 # ---------------------------------------------------------------------------
 
 def _scalar_coeff(fun):
-    """Lift a scalar function of (s, t) to a 1x1 matrix coefficient that is
-    vectorized over t, so the shooting system can batch its evaluations."""
+    """Lift a scalar function of (s, t) to a 1x1 matrix coefficient on a
+    t-array, ``(len(t), 1, 1)``."""
 
     def coeff(s, t):
-        t_arr = np.asarray(t, dtype=float)
-        vals = np.broadcast_to(np.asarray(fun(s, t_arr), dtype=complex), t_arr.shape)
-        if t_arr.ndim == 0:
-            return vals.reshape(1, 1)
-        return vals.reshape(t_arr.shape[0], 1, 1)
+        return np.broadcast_to(np.asarray(fun(s, t), dtype=complex), t.shape)[:, None, None]
 
     return coeff
 
@@ -784,9 +775,8 @@ def property_sweep(seed, trials, dims=(2, 4, 6, 8), suites=None):
     error or a ``LinAlgError`` in a trial is counted as a failed trial, and
     the first failing note per suite is kept.
     """
-    trials = int(trials)
-    if trials < 1:
-        raise InvalidTrials(f"need at least one trial, got {trials}")
+    core.require_count(trials, "trials", 1, InvalidTrials)
+    trials = int(trials)  # a NumPy integer is stored as a plain int
     if not dims or any(d <= 0 or d % 2 for d in dims):
         raise ValueError(f"dims must be positive even ambient dimensions, got {list(dims)}")
     if suites is not None:

@@ -22,10 +22,10 @@ is a degree-4 matrix polynomial in lambda, built once per system; a batch of
 lambdas evaluates the step matrices and multiplies them in a log-depth
 product tree, or, for the solution at every grid time, in a log-depth
 prefix scan whose last entry is the tree's product bit for bit.
-Constant-coefficient systems take an exact matrix-exponential shortcut.  A
-family whose raw coefficient grids are exactly constant in t is checked,
-inverted and assembled at one grid point; a rounding-level deviation builds
-the whole grid and is judged by the system's 1e-13 test on C0 and C1.
+Each coefficient is read with one call on the t-grid.  A family whose raw
+coefficient grids are exactly constant in t is checked, inverted and
+assembled at one grid point, and its system takes an exact
+matrix-exponential shortcut; any other runs RK4.
 Formal self-adjointness shows up numerically as symplectic transport: the
 fundamental solution intertwines the endpoint forms, which is checked
 rather than assumed.
@@ -114,17 +114,15 @@ _STACK_ENTRIES = 2 ** 14
 class FirstOrderFamily:
     """Coefficients of a linear Hamiltonian family.
 
-    ``j`` and ``b`` map ``(s, t)`` to m x m matrices (scalar t; an
-    implementation may also accept a t-array and return ``(nt, m, m)``,
-    which is used when available).  The t-derivative of ``j`` is a central
+    ``j`` and ``b`` are called as ``f(s, t)`` with a float s and a 1-D
+    t-array of nt times, and return ``(nt, m, m)``, or ``(m, m)`` for a
+    value that holds at every t.  The t-derivative of ``j`` is a central
     difference with step ``T / (8 * steps)``.  ``m`` must be an integer of
     at least 1 and ``T`` finite and positive, in both family kinds.
 
-    Every build evaluates ``j`` on three grids of 2 steps + 1 times and
-    ``b`` on one.  A scalar-only callable costs one Python call per time,
-    so with t-array callables a build is several times cheaper.  When every
-    grid is exactly constant in t, the checks, the inverse and the algebra
-    run at one grid point.
+    Every build calls ``j`` on three grids of 2 steps + 1 times and ``b``
+    on one, once per grid.  When every grid is exactly constant in t, the
+    checks, the inverse and the algebra run at one grid point.
     """
 
     m: int
@@ -141,10 +139,9 @@ class SecondOrderFamily:
     """Coefficients p, q, r of a formally self-adjoint second-order family;
     p(s,t) Hermitian invertible, r(s,t) Hermitian, q arbitrary.
 
-    The coefficients are called as ``FirstOrderFamily``'s are, each on one
-    grid of 2 steps + 1 times per build: a t-array callable saves a Python
-    call per time, and when p, q and r are all exactly constant in t, the
-    build works at one grid point.
+    The coefficients are called as ``FirstOrderFamily``'s are, each once
+    per build on one grid of 2 steps + 1 times; when p, q and r are all
+    exactly constant in t, the build works at one grid point.
     """
 
     m: int
@@ -175,24 +172,16 @@ def std_j(m):
 
 
 def _eval_grid(fam, name, s, ts):
-    """Evaluate the coefficient ``name`` of ``fam`` on a t-grid, vectorized
-    if it allows; a scalar-t value without m x m entries raises
-    ``DimensionMismatch``."""
-    f, m = getattr(fam, name), fam.m
-    ts = np.asarray(ts, dtype=float)
-    try:
-        out = np.asarray(f(s, ts), dtype=complex)
-        if out.shape == (len(ts), m, m):
-            return out
-    except (ValueError, TypeError):
-        pass
-    out = np.empty((len(ts), m, m), dtype=complex)
-    for i, t in enumerate(ts):
-        value = np.asarray(f(s, float(t)), dtype=complex)
-        if value.size != m * m:
-            raise DimensionMismatch(f"{name}(s={s:.6g}, t={t:.6g}) has shape {value.shape}, "
-                                    f"not {m} x {m}")
-        out[i] = value.reshape(m, m)
+    """Values ``(len(ts), m, m)`` of the coefficient ``name`` of ``fam`` on
+    the t-array ``ts``, from one call: an ``(m, m)`` value holds at every t
+    and is broadcast; any other shape raises ``DimensionMismatch``."""
+    m, nt = fam.m, len(ts)
+    out = np.asarray(getattr(fam, name)(s, ts), dtype=complex)
+    if out.shape == (m, m):
+        return np.broadcast_to(out, (nt, m, m))
+    if out.shape != (nt, m, m):
+        raise DimensionMismatch(f"{name}(s={s:.6g}, t) has shape {out.shape}, not ({m}, {m}) "
+                                f"for every t or ({nt}, {m}, {m}) for the {nt} times")
     return out
 
 
@@ -202,12 +191,10 @@ class _ShootingSystem:
 
     ``c0``/``c1`` are sampled on the doubled grid t_k = k T / (2 steps) so a
     step has its midpoint value available; a build whose raw coefficients
-    are exactly constant in t passes that grid's first row alone.
-    Constant-coefficient systems, including those whose grids stray from
-    their first row only at rounding level (by at most 1e-13 (1 + max |C|)),
-    are detected and integrated exactly with the matrix exponential.  For any
-    other system the RK4 step matrices are built here once: the system is
-    affine in lambda, so the step matrix of step k is a degree-4 matrix
+    are exactly constant in t passes that grid's first row alone, and such
+    a one-row system is integrated exactly with the matrix exponential.  For
+    any other system the RK4 step matrices are built here once: the system
+    is affine in lambda, so the step matrix of step k is a degree-4 matrix
     polynomial M_k(lambda) = sum_p lambda^p N[p, k] (``self.poly``, shape
     ``(5, steps, d, d)``).
     """
@@ -217,10 +204,7 @@ class _ShootingSystem:
         self.steps = int(steps)
         self.h = self.T / self.steps
         self.d = c0.shape[1]
-        dev0 = float(np.abs(c0 - c0[0]).max())
-        dev1 = float(np.abs(c1 - c1[0]).max())
-        ref = 1.0 + float(max(np.abs(c0).max(), np.abs(c1).max()))
-        self.const = max(dev0, dev1) <= 1e-13 * ref
+        self.const = len(c0) == 1
         if self.const:
             self.c0, self.c1 = c0[0], c1[0]
         else:
@@ -419,8 +403,7 @@ def _end_forms(fam, s):
     """The structure matrices at t = 0 and t = T: (j(s,0), j(s,T)) for a
     first-order family, (J, J) with the standard J for a second-order one."""
     if isinstance(fam, FirstOrderFamily):
-        return tuple(np.asarray(fam.j(s, t), dtype=complex).reshape(fam.m, fam.m)
-                     for t in (0.0, fam.T))
+        return tuple(_eval_grid(fam, "j", s, np.array([0.0, fam.T])))
     j = std_j(fam.m)
     return j, j
 
@@ -511,7 +494,7 @@ class _GammaEvaluator:
     The transfer matrix is entire in lambda, so on a bounded window its
     Chebyshev coefficients decay superexponentially.  They are the DCT-I of
     the values at n Chebyshev-Lobatto nodes, n = ``nodes``, then 2n - 1 and
-    4n - 3 (17, 33, 65 from the default grid); the nodes are nested, so a
+    4n - 3 (17, 33 and 65 in the detector); the nodes are nested, so a
     refinement propagates only its new, odd-index nodes and reuses every
     value it has.  Once the last five coefficients are below 1e-12 of the
     largest, ``coef`` (shape ``(n, d, d)``, in u = (2 lambda - hi - lo) /
@@ -688,10 +671,12 @@ def eigen_count(fam, s, w, window, steps=2048):
         If two distinct roots are closer than 10x the root tolerance.
     DimensionMismatch
         If ``w`` is not a d-dimensional subspace of C^{2d}, d the system size.
+    ValueError
+        If the window is not finite or not ``lo < hi``.
     """
     lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise ValueError(f"empty window {window}")
+    if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
+        raise ValueError(f"window must be finite and non-empty, got {window}")
     system = _system(fam, s, steps)
     wperp = _boundary_perp(w, system.d)
     ends = system.propagate([lo, hi])
@@ -699,7 +684,7 @@ def eigen_count(fam, s, w, window, steps=2048):
         raise WindowBoundaryEigenvalue(
             f"detector at window endpoint(s) of ({lo:.6g}, {hi:.6g}) below margin"
         )
-    return _eigen_count_system(system, w, window, BvpOpts.grid)
+    return _eigen_count_system(system, w, (lo, hi))
 
 
 def _boundary_perp(w, d):
@@ -711,13 +696,13 @@ def _boundary_perp(w, d):
     return orthogonal_complement(w).frame
 
 
-def _eigen_count_system(system, w, window, grid):
-    lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise ValueError(f"empty window {window}")
+def _eigen_count_system(system, w, window):
+    """``eigen_count`` without its endpoint check, on a built system and a
+    window ``(lo, hi)`` that both callers have checked finite and non-empty."""
+    lo, hi = window
     tau_root = 1e-9 * (hi - lo)
     wperp = _boundary_perp(w, system.d)
-    found = np.array(_window_roots(system, wperp, lo, hi, max(17, int(grid) + 1)))
+    found = np.array(_window_roots(system, wperp, lo, hi, 17))
     found = found[(lo <= found) & (found <= hi)]
     if not len(found):
         return []
@@ -734,7 +719,7 @@ def _eigen_count_system(system, w, window, grid):
         if merged and lam - merged[-1][0] < 10.0 * tau_root:
             raise RootCluster(
                 f"roots {merged[-1][0]:.12g} and {lam:.12g} closer than 10x root tolerance; "
-                "use a finer grid or smaller window"
+                "use a smaller window"
             )
         merged.append((lam, mult))
     return merged
@@ -747,22 +732,19 @@ def _eigen_count_system(system, w, window, grid):
 @dataclass(frozen=True)
 class BvpOpts(FlowOpts):
     """Options of the BVP pipelines: the crossing engine's partition plus
-    time steps, spectral grid and eigenvalue window.  ``grid`` is the number
-    of Lobatto intervals of the detector's first Chebyshev fit (17 nodes at
-    least, refined twice at most).  The parameter range is fixed at
-    [0, 1]."""
+    time steps and the half-width of the eigenvalue window, a finite
+    positive number.  The parameter range is fixed at [0, 1]."""
 
     steps: int = 2048
-    grid: int = 16
     lambda_window: float = 1.0
     interval: ClassVar[tuple] = (0.0, 1.0)
 
     def __post_init__(self):
         super().__post_init__()
         require_count(self.steps, "steps", 1)
-        require_count(self.grid, "grid", 1)
-        if not self.lambda_window > 0:
-            raise ValueError(f"lambda_window must be positive, got {self.lambda_window}")
+        w = self.lambda_window
+        if isinstance(w, bool) or not (np.isfinite(w) and w > 0):
+            raise ValueError(f"lambda_window must be finite and positive, got {w!r}")
 
 
 def sf_bvp(fam, w_path, opts=None):
@@ -784,7 +766,7 @@ def sf_bvp(fam, w_path, opts=None):
 
     def coords(s):
         system = _system(fam, s, opts.steps)
-        roots = _eigen_count_system(system, wfun(s), (-r0, r0), opts.grid)
+        roots = _eigen_count_system(system, wfun(s), (-r0, r0))
         vals = [lam for lam, mult in roots for _ in range(mult)]
         c = np.array([v for v in vals if abs(v) <= 0.6 * r0], dtype=float)
         return c

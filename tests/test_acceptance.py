@@ -97,7 +97,7 @@ def test_c3_varying_structure_grid_stability(monkeypatch):
     _assert_work(doubled.flow_reports["sf"], doubled.flow_reports["mas"], lams,
                  (67, 65), 2292)
     _stamp("acceptance 3", f"S3 sf=mas={base.sf} stable under doubling "
-                          "of steps/grid/partition")
+                          "of steps/partition")
 
 
 def test_c4_periodic_moving_mean_grid_stability(monkeypatch):

@@ -1,5 +1,7 @@
 """Linear algebra layer: spaces, splittings, subspaces, graph unitaries."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from maslovflow import core
 from maslovflow.errors import (
     Degenerate,
+    DimensionMismatch,
     NotHermitian,
     NonFinite,
     NonUnitaryGenerator,
@@ -53,6 +56,22 @@ def test_require_hermitian_on_a_stack():
     bad[2, 0, 1] += 1e-3
     with pytest.raises(NotHermitian):
         core.require_hermitian(bad)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3), (4, 2, 3)])
+def test_require_hermitian_refuses_what_is_not_a_square_matrix(shape):
+    # (2, 3) raised a bare broadcasting ValueError, () a NumPy AxisError
+    with pytest.raises(DimensionMismatch,
+                       match=rf"^a must be a square matrix, got shape {re.escape(str(shape))}$"):
+        core.require_hermitian(np.zeros(shape), "a")
+    with pytest.raises(DimensionMismatch):
+        core.require_hermitian(np.zeros(shape), "a", NotSkewHermitian, sign=-1)
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 3), (1, 2, 2)])
+def test_make_space_refuses_a_form_that_is_not_one_square_matrix(shape):
+    with pytest.raises(DimensionMismatch, match="form"):
+        core.make_space(np.ones(shape))
 
 
 def test_require_nonsingular_raises_the_given_class():

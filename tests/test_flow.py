@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from maslovflow import flow, harness, maslov
-from maslovflow.errors import NotUnitary, SpectrumOnBoundary, UnresolvedFamily
+from maslovflow.errors import DimensionMismatch, NotUnitary, SpectrumOnBoundary, UnresolvedFamily
 from maslovflow.flow import FlowOpts
 
 
@@ -159,6 +159,27 @@ def test_spectral_flow_hermitian():
 def test_spectral_flow_rejects_non_hermitian():
     with pytest.raises(Exception):
         flow.spectral_flow(lambda s: np.array([[0.0, 1.0], [0.0, 0.0]]), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("family", [
+    lambda s: np.ones((2, 3)),
+    lambda s: 2.0 * s - 1.0,
+    lambda s: np.ones(3),
+    lambda s: np.ones((2, 2, 3)),
+], ids=["2x3", "scalar", "vector", "stack of 2x3"])
+def test_a_family_of_non_square_values_raises_dimension_mismatch(family):
+    # 2x3 raised a bare ValueError, the scalar an AxisError
+    with pytest.raises(DimensionMismatch, match=r"^family\(0\) must be a square matrix"):
+        flow.spectral_flow(family, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("interval", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)])
+def test_a_non_finite_interval_is_refused(interval):
+    # (0, inf) warned, then raised NotHermitian on family(nan)
+    with pytest.raises(ValueError, match="interval must be finite"):
+        flow.spectral_flow(lambda s: np.array([[2.0 * s - 1.0]]), interval)
+    with pytest.raises(ValueError, match="interval must be finite"):
+        flow.flow_from_sampler(lambda ss: [np.array([s]) for s in ss], interval)
 
 
 @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])

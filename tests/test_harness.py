@@ -95,10 +95,10 @@ def test_report_dict_shape():
 
 
 def test_doubled_opts():
-    opts = odebvp.BvpOpts(steps=100, grid=10, initial_segments=4)
+    opts = odebvp.BvpOpts(steps=100, initial_segments=4, lambda_window=2.5)
     d = harness.doubled_opts(opts)
-    assert (d.steps, d.grid, d.initial_segments) == (200, 20, 8)
-    assert d.max_depth == opts.max_depth
+    assert (d.steps, d.initial_segments) == (200, 8)
+    assert (d.max_depth, d.lambda_window) == (opts.max_depth, opts.lambda_window)
 
 
 def test_sweep_rejects_bad_inputs():
@@ -111,6 +111,19 @@ def test_sweep_rejects_bad_inputs():
     for dims in [(3,), (0,), (2, -2)]:
         with pytest.raises(ValueError, match="dims"):
             harness.property_sweep(seed=1, trials=1, dims=dims)
+
+
+@pytest.mark.parametrize("trials", [2.5, True, 1.0, "3"])
+def test_sweep_refuses_a_trial_count_that_is_not_an_integer(trials):
+    # 2.5 ran 2 trials and True one
+    with pytest.raises(InvalidTrials, match="trials must be an integer of at least 1"):
+        harness.property_sweep(seed=42, trials=trials, suites=["normalize_metric"])
+
+
+def test_sweep_accepts_a_numpy_integer_trial_count():
+    summary = harness.property_sweep(seed=42, trials=np.int64(2), suites=["normalize_metric"])
+    assert summary.trials == 2 and type(summary.trials) is int
+    assert json.dumps(summary.to_dict())
 
 
 FAST_SUITES = ("fredholm_index_zero", "unitary_counting", "double_annihilator")

@@ -24,22 +24,12 @@ from maslovflow.errors import (
 
 def const_coeff(mat):
     mat = np.asarray(mat, dtype=complex)
-
-    def f(s, t):
-        if np.ndim(t):
-            return np.broadcast_to(mat, np.shape(t) + mat.shape)
-        return mat
-
-    return f
+    return lambda s, t: np.broadcast_to(mat, t.shape + mat.shape)
 
 
 def scalar_coeff(fun):
     def f(s, t):
-        t_arr = np.asarray(t, dtype=float)
-        vals = np.broadcast_to(np.asarray(fun(s, t_arr), dtype=complex), t_arr.shape)
-        if t_arr.ndim == 0:
-            return vals.reshape(1, 1)
-        return vals.reshape(t_arr.shape[0], 1, 1)
+        return np.broadcast_to(np.asarray(fun(s, t), dtype=complex), t.shape)[:, None, None]
 
     return f
 
@@ -156,7 +146,7 @@ def test_root_on_a_piece_edge_is_counted_once():
     assert not odebvp._GammaEvaluator(system, -10.0, 10.0, 65).certified()
     pieces = odebvp._window_roots(system, core.orthogonal_complement(w).frame, -10.0, 10.0, 65)
     assert sum(abs(lam) < 1e-12 for lam in pieces) == 2
-    found = odebvp._eigen_count_system(system, w, (-10.0, 10.0), 64)
+    found = odebvp._eigen_count_system(system, w, (-10.0, 10.0))
     assert [lam for lam, _ in found if abs(lam) < 1e-12] == [pytest.approx(0.0, abs=1e-12)]
     assert len(found) == 191
 
@@ -362,11 +352,13 @@ def test_a_boundary_subspace_in_the_wrong_ambient_space_raises(shape, entry):
     (flow.FlowOpts, {"max_depth": True}),
     (odebvp.BvpOpts, {"steps": 256.7}),
     (odebvp.BvpOpts, {"steps": True}),
-    (odebvp.BvpOpts, {"grid": 16.0}),
+    (odebvp.BvpOpts, {"lambda_window": True}),
+    (odebvp.BvpOpts, {"lambda_window": np.inf}),
 ])
 def test_options_without_a_meaning_are_refused(opts, kw):
     # initial_segments=0 made spectral_flow return 0 for a crossing family,
-    # steps=0 a ZeroDivisionError; steps=256.7 ran 256 steps, steps=True one
+    # steps=0 a ZeroDivisionError; steps=256.7 ran 256 steps, steps=True one,
+    # lambda_window=True a window of 1
     with pytest.raises(ValueError):
         opts(**kw)
     with pytest.raises(AttributeError):  # frozen: the check cannot be bypassed
@@ -374,8 +366,9 @@ def test_options_without_a_meaning_are_refused(opts, kw):
 
 
 def test_numpy_integer_counts_are_accepted():
-    opts = odebvp.BvpOpts(steps=np.int64(64), grid=np.int32(16), max_depth=np.int16(3))
-    assert (opts.steps, opts.grid, opts.max_depth) == (64, 16, 3)
+    opts = odebvp.BvpOpts(steps=np.int64(64), initial_segments=np.int32(16),
+                          max_depth=np.int16(3))
+    assert (opts.steps, opts.initial_segments, opts.max_depth) == (64, 16, 3)
 
 
 @pytest.mark.parametrize("m, T", [(1, -1.0), (1, 0.0), (1, np.inf), (1, np.nan),
@@ -401,14 +394,81 @@ def test_step_counts_without_a_meaning_are_refused(steps):
         odebvp.eigen_count(fam, 0.0, core.diagonal_subspace(1), (-1.0, 1.0), steps=steps)
 
 
+@pytest.mark.parametrize("window", [(-np.inf, 1.0), (-1.0, np.inf), (np.nan, 1.0), (1.0, 1.0)])
+def test_windows_without_a_meaning_are_refused(window):
+    # (-inf, 1) warned, then raised LinAlgError: SVD did not converge
+    fam = first_order(1, 1.0, const_coeff([[1j]]), const_coeff([[0.5]]))
+    with pytest.raises(ValueError, match="window must be finite and non-empty"):
+        odebvp.eigen_count(fam, 0.0, core.diagonal_subspace(1), window, steps=16)
+
+
 def test_a_coefficient_value_that_is_not_m_by_m_is_named():
     # m = 2 with 1 x 1 coefficients raised a bare "cannot reshape"
     fam = first_order(2, 1.0, const_coeff(1j * np.eye(2)), scalar_coeff(lambda s, t: 0.0))
-    with pytest.raises(DimensionMismatch, match=r"b\(s=0.5, t=0\) has shape \(1, 1\), not 2 x 2"):
+    with pytest.raises(DimensionMismatch, match=r"^b\(s=0.5, t\) has shape \(17, 1, 1\), "
+                                                r"not \(2, 2\) for every t or \(17, 2, 2\) "
+                                                r"for the 17 times$"):
         odebvp.transfer_matrix(fam, 0.5, steps=8)
     one = scalar_coeff(lambda s, t: 1.0)
     with pytest.raises(DimensionMismatch, match=r"^p\(s=0,"):
         odebvp.transfer_matrix(odebvp.SecondOrderFamily(2, 1.0, one, one, one), 0.0, steps=8)
+
+
+@pytest.mark.parametrize("m, value", [
+    (1, lambda t: np.ones(len(t))),
+    (2, lambda t: np.ones((1, 1))),
+    (1, lambda t: np.ones((len(t), 2, 2))),
+], ids=["(nt,) at m=1", "(1, 1) at m=2", "(nt, 2, 2) at m=1"])
+def test_a_value_of_neither_accepted_shape_raises(m, value):
+    # the first and third raised TypeError from len(t) in a per-t fallback
+    fam = first_order(m, 1.0, const_coeff(1j * np.eye(m)), lambda s, t: value(t))
+    with pytest.raises(DimensionMismatch, match=rf"^b\(s=0.5, t\) has shape .*\({m}, {m}\) "
+                                                rf"for every t or \(33, {m}, {m}\)"):
+        odebvp._system(fam, 0.5, 16)
+
+
+def counted(f, calls):
+    def g(s, t):
+        calls.append(np.shape(t))
+        return f(s, t)
+
+    return g
+
+
+def test_a_coefficient_that_ignores_t_is_called_once_per_grid():
+    # one call per grid at 64 steps, (129,) times each: the build fell back
+    # to one scalar call per time, 130 calls per grid
+    steps, s = 64, 0.3
+    j, b = 1j * np.array([[1.0, 0.5], [0.5, 2.0]]), np.array([[0.2, 1j], [-1j, -0.4]])
+    p, q, r = np.array([[2.0]]), np.array([[0.3 - 0.1j]]), np.array([[-1.0]])
+    calls = []
+    plain = first_order(2, 1.0, *(counted(lambda s, t, a=a: a, calls) for a in (j, b)))
+    first = odebvp._system(plain, s, steps)
+    assert calls == [(2 * steps + 1,)] * 4
+    calls.clear()
+    plain = odebvp.SecondOrderFamily(1, 2.0, *(counted(lambda s, t, a=a: a, calls)
+                                               for a in (p, q, r)))
+    second = odebvp._system(plain, s, steps)
+    assert calls == [(2 * steps + 1,)] * 3
+    # bitwise the systems of the t-array form
+    arrays = [odebvp._system(first_order(2, 1.0, const_coeff(j), const_coeff(b)), s, steps),
+              odebvp._system(odebvp.SecondOrderFamily(1, 2.0, *map(const_coeff, (p, q, r))),
+                             s, steps)]
+    for system, reference in zip((first, second), arrays):
+        assert system.const is reference.const is True
+        assert system.c0.tobytes() == reference.c0.tobytes()
+        assert system.c1.tobytes() == reference.c1.tobytes()
+
+
+def test_coefficients_that_take_only_t_arrays_run_both_pipelines():
+    # the end forms called j at a scalar t, so mas_bvp raised TypeError
+    fam = first_order(1, 1.0, lambda s, t: 1j * np.ones((len(t), 1, 1)),
+                      lambda s, t: np.zeros((len(t), 1, 1)))
+    opts = odebvp.BvpOpts(steps=64)
+    sf, _ = odebvp.sf_bvp(fam, rotating_w, opts)
+    mas, rep = odebvp.mas_bvp(fam, rotating_w, opts)
+    assert sf == mas == 1
+    assert rep.extras["transport_residual"] <= 1e-12
 
 
 def test_singular_structure_matrix_raises():
@@ -422,7 +482,7 @@ def test_singular_structure_matrix_raises():
 
 
 def test_coefficient_errors_other_than_shape_or_type_surface():
-    # only ValueError/TypeError from a t-array call fall back to scalar t
+    # an error raised by a coefficient surfaces as raised
     def b(s, t):
         if np.ndim(t):
             raise RuntimeError("coefficient failed on a t-array")
@@ -540,15 +600,20 @@ def test_only_a_bitwise_constant_grid_takes_the_one_point_build(monkeypatch):
     ]
     for fam in spiked:
         assert odebvp._system(fam, 0.5, steps).const is False
-    # rounding-level t-dependence: the full grid, then constant by the
-    # system's tolerance test on c0 and c1
+    # rounding-level t-dependence: the full grid and RK4, as for any other
+    # t-dependent grid, within rounding of the exactly constant family
     rounding = first_order(
         1, 1.0, scalar_coeff(lambda s, t: 1j * (1.0 + 1e-15 * np.sin(2.0 * np.pi * t))),
         const_coeff([[0.5]]))
     ts = np.linspace(0.0, 1.0, 2 * steps + 1)
     assert len(np.unique(rounding.j(0.0, ts))) > 1
-    assert odebvp._system(rounding, 0.0, steps).const is True
+    assert odebvp._system(rounding, 0.0, steps).const is False
     assert seen == [2 * steps + 1] * 4
+    # at the default 2048 steps, where RK4's own error is far below 1e-12
+    constant = first_order(1, 1.0, const_coeff([[1j]]), const_coeff([[0.5]]))
+    for lam in (-0.7, 0.0, 0.4):
+        npt.assert_allclose(odebvp.transfer_matrix(rounding, 0.0, lam),
+                            odebvp.transfer_matrix(constant, 0.0, lam), rtol=0, atol=1e-12)
 
 
 def one_nan_q(s, t):
@@ -622,8 +687,8 @@ def test_checkpoints_end_at_the_plain_propagation():
     g = np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.2]])
     varying = first_order(
         2, 1.0,
-        lambda s, t: 1j * (np.eye(2) + 0.5 * s * np.sin(np.pi * t) * g),
-        lambda s, t: np.cos(t) * g + s * np.eye(2),
+        lambda s, t: 1j * (np.eye(2) + 0.5 * s * np.sin(np.pi * t)[..., None, None] * g),
+        lambda s, t: np.cos(t)[..., None, None] * g + s * np.eye(2),
     )
     constant = first_order(2, 1.0, const_coeff(1j * np.eye(2)), const_coeff(g))
     lams = [-0.3, 0.0, 0.4]
