@@ -63,7 +63,7 @@ import sys
 import jsonschema
 import numpy as np
 
-from . import core, expressions, flow, harness, maslov, odebvp
+from . import expressions, flow, harness, maslov, odebvp
 from .errors import (
     ConfigError,
     ExpressionSyntaxError,
@@ -274,22 +274,17 @@ def _matrix_asts(rows, where, variables):
 
 def _matrix_function(rows, where, variables):
     """Matrix of expression entries -> f(s, t) returning (nt, r, c) for a
-    t array, (r, c) for scalar t."""
+    1-D t-array of nt times."""
     asts = _matrix_asts(rows, where, variables)
     nrow, ncol = len(asts), len(asts[0])
 
     def fun(s, t):
-        t_arr = np.asarray(t, dtype=float)
-        tt = t_arr.reshape(-1)
-        out = np.empty((tt.shape[0], nrow, ncol), dtype=complex)
+        out = np.empty((len(t), nrow, ncol), dtype=complex)
         # Non-finite values are refused downstream by a named check.
         with np.errstate(all="ignore"):
             for i, row in enumerate(asts):
                 for k, expr in enumerate(row):
-                    value = expr.fn(s, tt)
-                    out[:, i, k] = np.broadcast_to(np.asarray(value), tt.shape)
-        if t_arr.ndim == 0:
-            return out[0]
+                    out[:, i, k] = np.broadcast_to(np.asarray(expr.fn(s, t)), t.shape)
         return out
 
     return fun, (nrow, ncol)
@@ -321,16 +316,11 @@ def _axis(samples, key, where):
 
 def _lerp(grid, vals, x):
     """Piecewise-linear interpolation along the leading axis of ``vals``
-    at query points ``x`` (clamped to the grid range)."""
-    x = np.asarray(x, dtype=float)
-    idx = np.clip(np.searchsorted(grid, x.reshape(-1)), 1, len(grid) - 1)
+    at the 1-D query points ``x`` (clamped to the grid range)."""
+    idx = np.clip(np.searchsorted(grid, x), 1, len(grid) - 1)
     g0, g1 = grid[idx - 1], grid[idx]
-    w = np.clip((x.reshape(-1) - g0) / (g1 - g0), 0.0, 1.0)
-    shape = (-1,) + (1,) * (vals.ndim - 1)
-    out = (1.0 - w.reshape(shape)) * vals[idx - 1] + w.reshape(shape) * vals[idx]
-    if x.ndim == 0:
-        return out[0]
-    return out
+    w = np.clip((x - g0) / (g1 - g0), 0.0, 1.0).reshape((-1,) + (1,) * (vals.ndim - 1))
+    return (1.0 - w) * vals[idx - 1] + w * vals[idx]
 
 
 def _sampled_function(samples, where, variables):
@@ -354,17 +344,10 @@ def _sampled_function(samples, where, variables):
         raise ConfigError(f"{where}: empty sample matrices")
 
     def fun(s, t):
-        block = vals
-        if s_ax is not None:
-            block = _lerp(s_ax, block, float(s))
-        t_arr = np.asarray(t, dtype=float)
+        block = vals if s_ax is None else _lerp(s_ax, vals, np.array([float(s)]))[0]
         if t_ax is not None:
-            out = _lerp(t_ax, block, t_arr.reshape(-1))
-        else:
-            out = np.broadcast_to(block, (t_arr.reshape(-1).shape[0],) + block.shape)
-        if t_arr.ndim == 0:
-            return out[0]
-        return out
+            return _lerp(t_ax, block, t)
+        return np.broadcast_to(block, (len(t),) + block.shape)
 
     return fun, vals.shape[-2:]
 
@@ -385,12 +368,13 @@ def _coefficient(spec, where, rows, cols=None, variables="st"):
 
 
 def _s_matrix(spec, where, rows, cols=None, variables="s"):
-    """A document matrix in s alone as ``f(s)``, which raises ``NonFinite``
-    naming the field and s where a value is not finite."""
+    """A document matrix in s alone as ``f(s)``, read at the one time
+    ``t = 0``, which raises ``NonFinite`` naming the field and s where a
+    value is not finite."""
     fun = _coefficient(spec, where, rows, cols, variables)
 
     def at(s):
-        value = fun(s, 0.0)
+        value = fun(s, np.zeros(1))[0]
         if not np.all(np.isfinite(value)):
             raise NonFinite(f"{where}(s={s:.6g}) is not finite")
         return value
@@ -457,8 +441,7 @@ def _boundary_from(doc, m, kind):
             frame = _s_matrix(frame, "boundary.r_subspace", 2 * m, variables="")(0.0)
         return odebvp.w_of_r(frame, m=m)
     rows = 2 * m if kind == "first_order" else 4 * m
-    fun = _s_matrix(boundary["w_path"], "boundary.w_path", rows)
-    return lambda s: core.subspace_from_span(fun(s))
+    return _s_matrix(boundary["w_path"], "boundary.w_path", rows)
 
 
 def scenario_from_document(doc, default_name):
@@ -550,8 +533,8 @@ def cmd_verify(args):
             print(f"{rep.name}: error: {rep.error}", file=sys.stderr)
         elif not rep.agree:
             status = max(status, 1)
-            print(f"{rep.name}: DISAGREE sf={rep.sf} mas={rep.mas}",
-                  file=sys.stderr)
+            found = " ".join(f"{key}={value}" for key, value in rep.integers.items())
+            print(f"{rep.name}: DISAGREE {found}", file=sys.stderr)
         else:
             left = f"sf={rep.sf} " if rep.sf is not None else ""
             print(f"{rep.name}: {left}mas={rep.mas} agree "

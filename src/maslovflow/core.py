@@ -477,6 +477,18 @@ def stacked(arrays, exc, what):
     return np.stack(arrays)
 
 
+def as_path(value, cls, build):
+    """``value`` as a function of s returning a ``cls``: a ``cls``, what
+    ``build`` turns into one, or a callable of s returning either."""
+    def coerce(v):
+        return v if isinstance(v, cls) else build(v)
+
+    if callable(value):
+        return lambda s: coerce(value(s))
+    fixed = coerce(value)
+    return lambda s: fixed
+
+
 def require_nonsingular(sv, exc, name):
     """Raise ``exc`` when a matrix is numerically singular, that is when
     sigma_min <= 1e-12 sigma_max.

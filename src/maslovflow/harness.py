@@ -57,7 +57,8 @@ class Scenario:
 class VerificationReport:
     """Outcome of one scenario: its two integers (``sf`` is None for a pair
     path), whether they agree, the worst numerical residuals seen, and the
-    crossing reports of both pipelines, keyed as in :func:`pipelines`."""
+    integer and crossing report of each pipeline, keyed as in
+    :func:`pipelines`."""
 
     name: str
     kind: str
@@ -69,6 +70,7 @@ class VerificationReport:
     )
     wall_ms: float = 0.0
     error: Optional[str] = None
+    integers: dict = field(default_factory=dict)
     flow_reports: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -129,10 +131,9 @@ def run_scenario(sc):
     report = VerificationReport(name=sc.name, kind=sc.kind)
     try:
         results = {key: run() for key, run in pipelines(sc).items()}
-        (first, _), (second, _) = results.values()
-        sf = results["sf"][0] if "sf" in results else None
-        mas, mas_rep = results["mas"]
-        report.sf, report.mas, report.agree = sf, mas, first == second
+        report.integers = {key: value for key, (value, _) in results.items()}
+        sf, (mas, mas_rep) = report.integers.get("sf"), results["mas"]
+        report.sf, report.mas, report.agree = sf, mas, len(set(report.integers.values())) == 1
         report.residuals = {
             "transport": float(mas_rep.extras.get("transport_residual", 0.0)),
             "lagrangian": float(mas_rep.extras.get("isotropy_residual", 0.0)),

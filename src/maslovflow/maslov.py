@@ -35,6 +35,7 @@ import scipy.linalg as la
 from . import core
 from .core import (
     Subspace,
+    as_path,
     boxplus,
     boxplus_subspace,
     diagonal_subspace,
@@ -57,18 +58,6 @@ from .errors import (
 from .flow import eigenphases, flow_from_sampler, unit_circle_residual
 
 
-def _as_fun(value, cls, build):
-    """``value`` as a function of s returning a ``cls``: a ``cls``, what
-    ``build`` turns into one, or a callable of s returning either."""
-    def coerce(v):
-        return v if isinstance(v, cls) else build(v)
-
-    if callable(value):
-        return lambda s: coerce(value(s))
-    fixed = coerce(value)
-    return lambda s: fixed
-
-
 @dataclass
 class PairPath:
     """A path of Lagrangian pairs: s -> (space, lambda, mu) on an interval.
@@ -83,8 +72,8 @@ class PairPath:
 
     @staticmethod
     def from_parts(j, lam, mu, interval):
-        jf = _as_fun(j, core.SymplecticSpace, make_space)
-        lf, mf = (_as_fun(sub, Subspace, subspace_from_span) for sub in (lam, mu))
+        jf = as_path(j, core.SymplecticSpace, make_space)
+        lf, mf = (as_path(sub, Subspace, subspace_from_span) for sub in (lam, mu))
         return PairPath(sampler=lambda s: (jf(s), lf(s), mf(s)), interval=tuple(interval))
 
     def _mapped(self, transform):
@@ -114,7 +103,7 @@ class PairPath:
         """Transport the whole path by an invertible map (constant or
         callable in s): the form becomes L^{-*} J L^{-1} and subspaces move
         by L, which changes nothing about the index."""
-        lfun = l if callable(l) else (lambda s, _l=np.asarray(l, dtype=complex): _l)
+        lfun = as_path(l, np.ndarray, np.asarray)
 
         def transform(s, space, lam, mu):
             lmat = np.asarray(lfun(s), dtype=complex)
@@ -282,7 +271,7 @@ def _check_real_lagrangian(j, frame, what):
     m = frame.shape[1]
     orth = np.abs(frame.T @ frame - np.eye(m)).max()
     iso = np.abs(frame.T @ j @ frame).max()
-    if orth > 1e-8 or iso > 1e-8:
+    if not (orth <= 1e-8 and iso <= 1e-8):
         raise NotLagrangianReal(
             f"{what}: orthonormality residual {orth:.3e}, isotropy residual {iso:.3e}"
         )
@@ -305,7 +294,7 @@ def real_generator(j, lam_frame, mu_frame):
     b = (j @ q).T @ mfr
     t = b - 1j * a
     tt = t.conj().T @ t
-    if np.abs(tt.imag).max() > 1e-8:
+    if not np.abs(tt.imag).max() <= 1e-8:
         raise NotLagrangianReal(
             f"T*T has imaginary part {np.abs(tt.imag).max():.3e}; frames are not a Lagrangian pair"
         )
@@ -339,9 +328,9 @@ def complexify_and_compare(data, opts=None):
     """
     j = np.asarray(data.j, dtype=float)
     n = j.shape[0]
-    if np.abs(j + j.T).max() > 1e-10:
+    if not np.abs(j + j.T).max() <= 1e-10:
         raise NotSkewHermitian("real structure matrix must satisfy J^T = -J")
-    if np.abs(j @ j + np.eye(n)).max() > 1e-10:
+    if not np.abs(j @ j + np.eye(n)).max() <= 1e-10:
         raise Degenerate("real structure matrix must satisfy J^2 = -I")
     q = _check_real_lagrangian(j, data.lam, "lambda frame")
 

@@ -61,6 +61,7 @@ import scipy.linalg as la
 from .core import (
     TAU_RANK,
     Subspace,
+    as_path,
     make_space,
     orthogonal_complement,
     require_count,
@@ -80,9 +81,9 @@ from .errors import (
     WindowBoundaryEigenvalue,
 )
 from .flow import FlowOpts, flow_from_sampler
-from .maslov import PairPath, _as_fun, maslov_index
+from .maslov import PairPath, maslov_index
 
-TOL_ODE = 1e-8  # symplectic transport budget at the default 2048 steps
+TOL_ODE = 1e-8  # symplectic transport budget; the sweep suites enforce it at 1024 steps
 # ``maslov_long`` refines its grid until its transport residual is below this
 # margin: the Maslov engine's unitarity check refused a t-path whose worst
 # checkpoint residual was 8.0e-9, inside TOL_ODE.
@@ -460,15 +461,10 @@ def w_of_r(r, m=None):
     if two_m % 2:
         raise ValueError("R must live in C^{2m}")
     mm = two_m // 2
-    rperp = orthogonal_complement(rsub)
-    cols = []
-    for i in range(rperp.dim):
-        rho = rperp.frame[:, i]
-        cols.append(np.concatenate([rho[:mm], np.zeros(mm), -rho[mm:], np.zeros(mm)]))
-    for i in range(rsub.dim):
-        sig = rsub.frame[:, i]
-        cols.append(np.concatenate([np.zeros(mm), sig[:mm], np.zeros(mm), sig[mm:]]))
-    return subspace_from_span(np.column_stack(cols))
+    rho, sig = orthogonal_complement(rsub).frame, rsub.frame
+    zr, zs = np.zeros((mm, rho.shape[1])), np.zeros((mm, sig.shape[1]))
+    return subspace_from_span(np.block([[rho[:mm], zs], [zr, sig[:mm]],
+                                        [-rho[mm:], zs], [zr, sig[mm:]]]))
 
 
 # ---------------------------------------------------------------------------
@@ -647,14 +643,16 @@ def eigen_count(fam, s, w, window, steps=2048):
     parameter s inside a real window.
 
     An eigenvalue is a shooting parameter where the graph of the fundamental
-    solution meets the boundary subspace ``w``, a zero of det F for the
-    Evans matrix F(lambda) = frame(w)^perp* @ [I; Gamma(lambda)].  On the
-    window, Gamma is replaced by its certified Chebyshev interpolant, which
-    makes F a matrix polynomial; every root of it comes from one eigensolve
-    of its colleague pencil, and a winding number of det F checks their
-    count.  A window too wide to certify is halved until each piece is.
-    Every root is verified on the exactly integrated transfer matrix, and
-    its multiplicity is the dimension of the intersection there.
+    solution meets the boundary subspace W, a zero of det F for the Evans
+    matrix F(lambda) = frame(W)^perp* @ [I; Gamma(lambda)].  ``w`` is W as
+    every pipeline takes it: a Subspace, a spanning frame, or a path of
+    either in s, read here at ``s``.  On the window, Gamma is replaced by
+    its certified Chebyshev interpolant, which makes F a matrix polynomial;
+    every root of it comes from one eigensolve of its colleague pencil, and
+    a winding number of det F checks their count.  A window too wide to
+    certify is halved until each piece is.  Every root is verified on the
+    exactly integrated transfer matrix, and its multiplicity is the
+    dimension of the intersection there.
 
     Returns a sorted list of ``(lambda, multiplicity)`` pairs.
 
@@ -670,7 +668,7 @@ def eigen_count(fam, s, w, window, steps=2048):
     RootCluster
         If two distinct roots are closer than 10x the root tolerance.
     DimensionMismatch
-        If ``w`` is not a d-dimensional subspace of C^{2d}, d the system size.
+        If W is not a d-dimensional subspace of C^{2d}, d the system size.
     ValueError
         If the window is not finite or not ``lo < hi``.
     """
@@ -678,6 +676,7 @@ def eigen_count(fam, s, w, window, steps=2048):
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
         raise ValueError(f"window must be finite and non-empty, got {window}")
     system = _system(fam, s, steps)
+    w = as_path(w, Subspace, subspace_from_span)(s)
     wperp = _boundary_perp(w, system.d)
     ends = system.propagate([lo, hi])
     if _graph_detector(wperp, ends).min() < _ACCEPT:
@@ -757,19 +756,19 @@ def sf_bvp(fam, w_path, opts=None):
     edge is never counted and needs no check.  The resulting coordinate
     lists feed the same adaptive crossing engine used everywhere else.
 
+    ``w_path`` is a Subspace, a spanning frame, or a path of either in s.
     Returns ``(integer, CrossingReport)``; the report's samples double as
     the eigenvalue river (``report.write_trace(path, prefix="lambda")``).
     """
     opts = opts or BvpOpts()
-    wfun = _as_fun(w_path, Subspace, subspace_from_span)
+    wfun = as_path(w_path, Subspace, subspace_from_span)
     r0 = float(opts.lambda_window)
 
     def coords(s):
         system = _system(fam, s, opts.steps)
         roots = _eigen_count_system(system, wfun(s), (-r0, r0))
         vals = [lam for lam, mult in roots for _ in range(mult)]
-        c = np.array([v for v in vals if abs(v) <= 0.6 * r0], dtype=float)
-        return c
+        return np.array([v for v in vals if abs(v) <= 0.6 * r0], dtype=float)
 
     return flow_from_sampler(lambda ss: [coords(s) for s in ss], opts.interval, opts, scale=r0)
 
@@ -778,12 +777,13 @@ def mas_bvp(fam, w_path, opts=None):
     """Maslov index of the boundary pair path s -> (graph(Gamma_s(T)), W_s).
 
     The graph of the fundamental solution at lambda = 0 and the boundary
-    condition subspace are compared inside the boundary symplectic space;
-    the report's extras carry the worst symplectic-transport residual seen,
-    alongside the isotropy/unit-circle residuals from the Maslov engine.
+    condition subspace (``w_path`` as ``sf_bvp`` takes it) are compared
+    inside the boundary symplectic space; the report's extras carry the
+    worst symplectic-transport residual seen, alongside the
+    isotropy/unit-circle residuals from the Maslov engine.
     """
     opts = opts or BvpOpts()
-    wfun = _as_fun(w_path, Subspace, subspace_from_span)
+    wfun = as_path(w_path, Subspace, subspace_from_span)
     stats = {"transport_residual": 0.0}
 
     def sampler(s):
@@ -803,7 +803,8 @@ def maslov_long(fam, s, w, opts=None):
     """The Maslov-type index i_W of the t-path of solution graphs.
 
     For a second-order family at fixed s, runs the Maslov index of
-    ``t -> (graph(Gamma_s(t)), W)`` in (C^{4m}, diag(-J, J)) over the whole
+    ``t -> (graph(Gamma_s(t)), W)`` in (C^{4m}, diag(-J, J)), W being ``w``
+    (taken as ``eigen_count`` takes it, at ``s``), over the whole
     interval [0, T] (the appendix endpoint convention absorbs the maximal
     intersection at t = 0).  t snaps to the grid of one checkpointed
     propagation, which the crossing engine tolerates since only window
@@ -817,7 +818,7 @@ def maslov_long(fam, s, w, opts=None):
         raise TypeError("maslov_long expects a SecondOrderFamily")
     opts = opts or BvpOpts()
     bspace = boundary_space(fam, s)
-    wsub = w if isinstance(w, Subspace) else subspace_from_span(w)
+    wsub = as_path(w, Subspace, subspace_from_span)(s)
     steps = int(opts.steps)
     for refinement in range(_TRANSPORT_REFINEMENTS + 1):
         system = _system(fam, s, steps)

@@ -175,14 +175,37 @@ J_IN_T = [[[[0, 1], [0, 0]], [[0, 0], [0, -1]]]] * 2  # the PAIR j at t = 0, 1
         (dict(ROT, expected={"mas": 1, "provenance": "no sf"}), "expected:"),
         (dict(PAIR, T=1.0), "'T' does not apply"),
         (dict(PAIR, interval=[1.0, 1.0]), "interval: need a < b"),
+        (dict(ROT, b={"samples": {"t": [0.0, 1.0], "values": [[0.0], [0.0]]}}),
+         "b: samples values have 2 axes, expected 3"),
     ],
     ids=["r_subspace-in-s", "pair-lam-in-t", "pair-j-t-axis", "w_path-rows",
          "pair-mu-cols", "ragged-rows", "axis-not-increasing", "axis-length",
-         "empty-samples", "expected-without-sf", "pair-T", "empty-interval"],
+         "empty-samples", "expected-without-sf", "pair-T", "empty-interval",
+         "values-axes"],
 )
 def test_exit_3_names_the_field(tmp_path, doc, field, capsys):
     assert cli.main(["verify", write(tmp_path, doc)]) == 3
     assert capsys.readouterr().err.startswith(f"error: {field}")
+
+
+@pytest.mark.parametrize("doc, module, name, line", [
+    (dict(ROT, name="rot"), "odebvp", "sf_bvp", "rot: DISAGREE sf=2 mas=1"),
+    ({k: v for k, v in PAIR.items() if k != "expected"} | {"name": "pair"},
+     "maslov", "maslov_index_block", "pair: DISAGREE mas=1 mas_block=2"),
+], ids=["bvp", "pair-path"])
+def test_a_disagreement_names_the_integer_of_each_pipeline(doc, module, name, line, tmp_path,
+                                                          monkeypatch, capsys):
+    # one pipeline is made to count one more than it finds
+    target = getattr(cli, module)
+    run = getattr(target, name)
+
+    def one_more(*args):
+        value, rep = run(*args)
+        return value + 1, rep
+
+    monkeypatch.setattr(target, name, one_more)
+    assert cli.main(["verify", write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_number_and_pair_entries_match_their_expression_twins(tmp_path):
@@ -288,6 +311,7 @@ def test_exit_3_on_unreadable_inputs(tmp_path, capsys):
     broken.write_text("{\"kind\":")
     assert cli.main(["verify", str(broken)]) == 3
     assert cli.main(["verify", "@S9"]) == 3
+    assert cli.main(["verify", "@S4", "--out", "/dev/null/x"]) == 3
     capsys.readouterr()
 
 
@@ -356,6 +380,10 @@ def test_seventeen_digit_floats():
     assert '"x": 0.10000000000000001' in text
     assert '"n": 3' in text
     json.loads(text)
+    # a failed sweep trial's worst residual is inf; empty containers stay inline
+    text = cli._json_render({"worst_residual": float("inf"), "d": {}, "l": []})
+    assert json.loads(text) == {"worst_residual": None, "d": {}, "l": []}
+    assert '"d": {}' in text and '"l": []' in text
 
 
 def test_sampled_coefficient_matches_expression():
@@ -367,16 +395,16 @@ def test_sampled_coefficient_matches_expression():
     assert fun(0.37, tt).shape == (9, 1, 1)
     got = fun(0.37, tt)[:, 0, 0]
     npt.assert_allclose(got, 0.37 * (2.0 * tt - 1.0), atol=1e-15)
-    # scalar t and out-of-range clamping
-    assert fun(0.5, 0.5)[0, 0] == pytest.approx(0.0)
-    npt.assert_allclose(fun(2.0, 2.0)[0, 0], 1.0)  # clamped to the corner
+    # one-point t-arrays and out-of-range clamping
+    assert fun(0.5, np.array([0.5]))[0, 0, 0] == pytest.approx(0.0)
+    npt.assert_allclose(fun(2.0, np.array([2.0]))[0, 0, 0], 1.0)  # clamped to the corner
 
 
 def test_sampled_coefficient_complex_entries():
     samples = {"t": [0.0, 1.0], "values": [[[[0.0, 1.0]]], [[[0.0, -1.0]]]]}
     fun = cli._coefficient({"samples": samples}, "j", 1, 1)
-    npt.assert_allclose(fun(0.0, 0.5)[0, 0], 0.0 + 0j, atol=1e-15)
-    npt.assert_allclose(fun(0.0, 0.0)[0, 0], 1j)
+    npt.assert_allclose(fun(0.0, np.array([0.5]))[0, 0, 0], 0.0 + 0j, atol=1e-15)
+    npt.assert_allclose(fun(0.0, np.array([0.0]))[0, 0, 0], 1j)
 
 
 def test_sampled_document_runs(tmp_path):

@@ -271,6 +271,20 @@ def test_graph_rep_rejects_non_lagrangian():
         core.graph_rep(sp, bad)
 
 
+@pytest.mark.parametrize("call, exc", [
+    (lambda: core.make_splitting(std_space(), metric=np.eye(3)), DimensionMismatch),
+    (lambda: core.graph_rep(core.make_splitting(std_space()), core.subspace_from_span(np.eye(2))),
+     NotLagrangian),
+    (lambda: core.annihilator(std_space(), core.subspace_from_span(np.eye(4)[:, :2])),
+     DimensionMismatch),
+    (lambda: core.pair_index(std_space(), core.subspace_from_span(np.eye(4)[:, :2]),
+                             core.subspace_from_span(np.eye(2)[:, :1])), DimensionMismatch),
+], ids=["metric-3x3-on-c2", "graph-rep-dim-2-in-c2", "annihilator-of-c4", "pair-index-of-c4"])
+def test_inputs_of_the_wrong_dimension_raise_typed_errors(call, exc):
+    with pytest.raises(exc):
+        call()
+
+
 def test_pair_unitary_intersections():
     space = std_space()
     sp = core.make_splitting(space)

@@ -84,6 +84,7 @@ def test_syntax_error_offset():
         ("s t", 2),
         ("1 $ 2", 2),
         ("--s", 1),
+        (3, 0),
     ],
 )
 def test_more_syntax_errors(src, offset):

@@ -251,6 +251,8 @@ def test_eigenphases_convention():
     npt.assert_allclose(ph, [np.pi])  # boundary phase lands at +pi
     with pytest.raises(NotUnitary):
         flow.eigenphases(np.array([[2.0]], dtype=complex))
+    assert flow.eigenphases(np.zeros((0, 0))).shape == (0,)
+    assert flow.unit_circle_residual(np.zeros((0, 0))) == 0.0
 
 
 def test_spectral_projection_diagonal():

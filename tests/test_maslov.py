@@ -1,13 +1,20 @@
 """Maslov index of Lagrangian pair paths; product/real-category identities."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from maslovflow import core, flow, harness, maslov
-from maslovflow.errors import BadMetric, DimensionMismatch, NotLagrangian, NotLagrangianReal
+from maslovflow.errors import (
+    BadMetric,
+    DimensionMismatch,
+    NotLagrangian,
+    NotLagrangianReal,
+    NotSkewHermitian,
+)
 from maslovflow.flow import FlowOpts
 
 STD2 = np.array([[1j, 0], [0, -1j]])
@@ -178,6 +185,26 @@ def test_real_frames_validated():
     )
     with pytest.raises(NotLagrangianReal):
         maslov.complexify_and_compare(bad)
+
+
+NAN_FRAME = np.array([[np.nan], [0.0]])
+
+
+@pytest.mark.parametrize("part, bad, exc, message", [
+    ("mu_path", lambda s: NAN_FRAME, NotLagrangianReal, "mu frame at s="),
+    ("lam", NAN_FRAME, NotLagrangianReal, "lambda frame"),
+    ("j", np.array([[0.0, -1.0], [1.0, np.nan]]), NotSkewHermitian, "real structure matrix"),
+], ids=["mu", "lambda", "j"])
+def test_a_nan_in_the_real_bridge_raises_a_typed_error_naming_the_field(part, bad, exc, message):
+    data = line_rotation_data()
+    with pytest.raises(exc, match=message):
+        maslov.complexify_and_compare(replace(data, **{part: bad}))
+
+
+def test_real_generator_refuses_a_nan_frame():
+    data = line_rotation_data()
+    with pytest.raises(NotLagrangianReal):
+        maslov.real_generator(data.j, data.lam, NAN_FRAME)
 
 
 def test_from_parts_evaluates_a_form_path_once_per_sample():

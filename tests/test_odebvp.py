@@ -340,6 +340,32 @@ def test_a_boundary_subspace_in_the_wrong_ambient_space_raises(shape, entry):
         run()
 
 
+@pytest.mark.parametrize("form", [lambda w: w, lambda w: w.frame, lambda w: (lambda s: w),
+                                  lambda w: (lambda s: w.frame)],
+                         ids=["subspace", "frame", "path", "frame-path"])
+def test_every_entry_point_takes_w_as_a_subspace_a_frame_or_a_path(form):
+    stock = {sc.name: sc for sc in harness.builtin_scenarios()}
+    fam, w = stock["S5"].build()
+    roots = odebvp.eigen_count(fam, 0.3, form(w), (-0.9, 0.8), steps=64)
+    assert roots == odebvp.eigen_count(fam, 0.3, w, (-0.9, 0.8), steps=64)
+    assert [mult for _, mult in roots] == [1] and roots[0][0] == pytest.approx(1.0 / 30.0)
+    fam, w = stock["S2"].build()
+    opts = odebvp.BvpOpts(steps=64)
+    assert odebvp.maslov_long(fam, 0.5, form(w), opts)[0] == -1
+    assert odebvp.sf_bvp(fam, form(w), opts)[0] == odebvp.mas_bvp(fam, form(w), opts)[0] == -1
+
+
+@pytest.mark.parametrize("run", [
+    lambda fam: odebvp.transfer_matrix(object(), 0.5),
+    lambda fam: odebvp.maslov_long(fam, 0.5, core.diagonal_subspace(1)),
+    lambda fam: odebvp.index_difference_check(fam, None),
+], ids=["transfer_matrix", "maslov_long", "index_difference_check"])
+def test_entry_points_refuse_a_family_of_the_wrong_kind(run):
+    fam = first_order(1, 1.0, const_coeff(1j * np.eye(1)), const_coeff(np.eye(1)))
+    with pytest.raises(TypeError):
+        run(fam)
+
+
 @pytest.mark.parametrize("opts, kw", [
     (flow.FlowOpts, {"initial_segments": 0}),
     (flow.FlowOpts, {"max_depth": -1}),
@@ -669,6 +695,12 @@ def test_w_of_r_is_always_lagrangian():
     # A 1-D array is one spanning vector, the same R as its column.
     column = odebvp.w_of_r(np.ones((2 * m, 1)), m=m)
     assert core.equal_subspaces(cases["1-D line"], column)
+
+
+@pytest.mark.parametrize("r, m", [(None, None), (np.eye(3), None)], ids=["no-m", "odd-ambient"])
+def test_w_of_r_needs_positions_in_c_2m(r, m):
+    with pytest.raises(ValueError):
+        odebvp.w_of_r(r, m)
 
 
 def test_graph_subspace_is_lagrangian():

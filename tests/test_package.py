@@ -1,5 +1,6 @@
 """The package namespace, and the demo scripts that import from it."""
 
+import importlib
 import runpy
 import sys
 import types
@@ -9,7 +10,8 @@ import pytest
 
 import maslovflow
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 def test_the_package_binds_only_its_submodules():
@@ -20,6 +22,16 @@ def test_the_package_binds_only_its_submodules():
               if not name.startswith("_")}
     assert [name for name, value in public.items()
             if not isinstance(value, types.ModuleType)] == []
+
+
+def test_the_console_script_names_a_callable():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"maslovflow": "maslovflow.cli:main"}
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))
 
 
 @pytest.mark.parametrize("script, args", [
