@@ -39,7 +39,7 @@ def main():
 
     sf, sf_rep = odebvp.sf_bvp(fam, w_path, opts)
     mas, _ = odebvp.mas_bvp(fam, w_path, opts)
-    sf_rep.write_trace(args.out, prefix="lambda")
+    sf_rep.write_trace(args.out)
     print(f"sf={sf} mas={mas} -> {'agree' if sf == mas else 'DISAGREE'}")
     print(f"eigenvalue river written to {args.out} "
           f"({len(sf_rep.samples)} stations)")

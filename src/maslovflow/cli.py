@@ -427,6 +427,9 @@ def _expected_from(doc, kind):
     if kind != "pair_path" and sf is None:
         raise ConfigError("expected: differential-equation kinds pin both "
                           "integers; add \"sf\"")
+    if kind == "pair_path" and sf is not None:
+        raise ConfigError("expected.sf: a pair path has no spectral flow; "
+                          "omit it or set it to null")
     return harness.Expected(sf=sf, mas=exp["mas"], provenance=exp["provenance"])
 
 
@@ -507,26 +510,17 @@ def _load(ref):
 # --------------------------------------------------------------------------
 # commands
 
-def _trace_prefix(key):
-    """CSV column prefix of a pipeline's trace: eigenvalues or coordinates."""
-    return "lambda" if key == "sf" else "coord"
-
-
-def _write_report_files(outdir, rep):
-    os.makedirs(outdir, exist_ok=True)
-    _write_json(os.path.join(outdir, f"{rep.name}.json"), rep.to_dict())
-    for key, frep in rep.flow_reports.items():
-        frep.write_trace(os.path.join(outdir, f"{rep.name}_{key}.csv"),
-                         prefix=_trace_prefix(key))
-
-
 def cmd_verify(args):
     scenarios = [_load(ref) for ref in args.config]
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     status = 0
     for sc in scenarios:
         rep = harness.run_scenario(sc)
         if args.out:
-            _write_report_files(args.out, rep)
+            _write_json(os.path.join(args.out, f"{rep.name}.json"), rep.to_dict())
+            for key, frep in rep.flow_reports.items():
+                frep.write_trace(os.path.join(args.out, f"{rep.name}_{key}.csv"))
         if rep.error is not None:
             code = 2 if rep.error.startswith("UnresolvedFamily") else 1
             status = max(status, code)
@@ -542,19 +536,18 @@ def cmd_verify(args):
     return status
 
 
-def _run_pipeline(ref, key, missing):
-    """Load a scenario and run its ``key`` pipeline, or raise ``missing``."""
-    sc = _load(ref)
+def _run_pipeline(sc, key, missing):
+    """Run the scenario's ``key`` pipeline, or raise ``missing``."""
     runs = harness.pipelines(sc)
     if key not in runs:
         raise ConfigError(missing)
-    return sc, runs[key]()
+    return runs[key]()
 
 
 def cmd_index(args):
     """``sf`` and ``maslov``: print the integer of one pipeline."""
-    _, (value, _) = _run_pipeline(
-        args.config, args.pipeline, "sf needs a differential-equation "
+    value, _ = _run_pipeline(
+        _load(args.config), args.pipeline, "sf needs a differential-equation "
         "problem; a pair path only has a Maslov index")
     print(int(value))
     return 0
@@ -562,13 +555,14 @@ def cmd_index(args):
 
 def cmd_trace(args):
     key = "sf" if args.what == "eigenvalues" else "mas"
-    sc, (_, rep) = _run_pipeline(
-        args.config, key, "a pair path has no eigenvalue river; use --what "
-        "eigenphases")
+    sc = _load(args.config)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
+    _, rep = _run_pipeline(
+        sc, key, "a pair path has no eigenvalue river; use --what "
+        "eigenphases")
     path = os.path.join(outdir, f"{sc.name}_{args.what}.csv")
-    rep.write_trace(path, prefix=_trace_prefix(key))
+    rep.write_trace(path)
     print(path)
     return 0
 
@@ -580,6 +574,8 @@ def cmd_sweep(args):
         raise ConfigError(f"--dims: expected comma-separated integers, "
                           f"got {args.dims!r}") from exc
     suites = args.suites.split(",") if args.suites else None
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     try:
         summary = harness.property_sweep(args.seed, args.trials, dims=dims,
                                          suites=suites)
@@ -596,7 +592,6 @@ def cmd_sweep(args):
           f"dims {','.join(str(d) for d in summary.dims)}: "
           + ("all passed" if summary.all_passed else "FAILURES"))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "sweep.json"), summary.to_dict())
     return 0 if summary.all_passed else 1
 

@@ -86,11 +86,13 @@ class SegmentRecord:
 
 @dataclass
 class CrossingReport:
-    """Everything needed to audit a flow computation."""
+    """Everything needed to audit a flow computation.  ``coordinate`` names
+    what the samples are: ``"lambda"`` for eigenvalues, else ``"coord"``."""
 
     segments: list = field(default_factory=list)
     samples: dict = field(default_factory=dict)  # s -> coordinate array
     extras: dict = field(default_factory=dict)  # residuals etc., per computation
+    coordinate: str = "coord"
 
     @property
     def partition(self):
@@ -100,16 +102,14 @@ class CrossingReport:
             pts.add(seg.s_right)
         return sorted(pts)
 
-    def write_trace(self, path, prefix="coord"):
-        """Dump every sampled coordinate list as CSV: s, coord_1, ...
-
-        (The eigenvalue-river variant uses ``prefix="lambda"``.)
-        """
+    def write_trace(self, path):
+        """Dump every sampled coordinate list as CSV: s, coord_1, ...,
+        the columns named after ``coordinate``."""
         items = sorted(self.samples.items())
         width = max((len(c) for _, c in items), default=0)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["s"] + [f"{prefix}_{i + 1}" for i in range(width)])
+            writer.writerow(["s"] + [f"{self.coordinate}_{i + 1}" for i in range(width)])
             for s, coords in items:
                 row = [f"{s:.17g}"] + [f"{c:.17g}" for c in coords]
                 row += [""] * (width - len(coords))

@@ -55,23 +55,35 @@ class Scenario:
 
 @dataclass
 class VerificationReport:
-    """Outcome of one scenario: its two integers (``sf`` is None for a pair
-    path), whether they agree, the worst numerical residuals seen, and the
-    integer and crossing report of each pipeline, keyed as in
-    :func:`pipelines`."""
+    """Outcome of one scenario: each pipeline's integer and crossing report,
+    keyed as in :func:`pipelines`, off which ``sf`` (None for a pair path),
+    ``mas``, ``agree`` and the ``"mas"`` pipeline's residuals are read."""
 
     name: str
     kind: str
-    sf: Optional[int] = None
-    mas: Optional[int] = None
-    agree: bool = False
-    residuals: dict = field(
-        default_factory=lambda: {"transport": 0.0, "lagrangian": 0.0, "unitary": 0.0}
-    )
     wall_ms: float = 0.0
     error: Optional[str] = None
     integers: dict = field(default_factory=dict)
     flow_reports: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def sf(self):
+        return self.integers.get("sf")
+
+    @property
+    def mas(self):
+        return self.integers.get("mas")
+
+    @property
+    def agree(self):
+        return len(set(self.integers.values())) == 1
+
+    @property
+    def residuals(self):
+        extras = self.flow_reports["mas"].extras if "mas" in self.flow_reports else {}
+        return {"transport": float(extras.get("transport_residual", 0.0)),
+                "lagrangian": float(extras.get("isotropy_residual", 0.0)),
+                "unitary": float(extras.get("unit_circle_residual", 0.0))}
 
     @property
     def partitions(self):
@@ -84,7 +96,7 @@ class VerificationReport:
             "sf": self.sf,
             "mas": self.mas,
             "agree": self.agree,
-            "residuals": dict(self.residuals),
+            "residuals": self.residuals,
             "partitions": {k: [float(s) for s in v] for k, v in self.partitions.items()},
             "wall_ms": self.wall_ms,
         }
@@ -132,19 +144,12 @@ def run_scenario(sc):
     try:
         results = {key: run() for key, run in pipelines(sc).items()}
         report.integers = {key: value for key, (value, _) in results.items()}
-        sf, (mas, mas_rep) = report.integers.get("sf"), results["mas"]
-        report.sf, report.mas, report.agree = sf, mas, len(set(report.integers.values())) == 1
-        report.residuals = {
-            "transport": float(mas_rep.extras.get("transport_residual", 0.0)),
-            "lagrangian": float(mas_rep.extras.get("isotropy_residual", 0.0)),
-            "unitary": float(mas_rep.extras.get("unit_circle_residual", 0.0)),
-        }
         report.flow_reports = {key: rep for key, (_, rep) in results.items()}
         exp = sc.expected
-        if exp is not None and (sf, mas) != (exp.sf, exp.mas):
+        if exp is not None and (report.sf, report.mas) != (exp.sf, exp.mas):
             report.error = (
                 f"pinned values ({exp.sf}, {exp.mas}) [{exp.provenance}] "
-                f"were not reproduced: got ({sf}, {mas})"
+                f"were not reproduced: got ({report.sf}, {report.mas})"
             )
     except Exception as exc:  # noqa: BLE001 -- recorded, not raised: batches must finish
         report.error = f"{type(exc).__name__}: {exc}"
@@ -156,16 +161,6 @@ def run_scenario(sc):
 # Built-in scenarios
 # ---------------------------------------------------------------------------
 
-def _scalar_coeff(fun):
-    """Lift a scalar function of (s, t) to a 1x1 matrix coefficient on a
-    t-array, ``(len(t), 1, 1)``."""
-
-    def coeff(s, t):
-        return np.broadcast_to(np.asarray(fun(s, t), dtype=complex), t.shape)[:, None, None]
-
-    return coeff
-
-
 def _rotating_boundary(s):
     return core.subspace_from_span(
         np.array([[1.0], [np.exp(2j * np.pi * s)]], dtype=complex)
@@ -176,8 +171,8 @@ def _s1_build():
     fam = odebvp.FirstOrderFamily(
         m=1,
         T=1.0,
-        j=_scalar_coeff(lambda s, t: 1j),
-        b=_scalar_coeff(lambda s, t: 0.0),
+        j=lambda s, t: np.full((1, 1), 1j),
+        b=lambda s, t: np.full((1, 1), 0.0),
     )
     return fam, _rotating_boundary
 
@@ -186,9 +181,9 @@ def _s2_build():
     fam = odebvp.SecondOrderFamily(
         m=1,
         T=float(np.pi),
-        p=_scalar_coeff(lambda s, t: 1.0),
-        q=_scalar_coeff(lambda s, t: 0.0),
-        r=_scalar_coeff(lambda s, t: -1.5 * s),
+        p=lambda s, t: np.full((1, 1), 1.0),
+        q=lambda s, t: np.full((1, 1), 0.0),
+        r=lambda s, t: np.full((1, 1), -1.5 * s),
     )
     return fam, odebvp.w_of_r(None, m=1)
 
@@ -197,8 +192,8 @@ def _s3_build():
     fam = odebvp.FirstOrderFamily(
         m=1,
         T=1.0,
-        j=_scalar_coeff(lambda s, t: 1j * (1.0 + 0.5 * s * np.sin(np.pi * t))),
-        b=_scalar_coeff(lambda s, t: s * np.cos(t)),
+        j=lambda s, t: (1j * (1.0 + 0.5 * s * np.sin(np.pi * t)))[:, None, None],
+        b=lambda s, t: (s * np.cos(t))[:, None, None],
     )
     return fam, _rotating_boundary
 
@@ -207,8 +202,8 @@ def _s4_build():
     fam = odebvp.FirstOrderFamily(
         m=1,
         T=1.0,
-        j=_scalar_coeff(lambda s, t: 1j),
-        b=_scalar_coeff(lambda s, t: 1.0),
+        j=lambda s, t: np.full((1, 1), 1j),
+        b=lambda s, t: np.full((1, 1), 1.0),
     )
     return fam, core.diagonal_subspace(1)
 
@@ -217,8 +212,8 @@ def _s5_build():
     fam = odebvp.FirstOrderFamily(
         m=1,
         T=1.0,
-        j=_scalar_coeff(lambda s, t: 1j),
-        b=_scalar_coeff(lambda s, t: (s - 1.0 / 3.0) * (1.0 + np.cos(2.0 * np.pi * t))),
+        j=lambda s, t: np.full((1, 1), 1j),
+        b=lambda s, t: ((s - 1.0 / 3.0) * (1.0 + np.cos(2.0 * np.pi * t)))[:, None, None],
     )
     return fam, core.diagonal_subspace(1)
 
@@ -388,7 +383,7 @@ def _random_second_order(rng, m):
         return eye + np.sin(np.asarray(t))[..., None, None] * p1
 
     def q(s, t):
-        return np.broadcast_to(0.4 * s * q1, np.shape(t) + (m, m))
+        return 0.4 * s * q1
 
     def r(s, t):
         return r1 + s * np.cos(2.0 * np.asarray(t))[..., None, None] * r2

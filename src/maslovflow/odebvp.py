@@ -669,6 +669,8 @@ def eigen_count(fam, s, w, window, steps=2048):
         If two distinct roots are closer than 10x the root tolerance.
     DimensionMismatch
         If W is not a d-dimensional subspace of C^{2d}, d the system size.
+    NonFinite
+        If the transfer matrix overflows at an end of the window.
     ValueError
         If the window is not finite or not ``lo < hi``.
     """
@@ -676,14 +678,15 @@ def eigen_count(fam, s, w, window, steps=2048):
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
         raise ValueError(f"window must be finite and non-empty, got {window}")
     system = _system(fam, s, steps)
-    w = as_path(w, Subspace, subspace_from_span)(s)
-    wperp = _boundary_perp(w, system.d)
+    wperp = _boundary_perp(as_path(w, Subspace, subspace_from_span)(s), system.d)
     ends = system.propagate([lo, hi])
+    if not np.all(np.isfinite(ends)):
+        raise NonFinite(f"transfer matrix overflows at the window ends ({lo:.6g}, {hi:.6g})")
     if _graph_detector(wperp, ends).min() < _ACCEPT:
         raise WindowBoundaryEigenvalue(
             f"detector at window endpoint(s) of ({lo:.6g}, {hi:.6g}) below margin"
         )
-    return _eigen_count_system(system, w, (lo, hi))
+    return _eigen_count_system(system, wperp, (lo, hi))
 
 
 def _boundary_perp(w, d):
@@ -695,12 +698,11 @@ def _boundary_perp(w, d):
     return orthogonal_complement(w).frame
 
 
-def _eigen_count_system(system, w, window):
-    """``eigen_count`` without its endpoint check, on a built system and a
-    window ``(lo, hi)`` that both callers have checked finite and non-empty."""
+def _eigen_count_system(system, wperp, window):
+    """``eigen_count`` past its endpoint check: a built system, the frame
+    ``wperp`` of W's complement and a window ``(lo, hi)`` checked finite and non-empty."""
     lo, hi = window
     tau_root = 1e-9 * (hi - lo)
-    wperp = _boundary_perp(w, system.d)
     found = np.array(_window_roots(system, wperp, lo, hi, 17))
     found = found[(lo <= found) & (found <= hi)]
     if not len(found):
@@ -758,7 +760,7 @@ def sf_bvp(fam, w_path, opts=None):
 
     ``w_path`` is a Subspace, a spanning frame, or a path of either in s.
     Returns ``(integer, CrossingReport)``; the report's samples double as
-    the eigenvalue river (``report.write_trace(path, prefix="lambda")``).
+    the eigenvalue river, its coordinate ``"lambda"``.
     """
     opts = opts or BvpOpts()
     wfun = as_path(w_path, Subspace, subspace_from_span)
@@ -766,11 +768,14 @@ def sf_bvp(fam, w_path, opts=None):
 
     def coords(s):
         system = _system(fam, s, opts.steps)
-        roots = _eigen_count_system(system, wfun(s), (-r0, r0))
+        roots = _eigen_count_system(system, _boundary_perp(wfun(s), system.d), (-r0, r0))
         vals = [lam for lam, mult in roots for _ in range(mult)]
         return np.array([v for v in vals if abs(v) <= 0.6 * r0], dtype=float)
 
-    return flow_from_sampler(lambda ss: [coords(s) for s in ss], opts.interval, opts, scale=r0)
+    total, report = flow_from_sampler(lambda ss: [coords(s) for s in ss], opts.interval, opts,
+                                      scale=r0)
+    report.coordinate = "lambda"
+    return total, report
 
 
 def mas_bvp(fam, w_path, opts=None):

@@ -123,9 +123,14 @@ def test_c5_index_difference_identity():
     assert out.agree
     assert out.sf == -1
 
+    # the drawn family has sf = 0 here; lowering r by 14 s I pushes two
+    # Dirichlet eigenvalues through zero, so a flow stuck at 0 cannot pass
     rng = np.random.default_rng(42)
     fam_r = harness._random_second_order(rng, 2)
+    r = fam_r.r
+    fam_r = replace(fam_r, r=lambda s, t: r(s, t) - 14.0 * s * np.eye(2))
     out_r = odebvp.index_difference_check(fam_r, None, odebvp.BvpOpts(steps=1024))
+    assert out_r.sf != 0
     assert out_r.agree
     _stamp("acceptance 5",
            f"S2: {out.sf} == {out.i_w_end} - ({out.i_w_start}); random "

@@ -173,6 +173,7 @@ J_IN_T = [[[[0, 1], [0, 0]], [[0, 0], [0, -1]]]] * 2  # the PAIR j at t = 0, 1
          "b: values axis 0 has length 2"),
         (dict(ROT, b={"samples": {"values": [[]]}}), "b: empty sample matrices"),
         (dict(ROT, expected={"mas": 1, "provenance": "no sf"}), "expected:"),
+        (dict(PAIR, expected={"sf": 1, "mas": 1, "provenance": "sf"}), "expected.sf"),
         (dict(PAIR, T=1.0), "'T' does not apply"),
         (dict(PAIR, interval=[1.0, 1.0]), "interval: need a < b"),
         (dict(ROT, b={"samples": {"t": [0.0, 1.0], "values": [[0.0], [0.0]]}}),
@@ -180,8 +181,8 @@ J_IN_T = [[[[0, 1], [0, 0]], [[0, 0], [0, -1]]]] * 2  # the PAIR j at t = 0, 1
     ],
     ids=["r_subspace-in-s", "pair-lam-in-t", "pair-j-t-axis", "w_path-rows",
          "pair-mu-cols", "ragged-rows", "axis-not-increasing", "axis-length",
-         "empty-samples", "expected-without-sf", "pair-T", "empty-interval",
-         "values-axes"],
+         "empty-samples", "expected-without-sf", "pair-expected-sf", "pair-T",
+         "empty-interval", "values-axes"],
 )
 def test_exit_3_names_the_field(tmp_path, doc, field, capsys):
     assert cli.main(["verify", write(tmp_path, doc)]) == 3
@@ -305,13 +306,22 @@ def test_name_cannot_leave_the_out_directory(tmp_path, name, capsys):
     assert list(tmp_path.rglob("*")) == [tmp_path / "cfg.json"]
 
 
-def test_exit_3_on_unreadable_inputs(tmp_path, capsys):
+def test_exit_3_on_unreadable_inputs(tmp_path, capsys, monkeypatch):
     assert cli.main(["verify", str(tmp_path / "missing.json")]) == 3
     broken = tmp_path / "broken.json"
     broken.write_text("{\"kind\":")
     assert cli.main(["verify", str(broken)]) == 3
     assert cli.main(["verify", "@S9"]) == 3
-    assert cli.main(["verify", "@S4", "--out", "/dev/null/x"]) == 3
+
+    # an unusable --out is found before any computation starts
+    def never(*args, **kwargs):
+        raise AssertionError("computed before the --out directory was made")
+
+    for name in ("run_scenario", "pipelines", "property_sweep"):
+        monkeypatch.setattr(cli.harness, name, never)
+    for argv in (["verify", "@S4"], ["trace", "@S4", "--what", "eigenvalues"],
+                 ["sweep", "--seed", "42", "--trials", "3"]):
+        assert cli.main(argv + ["--out", "/dev/null/x"]) == 3, argv
     capsys.readouterr()
 
 

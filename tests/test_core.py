@@ -225,6 +225,17 @@ def test_subspace_from_span_refuses_non_finite():
     assert core.subspace_from_span(np.zeros((3, 2))).dim == 0
 
 
+def test_a_zero_dimensional_subspace():
+    space = core.make_space(np.diag([1j, 1j, -1j, -1j]))
+    zero = core.subspace_from_span(np.zeros((4, 0)))
+    line = core.subspace_from_span(np.ones((4, 1)))
+    assert (zero.dim, zero.ambient_dim) == (0, 4)
+    assert core.intersection_dim(zero, line) == core.intersection_dim(line, zero) == 0
+    npt.assert_array_equal(core.annihilator(space, zero).frame, np.eye(4))
+    assert core.isotropy_residual(space, zero) == 0.0
+    assert core.pair_index(space, zero, zero) == core.PairIndex(dim_intersection=0, codim_sum=4)
+
+
 def test_classify_on_c4():
     space = core.make_space(np.kron(np.eye(2), STD2))
     e = np.eye(4)

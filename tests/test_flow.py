@@ -137,6 +137,20 @@ def test_truncated_ladder_drift():
     assert run(sampler, scale=0.35) == -3
 
 
+def test_circular_lists_that_change_length_are_unresolved():
+    # the truncated ladder read as eigenphases: angles are not matched
+    # across a change of count, so no segment with one is accepted
+    ks = np.arange(-10, 11, dtype=float)
+
+    def sampler(s):
+        c = 0.11 * (ks - 3.0 * s)
+        return c[np.abs(c) <= 0.35]
+
+    with pytest.raises(UnresolvedFamily):
+        flow.flow_from_sampler(batched(sampler), (0.0, 1.0), FlowOpts(max_depth=6),
+                               scale=0.35, circular=True)
+
+
 def test_jump_raises_unresolved():
     def sampler(s):
         return np.array([0.3 if s < 0.61803 else -0.3])

@@ -10,6 +10,7 @@ import pytest
 from maslovflow import core, flow, harness, maslov
 from maslovflow.errors import (
     BadMetric,
+    Degenerate,
     DimensionMismatch,
     NotLagrangian,
     NotLagrangianReal,
@@ -185,6 +186,8 @@ def test_real_frames_validated():
     )
     with pytest.raises(NotLagrangianReal):
         maslov.complexify_and_compare(bad)
+    with pytest.raises(Degenerate, match="J\\^2 = -I"):
+        maslov.complexify_and_compare(replace(data, j=2.0 * data.j))
 
 
 NAN_FRAME = np.array([[np.nan], [0.0]])

@@ -146,7 +146,7 @@ def test_root_on_a_piece_edge_is_counted_once():
     assert not odebvp._GammaEvaluator(system, -10.0, 10.0, 65).certified()
     pieces = odebvp._window_roots(system, core.orthogonal_complement(w).frame, -10.0, 10.0, 65)
     assert sum(abs(lam) < 1e-12 for lam in pieces) == 2
-    found = odebvp._eigen_count_system(system, w, (-10.0, 10.0))
+    found = odebvp._eigen_count_system(system, core.orthogonal_complement(w).frame, (-10.0, 10.0))
     assert [lam for lam, _ in found if abs(lam) < 1e-12] == [pytest.approx(0.0, abs=1e-12)]
     assert len(found) == 191
 
@@ -295,6 +295,14 @@ def test_eigen_count_window_boundary_raises():
     w = core.diagonal_subspace(1)
     with pytest.raises(WindowBoundaryEigenvalue):
         odebvp.eigen_count(fam, 0.0, w, (-1.0, 1.0))  # eigenvalue at -1 exactly
+
+
+def test_eigen_count_raises_non_finite_when_a_window_end_overflows():
+    # at lambda = -1e6 the S2 solutions grow like exp(1000 pi): the endpoint
+    # propagations overflow before any detector sees them
+    fam, w = {sc.name: sc for sc in harness.builtin_scenarios()}["S2"].build()
+    with np.errstate(all="ignore"), pytest.raises(NonFinite, match="window"):
+        odebvp.eigen_count(fam, 0.5, w, (-1e6, -1e6 + 1.0), steps=256)
 
 
 def test_sf_counts_nothing_from_an_eigenvalue_on_any_window_edge():
@@ -701,6 +709,12 @@ def test_w_of_r_is_always_lagrangian():
 def test_w_of_r_needs_positions_in_c_2m(r, m):
     with pytest.raises(ValueError):
         odebvp.w_of_r(r, m)
+
+
+def test_w_of_r_takes_r_as_a_subspace_or_its_frame():
+    frame = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 2.0]])
+    npt.assert_array_equal(odebvp.w_of_r(core.subspace_from_span(frame)).frame,
+                           odebvp.w_of_r(frame).frame)
 
 
 def test_graph_subspace_is_lagrangian():
