@@ -48,18 +48,10 @@ TAU_SYM = 1e-10
 TAU_UNIT = 1e-8
 
 
-def _as_complex_matrix(a):
-    m = np.asarray(a, dtype=complex)
-    if m.ndim == 1:
-        m = m[:, None]
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got array of ndim {m.ndim}")
-    return m
-
-
 @dataclass(frozen=True)
 class SymplecticSpace:
-    """C^n with a fixed invertible skew-Hermitian form matrix ``form``."""
+    """C^n with a fixed invertible skew-Hermitian form matrix ``form``, or
+    a stack of such spaces with a form stack ``(..., n, n)``."""
 
     form: np.ndarray
 
@@ -99,6 +91,9 @@ def make_space(j):
 
     Raises
     ------
+    DimensionMismatch
+        If ``j`` is not one square matrix (:func:`make_space_stack` takes
+        a stack).
     NotSkewHermitian
         If ``j* != -j`` beyond tolerance.
     Degenerate
@@ -107,6 +102,13 @@ def make_space(j):
     j = np.asarray(j, dtype=complex)
     if j.ndim != 2:
         raise DimensionMismatch(f"form matrix must be square, got shape {j.shape}")
+    return make_space_stack(j)
+
+
+def make_space_stack(j):
+    """:func:`make_space` for a form matrix or a stack ``(..., n, n)`` of
+    them, every member checked as :func:`make_space` checks one."""
+    j = np.asarray(j, dtype=complex)
     form = require_hermitian(j, "form", NotSkewHermitian, sign=-1)
     require_nonsingular(la.svdvals(j), Degenerate, "form")
     form.flags.writeable = False
@@ -132,19 +134,42 @@ class Subspace:
 def subspace_from_span(vectors):
     """Orthonormalize a spanning set into a :class:`Subspace`.
 
-    Rank decisions use column-pivoted QR with the relative threshold
-    ``TAU_RANK``; dependent columns are dropped, so the input may be
-    redundant.
+    For one matrix (or one vector), rank decisions use column-pivoted QR
+    with the relative threshold ``TAU_RANK``; dependent columns are
+    dropped, so the input may be redundant.  A stack ``(..., n, k)`` of
+    spanning sets is orthonormalized by one NumPy QR into a frame stack of
+    the same shape; its members share one dimension, so every member must
+    have rank k.
+
+    Raises
+    ------
+    NonFinite
+        If an entry is NaN or infinite.
+    Degenerate
+        If a member of a stack has rank below its column count k
+        (``|r_ii| <= TAU_RANK max_j |r_jj|`` in its QR).
+    DimensionMismatch
+        If ``vectors`` has no axes.
     """
-    a = _as_complex_matrix(vectors)
-    if a.shape[1] == 0:
-        return Subspace(frame=np.zeros((a.shape[0], 0), dtype=complex))
+    a = np.asarray(vectors, dtype=complex)
+    if a.ndim == 1:
+        a = a[:, None]
+    if a.ndim < 2:
+        raise DimensionMismatch(f"expected a matrix, got array of ndim {a.ndim}")
+    if a.shape[-1] == 0:
+        return Subspace(frame=np.zeros(a.shape, dtype=complex))
     if not np.all(np.isfinite(a)):
         raise NonFinite("spanning set holds a non-finite entry")
-    q, r, _ = la.qr(a, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.count_nonzero(diag > TAU_RANK * diag[0]))
-    q = q[:, :rank]
+    if a.ndim == 2:
+        q, r, _ = la.qr(a, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(r))
+        q = q[:, :int(np.count_nonzero(diag > TAU_RANK * diag[0]))]
+    else:
+        q, r = np.linalg.qr(a)
+        diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+        if a.shape[-1] > a.shape[-2] or not np.all(diag.min(-1) > TAU_RANK * diag.max(-1)):
+            raise Degenerate(f"a member of a stack of {a.shape[-1]}-vector spanning sets "
+                             f"has rank below {a.shape[-1]}")
     q.flags.writeable = False
     return Subspace(frame=q)
 
@@ -410,26 +435,31 @@ def normalize_metric(space):
 # ---------------------------------------------------------------------------
 
 def flip(space):
-    """The same coordinate space with the negated form."""
-    return make_space(-space.form)
+    """The same coordinate space with the negated form (of every member of
+    a stack)."""
+    return make_space_stack(-space.form)
 
 
 def boxplus(space1, space2):
     """Direct sum carrying ``omega_1 (+) (-omega_2)``: the natural home for
-    comparing two Lagrangians as a single one against the diagonal."""
-    n1, n2 = space1.dim, space2.dim
-    j = np.zeros((n1 + n2, n1 + n2), dtype=complex)
-    j[:n1, :n1] = space1.form
-    j[n1:, n1:] = -space2.form
-    return make_space(j)
+    comparing two Lagrangians as a single one against the diagonal.  Stacks
+    pair up member by member, and a single space joins every member."""
+    f1, f2 = space1.form, space2.form
+    n1, n2 = f1.shape[-1], f2.shape[-1]
+    j = np.zeros(np.broadcast_shapes(f1.shape[:-2], f2.shape[:-2]) + (n1 + n2, n1 + n2),
+                 dtype=complex)
+    j[..., :n1, :n1] = f1
+    j[..., n1:, n1:] = -f2
+    return make_space_stack(j)
 
 
 def boxplus_subspace(lam, mu):
-    """lam x mu inside the direct sum."""
+    """lam x mu inside the direct sum, member by member for stacks."""
     n1, n2 = lam.ambient_dim, mu.ambient_dim
-    f = np.zeros((n1 + n2, lam.dim + mu.dim), dtype=complex)
-    f[:n1, : lam.dim] = lam.frame
-    f[n1:, lam.dim:] = mu.frame
+    f = np.zeros(np.broadcast_shapes(lam.frame.shape[:-2], mu.frame.shape[:-2])
+                 + (n1 + n2, lam.dim + mu.dim), dtype=complex)
+    f[..., :n1, : lam.dim] = lam.frame
+    f[..., n1:, lam.dim:] = mu.frame
     return Subspace(frame=f)
 
 
@@ -475,6 +505,14 @@ def stacked(arrays, exc, what):
     if len(shapes) > 1:
         raise exc(f"{what} changes shape along the path: {sorted(shapes)}")
     return np.stack(arrays)
+
+
+def member(x, i):
+    """Member i of a stacked :class:`SymplecticSpace` or :class:`Subspace`;
+    a single one stands for every member and is returned as it is."""
+    if isinstance(x, SymplecticSpace):
+        return x if x.form.ndim == 2 else SymplecticSpace(form=x.form[i])
+    return x if x.frame.ndim == 2 else Subspace(frame=x.frame[i])
 
 
 def as_path(value, cls, build):

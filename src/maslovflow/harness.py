@@ -315,31 +315,35 @@ def _random_space(rng, n):
 
 
 def _lagrangian_from_unitary(splitting, u):
+    """The graph of u (or of each member of a stack of them) in the
+    splitting's frames."""
     return core.subspace_from_span(splitting.hframe_plus + splitting.hframe_minus @ u)
 
 
 def _unitary_path(rng, m):
+    """s -> u0 exp(i s H): one unitary at a float s, and the stack
+    ``(S, m, m)`` of them at an s-array, from one broadcast ``exp``."""
     u0 = _random_unitary(rng, m)
     w, v = nla.eigh(_random_hermitian(rng, m, scale=2.0))
 
     def at(s):
-        return u0 @ (v * np.exp(1j * s * w)) @ v.conj().T
+        phases = np.exp(1j * np.asarray(s)[..., None] * w)
+        return u0 @ (v * phases[..., None, :]) @ v.conj().T
 
     return at
 
 
 def _random_pair_path(rng, n):
+    """A constant random form with two Lagrangians moving as graphs of
+    unitary paths; the sampler builds both Lagrangian stacks by one QR."""
     space = _random_space(rng, n)
     splitting = core.make_splitting(space)
     ua = _unitary_path(rng, n // 2)
     ub = _unitary_path(rng, n // 2)
 
-    def sampler(s):
-        return (
-            space,
-            _lagrangian_from_unitary(splitting, ua(s)),
-            _lagrangian_from_unitary(splitting, ub(s)),
-        )
+    def sampler(ss):
+        both = _lagrangian_from_unitary(splitting, np.concatenate([ua(ss), ub(ss)])).frame
+        return space, core.Subspace(frame=both[:len(ss)]), core.Subspace(frame=both[len(ss):])
 
     return maslov.PairPath(sampler=sampler, interval=(0.0, 1.0))
 
@@ -491,11 +495,9 @@ def _suite_flipping(rng, dims):
     path = _random_pair_path(rng, n)
     fwd, _ = maslov.maslov_index(path)
     swp, _ = maslov.maslov_index(path.swapped())
-    a, b = path.interval
-    sp_a, lam_a, mu_a = path.sampler(a)
-    sp_b, lam_b, mu_b = path.sampler(b)
-    da = core.pair_index(sp_a, lam_a, mu_a).dim_intersection
-    db = core.pair_index(sp_b, lam_b, mu_b).dim_intersection
+    ends = path.sampler(np.array(path.interval))
+    da, db = (core.pair_index(*(core.member(x, i) for x in ends)).dim_intersection
+              for i in (0, 1))
     ok = fwd + swp == da - db
     return ok, 0.0, f"dim {n}: {fwd} + {swp} vs {da} - {db}"
 

@@ -14,10 +14,13 @@ lets an adaptive sampler make sense of it.  The kernel of ``W_s - I`` matches
 ``lambda_s ∩ mu_s`` dimension for dimension, so crossings of 1 are exactly
 the parameter values where the pair touches.
 
-The crossing engine asks for a batch of s at a time.  :func:`maslov_index`
-evaluates the path once per s, stacks the forms and frames, and takes the
-splittings, graph unitaries and eigenphases of the whole batch from one
-stacked call each; an s gets the same eigenphases in any batch.
+The crossing engine asks for a batch of s at a time, and a path answers a
+whole batch: :attr:`PairPath.sampler` maps a 1-D array of s to a form and two
+frames, each either one member that holds at every s of the batch or a stack
+with one member per s.  :func:`maslov_index` broadcasts the splitting, the
+graph unitaries and the eigenphases over the batch, one stacked call each,
+so a constant form is split once per batch; an s gets the same eigenphases
+in any batch.
 
 Several equivalent formulas are implemented independently (a block unitary,
 direct sums against the diagonal, flipped forms) because their agreement is
@@ -35,7 +38,6 @@ import scipy.linalg as la
 from . import core
 from .core import (
     Subspace,
-    as_path,
     boxplus,
     boxplus_subspace,
     diagonal_subspace,
@@ -43,6 +45,7 @@ from .core import (
     graph_rep,
     isotropy_residual,
     make_space,
+    make_space_stack,
     make_splitting,
     stacked,
     subspace_from_span,
@@ -62,24 +65,36 @@ from .flow import eigenphases, flow_from_sampler, unit_circle_residual
 class PairPath:
     """A path of Lagrangian pairs: s -> (space, lambda, mu) on an interval.
 
-    ``sampler`` must be deterministic in s.  Use :meth:`from_parts` to build
-    one from constant or callable pieces (matrices are accepted wherever
-    spaces/subspaces are).
+    ``sampler`` maps a 1-D array of s to ``(space, lam, mu)``, a
+    :class:`~maslovflow.core.SymplecticSpace` and two
+    :class:`~maslovflow.core.Subspace`.  Each of the three is either one
+    member (a form ``(n, n)`` or a frame ``(n, k)``), which holds at every s
+    of the array, or a stack (``(S, n, n)`` or ``(S, n, k)``) with member i
+    at the i-th s.  It must be deterministic, and give an s the same members
+    in any array.  Use :meth:`from_parts` to build one from constant or
+    callable pieces (matrices are accepted wherever spaces/subspaces are).
     """
 
-    sampler: Callable[[float], tuple]
+    sampler: Callable[[np.ndarray], tuple]
     interval: tuple
 
     @staticmethod
     def from_parts(j, lam, mu, interval):
-        jf = as_path(j, core.SymplecticSpace, make_space)
-        lf, mf = (as_path(sub, Subspace, subspace_from_span) for sub in (lam, mu))
-        return PairPath(sampler=lambda s: (jf(s), lf(s), mf(s)), interval=tuple(interval))
+        """The path of a form and two subspaces, each constant or a callable
+        of one s.  A constant part is one member for every batch; a callable
+        one is called once per s of a batch and its values are stacked, a
+        change of shape raising ``DimensionMismatch`` (the form) or
+        ``NotLagrangian`` (lambda or mu)."""
+        parts = (_over_batch(j, core.SymplecticSpace, make_space, "the form"),
+                 _over_batch(lam, Subspace, subspace_from_span, "lambda"),
+                 _over_batch(mu, Subspace, subspace_from_span, "mu"))
+        return PairPath(sampler=lambda ss: tuple(part(ss) for part in parts),
+                        interval=tuple(interval))
 
     def _mapped(self, transform):
-        """The path s -> transform(s, space, lambda, mu) on the same interval."""
+        """The path ss -> transform(ss, space, lambda, mu) on the same interval."""
         base = self.sampler
-        return PairPath(sampler=lambda s: transform(s, *base(s)), interval=self.interval)
+        return PairPath(sampler=lambda ss: transform(ss, *base(ss)), interval=self.interval)
 
     def swapped(self):
         """The path s -> (H, mu, lambda): same form, pair order reversed.
@@ -88,42 +103,71 @@ class PairPath:
         swapped path complements the original one up to the endpoint
         intersection dimensions rather than repeating it.
         """
-        return self._mapped(lambda s, space, lam, mu: (space, mu, lam))
+        return self._mapped(lambda ss, space, lam, mu: (space, mu, lam))
 
     def flipped_swapped(self):
         """The path s -> ((H, -omega), mu, lambda)."""
-        return self._mapped(lambda s, space, lam, mu: (flip(space), mu, lam))
+        return self._mapped(lambda ss, space, lam, mu: (flip(space), mu, lam))
 
     def boxplus_diagonal(self):
         """The path s -> (H (+) H flipped, lambda x mu, diagonal)."""
-        return self._mapped(lambda s, space, lam, mu: (
+        return self._mapped(lambda ss, space, lam, mu: (
             boxplus(space, space), boxplus_subspace(lam, mu), diagonal_subspace(space.dim)))
 
     def pushforward(self, l):
         """Transport the whole path by an invertible map (constant or
         callable in s): the form becomes L^{-*} J L^{-1} and subspaces move
         by L, which changes nothing about the index."""
-        lfun = as_path(l, np.ndarray, np.asarray)
+        lfun = _over_batch(l, np.ndarray, np.asarray, "L")
 
-        def transform(s, space, lam, mu):
-            lmat = np.asarray(lfun(s), dtype=complex)
-            linv = la.inv(lmat)
-            jnew = linv.conj().T @ space.form @ linv
-            return (make_space(jnew),
+        def transform(ss, space, lam, mu):
+            lmat = lfun(ss)
+            linv = np.linalg.inv(lmat)
+            jnew = linv.conj().swapaxes(-1, -2) @ space.form @ linv
+            return (make_space_stack(jnew),
                     subspace_from_span(lmat @ lam.frame),
                     subspace_from_span(lmat @ mu.frame))
 
         return self._mapped(transform)
 
 
+def stack_members(members, what):
+    """The values of a batch, one per s, as one stack: a
+    :class:`~maslovflow.core.SymplecticSpace`, a
+    :class:`~maslovflow.core.Subspace` or an array.  Members of different
+    shapes raise ``NotLagrangian`` for subspaces and ``DimensionMismatch``
+    otherwise, naming ``what``."""
+    first = members[0]
+    if isinstance(first, core.SymplecticSpace):
+        return core.SymplecticSpace(
+            form=stacked([m.form for m in members], DimensionMismatch, what))
+    if isinstance(first, Subspace):
+        return Subspace(frame=stacked([m.frame for m in members], NotLagrangian, what))
+    return stacked(members, DimensionMismatch, what)
+
+
+def _over_batch(value, cls, build, what):
+    """``value`` (a ``cls``, what ``build`` turns into one, or a callable of
+    one s returning either) as a map from an s-array to one member, or to
+    the stack of the values at each s."""
+    def coerce(v):
+        return v if isinstance(v, cls) else build(v)
+
+    if not callable(value):
+        fixed = coerce(value)
+        return lambda ss: fixed
+    return lambda ss: stack_members([coerce(value(s)) for s in ss], what)
+
+
 def maslov_index(path, opts=None, metric=None):
     """Maslov index of a path of Lagrangian pairs.
 
-    The engine hands the sampler a batch of s.  ``path.sampler`` is called
-    once per s; the forms and the two frames are then stacked, and the
-    splitting, both graph unitaries, the comparison unitary and its phases
-    come from one stacked call each.  Every s gets the coordinates it would
-    get alone.
+    The engine hands the sampler a batch of s, and ``path.sampler`` is
+    called once per batch.  The splitting, both graph unitaries, the
+    comparison unitary W = U V* and its phases come from one call each,
+    broadcast over the batch: a part that holds at every s (a constant
+    form, say) is one member, so a constant form costs one eigendecomposition
+    per batch.  Every s gets the coordinates it would get alone.
 
     Parameters
     ----------
@@ -142,17 +186,13 @@ def maslov_index(path, opts=None, metric=None):
     Raises
     ------
     DimensionMismatch, NotLagrangian
-        If the form, or the frame of lambda or mu, changes shape inside one
-        batch of s.
+        If the form, or the frame of lambda or mu, of a :meth:`PairPath.from_parts`
+        path changes shape inside one batch of s.
     """
     stats = {"isotropy_residual": 0.0, "unit_circle_residual": 0.0}
 
     def sampler(ss):
-        spaces, lams, mus = zip(*(path.sampler(s) for s in ss))
-        space = core.SymplecticSpace(
-            form=stacked([sp.form for sp in spaces], DimensionMismatch, "the form"))
-        lam = Subspace(frame=stacked([sub.frame for sub in lams], NotLagrangian, "lambda"))
-        mu = Subspace(frame=stacked([sub.frame for sub in mus], NotLagrangian, "mu"))
+        space, lam, mu = path.sampler(ss)
         stats["isotropy_residual"] = max(
             stats["isotropy_residual"], isotropy_residual(space, lam), isotropy_residual(space, mu)
         )
@@ -161,7 +201,7 @@ def maslov_index(path, opts=None, metric=None):
         v = graph_rep(splitting, mu)
         w = u @ v.conj().swapaxes(-1, -2)
         stats["unit_circle_residual"] = max(stats["unit_circle_residual"], unit_circle_residual(w))
-        return eigenphases(w)
+        return np.broadcast_to(eigenphases(w), (len(ss), w.shape[-1]))
 
     total, report = flow_from_sampler(sampler, path.interval, opts, circular=True)
     report.extras.update(stats)
@@ -175,22 +215,21 @@ def maslov_index_block(path, opts=None):
     half-phases of the comparison unitary together with their shifts by pi;
     only the first group crosses 1, and it does so exactly when the pair
     touches.  This shares no counting code path with the product formula
-    beyond the generic engine.
+    beyond the generic engine; the block unitaries of a batch are one stack.
     """
 
-    def block_phases(s):
-        space, lam, mu = path.sampler(s)
+    def block_phases(ss):
+        space, lam, mu = path.sampler(ss)
         splitting = make_splitting(space)
         u = graph_rep(splitting, lam)
         v = graph_rep(splitting, mu)
-        k = u.shape[0]
-        block = np.zeros((2 * k, 2 * k), dtype=complex)
-        block[:k, k:] = u
-        block[k:, :k] = v.conj().T
+        k = u.shape[-1]
+        block = np.zeros((len(ss), 2 * k, 2 * k), dtype=complex)
+        block[:, :k, k:] = u
+        block[:, k:, :k] = v.conj().swapaxes(-1, -2)
         return eigenphases(block)
 
-    return flow_from_sampler(lambda ss: [block_phases(s) for s in ss], path.interval, opts,
-                             circular=True)
+    return flow_from_sampler(block_phases, path.interval, opts, circular=True)
 
 
 @dataclass(frozen=True)

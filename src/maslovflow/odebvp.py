@@ -81,7 +81,7 @@ from .errors import (
     WindowBoundaryEigenvalue,
 )
 from .flow import FlowOpts, flow_from_sampler
-from .maslov import PairPath, maslov_index
+from .maslov import PairPath, maslov_index, stack_members
 
 TOL_ODE = 1e-8  # symplectic transport budget; the sweep suites enforce it at 1024 steps
 # ``maslov_long`` refines its grid until its transport residual is below this
@@ -431,10 +431,11 @@ def boundary_space(fam, s):
 
 
 def graph_subspace(gamma):
-    """The graph {(z, Gamma z)} as a subspace of the doubled space."""
+    """The graph {(z, Gamma z)} as a subspace of the doubled space; a stack
+    ``(..., d, d)`` of Gammas gives the stack of graphs."""
     gamma = np.asarray(gamma, dtype=complex)
-    d = gamma.shape[0]
-    return subspace_from_span(np.vstack([np.eye(d, dtype=complex), gamma]))
+    eye = np.broadcast_to(np.eye(gamma.shape[-1], dtype=complex), gamma.shape)
+    return subspace_from_span(np.concatenate([eye, gamma], axis=-2))
 
 
 def w_of_r(r, m=None):
@@ -785,18 +786,25 @@ def mas_bvp(fam, w_path, opts=None):
     condition subspace (``w_path`` as ``sf_bvp`` takes it) are compared
     inside the boundary symplectic space; the report's extras carry the
     worst symplectic-transport residual seen, alongside the
-    isotropy/unit-circle residuals from the Maslov engine.
+    isotropy/unit-circle residuals from the Maslov engine.  Each s of a
+    batch gets its own system, boundary space, graph and W, stacked into
+    one batch for :func:`maslov_index`.
     """
     opts = opts or BvpOpts()
     wfun = as_path(w_path, Subspace, subspace_from_span)
     stats = {"transport_residual": 0.0}
 
-    def sampler(s):
+    def at(s):
         g = transfer_matrix(fam, s, 0.0, opts.steps)
         stats["transport_residual"] = max(
             stats["transport_residual"], transport_residual(fam, s, g)
         )
         return boundary_space(fam, s), graph_subspace(g), wfun(s)
+
+    def sampler(ss):
+        spaces, graphs, ws = zip(*(at(s) for s in ss))
+        return (stack_members(spaces, "the boundary form"), stack_members(graphs, "the graph"),
+                stack_members(ws, "W"))
 
     path = PairPath(sampler=sampler, interval=opts.interval)
     total, report = maslov_index(path, opts)
@@ -817,7 +825,9 @@ def maslov_long(fam, s, w, opts=None):
     further than ``_TRANSPORT_MARGIN`` from symplectic transport,
     max_k |Gamma_k* J Gamma_k - J|, the steps are doubled, at most
     ``_TRANSPORT_REFINEMENTS`` times; a residual still over it raises
-    ``TransportBudgetExceeded``.
+    ``TransportBudgetExceeded``.  The boundary space and W hold along the
+    whole path and go to :func:`maslov_index` as single members; the graphs
+    of a batch of t are one stack.
     """
     if not isinstance(fam, SecondOrderFamily):
         raise TypeError("maslov_long expects a SecondOrderFamily")
@@ -837,9 +847,9 @@ def maslov_long(fam, s, w, opts=None):
                 f"exceeds {_TRANSPORT_MARGIN:g}")
         steps *= 2
 
-    def sampler(t):
-        gamma = gammas[min(max(int(round(float(t) / system.h)), 0), system.steps)]
-        return bspace, graph_subspace(gamma), wsub
+    def sampler(ts):
+        k = np.clip(np.rint(ts / system.h).astype(int), 0, system.steps)
+        return bspace, graph_subspace(gammas[k]), wsub
 
     path = PairPath(sampler=sampler, interval=(0.0, fam.T))
     return maslov_index(path, opts)

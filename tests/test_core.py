@@ -225,6 +225,37 @@ def test_subspace_from_span_refuses_non_finite():
     assert core.subspace_from_span(np.zeros((3, 2))).dim == 0
 
 
+def spanning_stack(seed=11, shape=(5, 6, 3)):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_a_stack_of_spanning_sets_is_orthonormalized_member_by_member():
+    spans = spanning_stack()
+    stack = core.subspace_from_span(spans)
+    assert stack.frame.shape == spans.shape
+    for frame, span in zip(stack.frame, spans):
+        alone = core.subspace_from_span(span)  # the 2-D pivoted path
+        assert core.intersection_dim(core.Subspace(frame=frame), alone) == 3
+        assert np.abs(frame.conj().T @ frame - np.eye(3)).max() <= 1e-14
+
+
+def test_a_stack_member_that_drops_rank_raises_degenerate():
+    spans = spanning_stack()
+    spans[2, :, 2] = spans[2, :, 0] - 2.0 * spans[2, :, 1]
+    with pytest.raises(Degenerate, match="rank below 3"):
+        core.subspace_from_span(spans)
+    with pytest.raises(Degenerate, match="rank below 3"):
+        core.subspace_from_span(spanning_stack(shape=(2, 2, 3)))  # more vectors than C^2 holds
+
+
+def test_a_nan_in_a_stack_of_spanning_sets_raises_non_finite():
+    spans = spanning_stack()
+    spans[4, 1, 0] = np.nan
+    with pytest.raises(NonFinite):
+        core.subspace_from_span(spans)
+
+
 def test_a_zero_dimensional_subspace():
     space = core.make_space(np.diag([1j, 1j, -1j, -1j]))
     zero = core.subspace_from_span(np.zeros((4, 0)))

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from maslovflow import flow, harness, maslov
+from maslovflow import core, flow, harness, maslov
 from maslovflow.errors import DimensionMismatch, NotUnitary, SpectrumOnBoundary, UnresolvedFamily
 from maslovflow.flow import FlowOpts
 
@@ -378,6 +378,21 @@ def assert_batch_invariant(sampler):
     npt.assert_array_equal(sampler(ss[::-1])[::-1], together)
 
 
+def carried_by_a_diagonal(path, c):
+    """``path`` carried by L_s = diag(1 + s c), built by ``from_parts`` with
+    the form L^{-*} J L^{-1} and both frames as callables of one s."""
+    def scale(s):
+        return 1.0 + s * c
+
+    def part(s, i):
+        return core.member(path.sampler(np.array([s]))[i], 0)
+
+    return maslov.PairPath.from_parts(
+        lambda s: part(s, 0).form / np.outer(scale(s), scale(s)),
+        lambda s: scale(s)[:, None] * part(s, 1).frame,
+        lambda s: scale(s)[:, None] * part(s, 2).frame, path.interval)
+
+
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_coordinates_do_not_depend_on_the_batch(monkeypatch, n):
     rng = np.random.default_rng([5, n])
@@ -391,6 +406,12 @@ def test_coordinates_do_not_depend_on_the_batch(monkeypatch, n):
     # the real comparison runs maslov_index and then its generator path
     samplers += captured_samplers(monkeypatch, maslov,
                                   lambda: harness._suite_real_comparison(rng, (n,)))
-    assert len(samplers) == 5
+    # a callable form, alone and through flip, swap and direct sum
+    moved = carried_by_a_diagonal(path, rng.uniform(0.2, 0.8, n))
+    samplers += captured_samplers(monkeypatch, maslov, lambda: maslov.maslov_index(moved))
+    samplers += captured_samplers(
+        monkeypatch, maslov,
+        lambda: maslov.maslov_index(moved.flipped_swapped().boxplus_diagonal()))
+    assert len(samplers) == 7
     for sampler in samplers:
         assert_batch_invariant(sampler)

@@ -21,6 +21,11 @@ from maslovflow.flow import FlowOpts
 STD2 = np.array([[1j, 0], [0, -1j]])
 
 
+def at(path, s):
+    """The path's (space, lambda, mu) at one s, read from a batch of that s."""
+    return tuple(core.member(x, 0) for x in path.sampler(np.array([s])))
+
+
 def rotation_path(k, n=1):
     """lam(s) = graph(e^{2 pi i k s} I_n) against the fixed mu = graph(I_n)
     in C^{2n} with the diagonal +-i form."""
@@ -76,7 +81,7 @@ def test_results_do_not_depend_on_the_frames():
             gauges[sub.dim] = harness._random_unitary(rng, sub.dim)
         return core.Subspace(frame=sub.frame @ gauges[sub.dim])
 
-    space, lam, mu = path.sampler(0.3)
+    space, lam, mu = at(path, 0.3)
     shared = core.subspace_from_span(np.hstack([lam.frame[:, :1], mu.frame[:, 1:]]))
     splitting = core.make_splitting(space)
     for a, b in ((lam, mu), (lam, lam), (shared, mu)):
@@ -106,8 +111,8 @@ def test_swap_sum_rule():
     fwd, _ = maslov.maslov_index(path)
     rev, _ = maslov.maslov_index(path.swapped())
     a, b = path.interval
-    space_a, lam_a, mu_a = path.sampler(a)
-    space_b, lam_b, mu_b = path.sampler(b)
+    space_a, lam_a, mu_a = at(path, a)
+    space_b, lam_b, mu_b = at(path, b)
     dim_a = core.intersection_dim(lam_a, mu_a)
     dim_b = core.intersection_dim(lam_b, mu_b)
     assert (dim_a, dim_b) == (1, 1)
@@ -219,7 +224,7 @@ def test_from_parts_evaluates_a_form_path_once_per_sample():
         return STD2
 
     path = maslov.PairPath.from_parts(
-        j, lambda s: base.sampler(s)[1], base.sampler(0.0)[2], (0.0, 1.0)
+        j, lambda s: at(base, s)[1], at(base, 0.0)[2], (0.0, 1.0)
     )
     total, rep = maslov.maslov_index(path)
     assert total == 1
@@ -238,14 +243,14 @@ def test_a_shape_change_inside_a_batch_raises_a_typed_error():
     base = rotation_path(1)
 
     def lam(s):
-        return np.zeros((2, 1)) if s == 0.5 else base.sampler(s)[1].frame
+        return np.zeros((2, 1)) if s == 0.5 else at(base, s)[1].frame
 
-    path = maslov.PairPath.from_parts(STD2, lam, base.sampler(0.0)[2], (0.0, 1.0))
+    path = maslov.PairPath.from_parts(STD2, lam, at(base, 0.0)[2], (0.0, 1.0))
     with pytest.raises(NotLagrangian):
         maslov.maslov_index(path)
     grown = maslov.PairPath.from_parts(
         lambda s: np.kron(np.eye(2), STD2) if s == 0.5 else STD2,
-        base.sampler(0.0)[1], base.sampler(0.0)[2], (0.0, 1.0))
+        at(base, 0.0)[1], at(base, 0.0)[2], (0.0, 1.0))
     with pytest.raises(DimensionMismatch):
         maslov.maslov_index(grown)
 
@@ -253,3 +258,4 @@ def test_a_shape_change_inside_a_batch_raises_a_typed_error():
 def test_an_indefinite_metric_is_refused():
     with pytest.raises(BadMetric, match="positive definite"):
         maslov.maslov_index(rotation_path(1), metric=np.diag([1.0, -1.0]))
+
