@@ -498,13 +498,20 @@ def require_unitary(u, exc, name):
         raise exc(f"{name} is not unitary (residual {resid:.3e} exceeds {TAU_UNIT:.3e})")
 
 
-def stacked(arrays, exc, what):
-    """The arrays of one engine batch as one stack; raise ``exc`` naming
-    ``what`` when their shapes differ."""
+def stacked(members, what):
+    """One engine batch of values, one per s, as one stack of spaces,
+    subspaces or arrays; members of two shapes raise ``NotLagrangian``
+    (subspaces) or ``DimensionMismatch``, naming ``what``."""
+    cls, exc, arrays = None, DimensionMismatch, members
+    if isinstance(members[0], SymplecticSpace):
+        cls, arrays = SymplecticSpace, [m.form for m in members]
+    elif isinstance(members[0], Subspace):
+        cls, exc, arrays = Subspace, NotLagrangian, [m.frame for m in members]
     shapes = {a.shape for a in arrays}
     if len(shapes) > 1:
         raise exc(f"{what} changes shape along the path: {sorted(shapes)}")
-    return np.stack(arrays)
+    stack = np.stack(arrays)
+    return stack if cls is None else cls(stack)
 
 
 def member(x, i):
@@ -515,16 +522,17 @@ def member(x, i):
     return x if x.frame.ndim == 2 else Subspace(frame=x.frame[i])
 
 
-def as_path(value, cls, build):
-    """``value`` as a function of s returning a ``cls``: a ``cls``, what
-    ``build`` turns into one, or a callable of s returning either."""
+def as_path(value, cls, build, what):
+    """``value`` (a ``cls``, what ``build`` turns into one, or a callable of
+    one s returning either) as a map from an s-array to one member, coerced
+    once, or to the :func:`stacked` values at each s, named ``what``."""
     def coerce(v):
         return v if isinstance(v, cls) else build(v)
 
-    if callable(value):
-        return lambda s: coerce(value(s))
-    fixed = coerce(value)
-    return lambda s: fixed
+    if not callable(value):
+        fixed = coerce(value)
+        return lambda ss: fixed
+    return lambda ss: stacked([coerce(value(s)) for s in ss], what)
 
 
 def require_nonsingular(sv, exc, name):

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .core import require_count, require_hermitian, require_unitary, stacked
-from .errors import DimensionMismatch, NotUnitary, SpectrumOnBoundary, UnresolvedFamily
+from .errors import NotUnitary, SpectrumOnBoundary, UnresolvedFamily
 
 
 @dataclass(frozen=True)
@@ -234,11 +234,11 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
         Finite endpoints a < b (``ValueError`` otherwise).
     opts : FlowOpts, optional
     scale : float, optional
-        Coordinate scale; when omitted, the largest coordinate magnitude
-        over the grid points (not their midpoints).  The largest window
-        half-width, the smallest coordinate movement a window wall must
-        clear, and the kernel tolerance are 0.25, 1e-6 and 1e-9 times the
-        scale.
+        Coordinate scale, finite and positive (``ValueError`` otherwise);
+        when omitted, the largest coordinate magnitude over the grid points
+        (not their midpoints).  The largest window half-width, the smallest
+        coordinate movement a window wall must clear, and the kernel
+        tolerance are 0.25, 1e-6 and 1e-9 times the scale.
     circular : bool
         True when the coordinates are angles on (-pi, pi] (eigenphases), so
         that coordinate movement is measured around the circle.
@@ -252,6 +252,8 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b) and b > a):
         raise ValueError(f"interval must be finite with a < b, got ({a}, {b})")
+    if scale is not None and (isinstance(scale, bool) or not (np.isfinite(scale) and scale > 0)):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
     cache: dict[float, np.ndarray] = {}
 
     def sample(points):
@@ -345,7 +347,7 @@ def spectral_flow(family, interval, opts=None):
 
     def sampler(ss):
         mats = [require_hermitian(family(s), name=f"family({s:.6g})") for s in ss]
-        return np.linalg.eigvalsh(stacked(mats, DimensionMismatch, "the family"))
+        return np.linalg.eigvalsh(stacked(mats, "the family"))
 
     return flow_from_sampler(sampler, interval, opts)
 

@@ -47,14 +47,12 @@ from .core import (
     make_space,
     make_space_stack,
     make_splitting,
-    stacked,
     subspace_from_span,
 )
 from .errors import (
     Degenerate,
     DimensionMismatch,
     NonUnitaryGenerator,
-    NotLagrangian,
     NotLagrangianReal,
     NotSkewHermitian,
 )
@@ -81,13 +79,13 @@ class PairPath:
     @staticmethod
     def from_parts(j, lam, mu, interval):
         """The path of a form and two subspaces, each constant or a callable
-        of one s.  A constant part is one member for every batch; a callable
-        one is called once per s of a batch and its values are stacked, a
-        change of shape raising ``DimensionMismatch`` (the form) or
+        of one s, through :func:`~maslovflow.core.as_path`: a constant part
+        is one member for every batch, a callable one is stacked over the
+        batch, a change of shape raising ``DimensionMismatch`` (the form) or
         ``NotLagrangian`` (lambda or mu)."""
-        parts = (_over_batch(j, core.SymplecticSpace, make_space, "the form"),
-                 _over_batch(lam, Subspace, subspace_from_span, "lambda"),
-                 _over_batch(mu, Subspace, subspace_from_span, "mu"))
+        parts = (core.as_path(j, core.SymplecticSpace, make_space, "the form"),
+                 core.as_path(lam, Subspace, subspace_from_span, "lambda"),
+                 core.as_path(mu, Subspace, subspace_from_span, "mu"))
         return PairPath(sampler=lambda ss: tuple(part(ss) for part in parts),
                         interval=tuple(interval))
 
@@ -118,7 +116,7 @@ class PairPath:
         """Transport the whole path by an invertible map (constant or
         callable in s): the form becomes L^{-*} J L^{-1} and subspaces move
         by L, which changes nothing about the index."""
-        lfun = _over_batch(l, np.ndarray, np.asarray, "L")
+        lfun = core.as_path(l, np.ndarray, np.asarray, "L")
 
         def transform(ss, space, lam, mu):
             lmat = lfun(ss)
@@ -131,32 +129,15 @@ class PairPath:
         return self._mapped(transform)
 
 
-def stack_members(members, what):
-    """The values of a batch, one per s, as one stack: a
-    :class:`~maslovflow.core.SymplecticSpace`, a
-    :class:`~maslovflow.core.Subspace` or an array.  Members of different
-    shapes raise ``NotLagrangian`` for subspaces and ``DimensionMismatch``
-    otherwise, naming ``what``."""
-    first = members[0]
-    if isinstance(first, core.SymplecticSpace):
-        return core.SymplecticSpace(
-            form=stacked([m.form for m in members], DimensionMismatch, what))
-    if isinstance(first, Subspace):
-        return Subspace(frame=stacked([m.frame for m in members], NotLagrangian, what))
-    return stacked(members, DimensionMismatch, what)
-
-
-def _over_batch(value, cls, build, what):
-    """``value`` (a ``cls``, what ``build`` turns into one, or a callable of
-    one s returning either) as a map from an s-array to one member, or to
-    the stack of the values at each s."""
-    def coerce(v):
-        return v if isinstance(v, cls) else build(v)
-
-    if not callable(value):
-        fixed = coerce(value)
-        return lambda ss: fixed
-    return lambda ss: stack_members([coerce(value(s)) for s in ss], what)
+def _sample(path, ss):
+    """``path.sampler(ss)``, each part one member or a stack of ``len(ss)``
+    (``DimensionMismatch``, naming the part, otherwise)."""
+    parts = path.sampler(ss)
+    for what, x in zip(("the form", "lambda", "mu"), parts):
+        lead = (x.form if isinstance(x, core.SymplecticSpace) else x.frame).shape[:-2]
+        if lead not in ((), (len(ss),)):
+            raise DimensionMismatch(f"{what} is a stack of shape {lead} for {len(ss)} values of s")
+    return parts
 
 
 def maslov_index(path, opts=None, metric=None):
@@ -187,12 +168,13 @@ def maslov_index(path, opts=None, metric=None):
     ------
     DimensionMismatch, NotLagrangian
         If the form, or the frame of lambda or mu, of a :meth:`PairPath.from_parts`
-        path changes shape inside one batch of s.
+        path changes shape inside one batch of s, or (``DimensionMismatch``) a
+        sampler's stack is not as long as its batch.
     """
     stats = {"isotropy_residual": 0.0, "unit_circle_residual": 0.0}
 
     def sampler(ss):
-        space, lam, mu = path.sampler(ss)
+        space, lam, mu = _sample(path, ss)
         stats["isotropy_residual"] = max(
             stats["isotropy_residual"], isotropy_residual(space, lam), isotropy_residual(space, mu)
         )
@@ -219,7 +201,7 @@ def maslov_index_block(path, opts=None):
     """
 
     def block_phases(ss):
-        space, lam, mu = path.sampler(ss)
+        space, lam, mu = _sample(path, ss)
         splitting = make_splitting(space)
         u = graph_rep(splitting, lam)
         v = graph_rep(splitting, mu)
@@ -376,8 +358,7 @@ def complexify_and_compare(data, opts=None):
     def mu_at(s):
         return _check_real_lagrangian(j, data.mu_path(s), f"mu frame at s={s:.6g}")
 
-    path = PairPath.from_parts(j.astype(complex), q.astype(complex),
-                               lambda s: mu_at(s).astype(complex), data.interval)
+    path = PairPath.from_parts(j, q, mu_at, data.interval)
     mas, _ = maslov_index(path, opts)
 
     # Bridge residual: V U^{-1} == -conj(S) in the frames attached to Q.

@@ -63,10 +63,12 @@ from .core import (
     Subspace,
     as_path,
     make_space,
+    member,
     orthogonal_complement,
     require_count,
     require_hermitian,
     require_nonsingular,
+    stacked,
     subspace_from_span,
 )
 from .errors import (
@@ -81,7 +83,7 @@ from .errors import (
     WindowBoundaryEigenvalue,
 )
 from .flow import FlowOpts, flow_from_sampler
-from .maslov import PairPath, maslov_index, stack_members
+from .maslov import PairPath, maslov_index
 
 TOL_ODE = 1e-8  # symplectic transport budget; the sweep suites enforce it at 1024 steps
 # ``maslov_long`` refines its grid until its transport residual is below this
@@ -478,10 +480,10 @@ def _graph_detector(wperp_frame, gammas):
     principal angles between graph(Gamma) and W, so the last is the
     detector and the number near 0 is dim(graph ∩ W)."""
     P, d, _ = gammas.shape
-    stacked = np.empty((P, 2 * d, d), dtype=complex)
-    stacked[:, :d] = np.eye(d)
-    stacked[:, d:] = gammas
-    q = np.linalg.qr(stacked)[0]
+    graphs = np.empty((P, 2 * d, d), dtype=complex)
+    graphs[:, :d] = np.eye(d)
+    graphs[:, d:] = gammas
+    q = np.linalg.qr(graphs)[0]
     return np.linalg.svd(wperp_frame.conj().T[None] @ q, compute_uv=False)
 
 
@@ -679,7 +681,8 @@ def eigen_count(fam, s, w, window, steps=2048):
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
         raise ValueError(f"window must be finite and non-empty, got {window}")
     system = _system(fam, s, steps)
-    wperp = _boundary_perp(as_path(w, Subspace, subspace_from_span)(s), system.d)
+    w = member(as_path(w, Subspace, subspace_from_span, "W")(np.array([s])), 0)
+    wperp = _boundary_perp(w, system.d)
     ends = system.propagate([lo, hi])
     if not np.all(np.isfinite(ends)):
         raise NonFinite(f"transfer matrix overflows at the window ends ({lo:.6g}, {hi:.6g})")
@@ -764,17 +767,20 @@ def sf_bvp(fam, w_path, opts=None):
     the eigenvalue river, its coordinate ``"lambda"``.
     """
     opts = opts or BvpOpts()
-    wfun = as_path(w_path, Subspace, subspace_from_span)
+    wpath = as_path(w_path, Subspace, subspace_from_span, "W")
     r0 = float(opts.lambda_window)
 
-    def coords(s):
+    def coords(s, w):
         system = _system(fam, s, opts.steps)
-        roots = _eigen_count_system(system, _boundary_perp(wfun(s), system.d), (-r0, r0))
+        roots = _eigen_count_system(system, _boundary_perp(w, system.d), (-r0, r0))
         vals = [lam for lam, mult in roots for _ in range(mult)]
         return np.array([v for v in vals if abs(v) <= 0.6 * r0], dtype=float)
 
-    total, report = flow_from_sampler(lambda ss: [coords(s) for s in ss], opts.interval, opts,
-                                      scale=r0)
+    def sampler(ss):
+        ws = wpath(ss)
+        return [coords(s, member(ws, i)) for i, s in enumerate(ss)]
+
+    total, report = flow_from_sampler(sampler, opts.interval, opts, scale=r0)
     report.coordinate = "lambda"
     return total, report
 
@@ -787,11 +793,11 @@ def mas_bvp(fam, w_path, opts=None):
     inside the boundary symplectic space; the report's extras carry the
     worst symplectic-transport residual seen, alongside the
     isotropy/unit-circle residuals from the Maslov engine.  Each s of a
-    batch gets its own system, boundary space, graph and W, stacked into
-    one batch for :func:`maslov_index`.
+    batch gets its own system, boundary space and graph, stacked beside
+    the batch's W (one member when W is constant) for :func:`maslov_index`.
     """
     opts = opts or BvpOpts()
-    wfun = as_path(w_path, Subspace, subspace_from_span)
+    wpath = as_path(w_path, Subspace, subspace_from_span, "W")
     stats = {"transport_residual": 0.0}
 
     def at(s):
@@ -799,12 +805,12 @@ def mas_bvp(fam, w_path, opts=None):
         stats["transport_residual"] = max(
             stats["transport_residual"], transport_residual(fam, s, g)
         )
-        return boundary_space(fam, s), graph_subspace(g), wfun(s)
+        return boundary_space(fam, s), graph_subspace(g)
 
     def sampler(ss):
-        spaces, graphs, ws = zip(*(at(s) for s in ss))
-        return (stack_members(spaces, "the boundary form"), stack_members(graphs, "the graph"),
-                stack_members(ws, "W"))
+        w = wpath(ss)
+        spaces, graphs = zip(*(at(s) for s in ss))
+        return stacked(spaces, "the boundary form"), stacked(graphs, "the graph"), w
 
     path = PairPath(sampler=sampler, interval=opts.interval)
     total, report = maslov_index(path, opts)
@@ -833,7 +839,7 @@ def maslov_long(fam, s, w, opts=None):
         raise TypeError("maslov_long expects a SecondOrderFamily")
     opts = opts or BvpOpts()
     bspace = boundary_space(fam, s)
-    wsub = as_path(w, Subspace, subspace_from_span)(s)
+    wsub = member(as_path(w, Subspace, subspace_from_span, "W")(np.array([s])), 0)
     steps = int(opts.steps)
     for refinement in range(_TRANSPORT_REFINEMENTS + 1):
         system = _system(fam, s, steps)

@@ -251,6 +251,35 @@ def test_nan_frame_is_not_the_zero_subspace(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: NonFinite: {key}(s=")
 
 
+def counting(calls, fun):
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return fun(*args, **kwargs)
+
+    return wrapped
+
+
+def test_a_matrix_that_does_not_use_s_is_passed_as_a_constant(tmp_path, capsys, monkeypatch):
+    # the PAIR j and mu name no s: one eigensolve per engine batch, where
+    # every s split its own copy of j (33 for 33 samples)
+    eighs, batches = [], []
+    monkeypatch.setattr(maslovflow.core.la, "eigh", counting(eighs, maslovflow.core.la.eigh))
+    monkeypatch.setattr(maslovflow.maslov, "make_splitting",
+                        counting(batches, maslovflow.maslov.make_splitting))
+    assert cli.main(["maslov", write(tmp_path, PAIR)]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert len(eighs) == len(batches) == 1
+    # a w_path without s reaches mas_bvp as the one frame it is
+    runs = []
+    monkeypatch.setattr(maslovflow.odebvp, "mas_bvp", counting(runs, maslovflow.odebvp.mas_bvp))
+    assert cli.main(["maslov", write(tmp_path, dict(ROT, boundary={"w_path": [["1"], ["1"]]}))]) == 0
+    w = runs[0][1]
+    assert isinstance(w, np.ndarray) and w.shape == (2, 1)
+    # a constant that is not finite is named as read, at s = 0
+    assert cli.main(["maslov", write(tmp_path, dict(PAIR, mu=[["0/0"], ["1"]]))]) == 1
+    assert capsys.readouterr().err.startswith("error: NonFinite: mu(s=0) is not finite")
+
+
 def test_linalg_error_exits_1(tmp_path, capsys, monkeypatch):
     def diverge(*args):
         raise np.linalg.LinAlgError("SVD did not converge")

@@ -196,6 +196,17 @@ def test_a_non_finite_interval_is_refused(interval):
         flow.flow_from_sampler(lambda ss: [np.array([s]) for s in ss], interval)
 
 
+@pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan, np.inf, True])
+def test_a_scale_that_is_not_finite_and_positive_is_refused(scale):
+    # -1, nan and inf read a flow of 0; 0 bisected to depth 12, then gave up
+    def sampler(ss):
+        return [np.array([s - 0.5, 1.0]) for s in ss]
+
+    assert flow.flow_from_sampler(sampler, (0.0, 1.0))[0] == 1
+    with pytest.raises(ValueError, match="scale must be finite and positive"):
+        flow.flow_from_sampler(sampler, (0.0, 1.0), scale=scale)
+
+
 @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
 def test_unitary_winding(k):
     def family(s):

@@ -255,6 +255,19 @@ def test_a_shape_change_inside_a_batch_raises_a_typed_error():
         maslov.maslov_index(grown)
 
 
+@pytest.mark.parametrize("index", [maslov.maslov_index, maslov.maslov_index_block])
+@pytest.mark.parametrize("keep", [1, 2])
+def test_a_stack_that_is_not_one_member_per_s_is_refused(index, keep):
+    # a sampler that stacks lambda for the first s alone was broadcast over
+    # the batch and read 0; two members raised NumPy's untyped ValueError
+    path = maslov.PairPath.from_parts(STD2, lambda s: [1.0, np.exp(2j * np.pi * s)],
+                                      [1.0, 1.0], (0.0, 1.0))
+    assert index(path)[0] == 1
+    short = maslov.PairPath(sampler=lambda ss: path.sampler(ss[:keep]), interval=path.interval)
+    with pytest.raises(DimensionMismatch, match=f"lambda is a stack of shape \\({keep},\\)"):
+        index(short)
+
+
 def test_an_indefinite_metric_is_refused():
     with pytest.raises(BadMetric, match="positive definite"):
         maslov.maslov_index(rotation_path(1), metric=np.diag([1.0, -1.0]))

@@ -12,6 +12,7 @@ from maslovflow.errors import (
     DimensionMismatch,
     NonFinite,
     NotHermitian,
+    NotLagrangian,
     NotSkewHermitian,
     RootCluster,
     RootCountMismatch,
@@ -346,6 +347,19 @@ def test_a_boundary_subspace_in_the_wrong_ambient_space_raises(shape, entry):
            "maslov_long": lambda: odebvp.maslov_long(fam, 0.5, w, opts)}[entry]
     with pytest.raises(DimensionMismatch):
         run()
+
+
+@pytest.mark.parametrize("entry", ["sf_bvp", "mas_bvp"])
+def test_a_w_path_that_changes_shape_inside_a_batch_raises_not_lagrangian(entry):
+    # W gains a column at s = 0.5, a first-depth midpoint; sf_bvp raised
+    # DimensionMismatch on it where mas_bvp raised NotLagrangian
+    fam = dirichlet_second(lambda s, t: -1.5 * s)
+
+    def w(s):
+        return np.eye(4)[:, :3 if s == 0.5 else 2]
+
+    with pytest.raises(NotLagrangian, match="W changes shape"):
+        getattr(odebvp, entry)(fam, w, odebvp.BvpOpts(steps=64))
 
 
 @pytest.mark.parametrize("form", [lambda w: w, lambda w: w.frame, lambda w: (lambda s: w),
