@@ -368,12 +368,11 @@ def _coefficient(spec, where, rows, cols=None, variables="st"):
 
 
 def _s_matrix(spec, where, rows, cols=None, variables="s"):
-    """A document matrix in s alone, read at the one time ``t = 0``: the
-    matrix itself (read at s = 0) when it does not use ``s``, else ``f(s)``.
-    A value that is not finite raises ``NonFinite`` naming the field and s."""
+    """A document matrix in s alone, read at the one time ``t = 0``, as
+    ``f(s)``; whether it moves with s is decided by its values, batch by
+    batch (see :func:`maslovflow.core.as_path`).  A value that is not
+    finite raises ``NonFinite`` naming the field and s."""
     fun = _coefficient(spec, where, rows, cols, variables)
-    uses_s = ("s" in spec["samples"] if isinstance(spec, dict) else
-              any("s" in _entry_ast(entry, where).names for row in spec for entry in row))
 
     def at(s):
         value = fun(s, np.zeros(1))[0]
@@ -381,7 +380,7 @@ def _s_matrix(spec, where, rows, cols=None, variables="s"):
             raise NonFinite(f"{where}(s={s:.6g}) is not finite")
         return value
 
-    return at if uses_s else at(0.0)
+    return at
 
 
 # --------------------------------------------------------------------------
@@ -443,7 +442,7 @@ def _boundary_from(doc, m, kind):
                               "second_order problems; use w_path")
         frame = boundary["r_subspace"]
         if frame is not None:  # None picks R = {0}
-            frame = _s_matrix(frame, "boundary.r_subspace", 2 * m, variables="")
+            frame = _s_matrix(frame, "boundary.r_subspace", 2 * m, variables="")(0.0)
         return odebvp.w_of_r(frame, m=m)
     rows = 2 * m if kind == "first_order" else 4 * m
     return _s_matrix(boundary["w_path"], "boundary.w_path", rows)

@@ -175,12 +175,12 @@ def subspace_from_span(vectors):
 
 
 def orthogonal_complement(sub):
-    """Orthonormal frame for the Euclidean complement of a subspace."""
-    n = sub.ambient_dim
-    if sub.dim == 0:
-        return Subspace(frame=np.eye(n, dtype=complex))
-    u, s, _ = la.svd(sub.frame, full_matrices=True)
-    comp = u[:, sub.dim:]
+    """Orthonormal frame for the Euclidean complement of a subspace, or of
+    each member of a stack by its own SVD (bit for bit as if alone)."""
+    n, k, lead = sub.ambient_dim, sub.dim, sub.frame.shape[:-2]
+    comp = np.empty(lead + (n, n - k), dtype=complex)
+    for i in np.ndindex(lead):
+        comp[i] = la.svd(sub.frame[i])[0][:, k:] if k else np.eye(n)
     comp.flags.writeable = False
     return Subspace(frame=comp)
 
@@ -498,41 +498,52 @@ def require_unitary(u, exc, name):
         raise exc(f"{name} is not unitary (residual {resid:.3e} exceeds {TAU_UNIT:.3e})")
 
 
+def _raw(x):
+    """The array of a space (its form), of a subspace (its frame), or ``x``."""
+    if isinstance(x, SymplecticSpace):
+        return x.form
+    return x.frame if isinstance(x, Subspace) else x
+
+
 def stacked(members, what):
     """One engine batch of values, one per s, as one stack of spaces,
     subspaces or arrays; members of two shapes raise ``NotLagrangian``
     (subspaces) or ``DimensionMismatch``, naming ``what``."""
-    cls, exc, arrays = None, DimensionMismatch, members
-    if isinstance(members[0], SymplecticSpace):
-        cls, arrays = SymplecticSpace, [m.form for m in members]
-    elif isinstance(members[0], Subspace):
-        cls, exc, arrays = Subspace, NotLagrangian, [m.frame for m in members]
+    arrays = [_raw(m) for m in members]
     shapes = {a.shape for a in arrays}
     if len(shapes) > 1:
+        exc = NotLagrangian if isinstance(members[0], Subspace) else DimensionMismatch
         raise exc(f"{what} changes shape along the path: {sorted(shapes)}")
-    stack = np.stack(arrays)
-    return stack if cls is None else cls(stack)
+    cls = type(members[0])
+    return cls(np.stack(arrays)) if cls in (SymplecticSpace, Subspace) else np.stack(arrays)
 
 
 def member(x, i):
     """Member i of a stacked :class:`SymplecticSpace` or :class:`Subspace`;
     a single one stands for every member and is returned as it is."""
-    if isinstance(x, SymplecticSpace):
-        return x if x.form.ndim == 2 else SymplecticSpace(form=x.form[i])
-    return x if x.frame.ndim == 2 else Subspace(frame=x.frame[i])
+    return x if _raw(x).ndim == 2 else type(x)(_raw(x)[i])
 
 
 def as_path(value, cls, build, what):
     """``value`` (a ``cls``, what ``build`` turns into one, or a callable of
     one s returning either) as a map from an s-array to one member, coerced
-    once, or to the :func:`stacked` values at each s, named ``what``."""
+    once, or to the :func:`stacked` values at each s, named ``what``.  A
+    callable whose raw values (form, frame or array) are exactly equal at
+    every s of the array is one member too; a NaN equals nothing."""
     def coerce(v):
         return v if isinstance(v, cls) else build(v)
 
     if not callable(value):
         fixed = coerce(value)
         return lambda ss: fixed
-    return lambda ss: stacked([coerce(value(s)) for s in ss], what)
+
+    def path(ss):
+        values = [value(s) for s in ss]
+        if all(np.array_equal(_raw(v), _raw(values[0])) for v in values[1:]):
+            return coerce(values[0])
+        return stacked([coerce(v) for v in values], what)
+
+    return path
 
 
 def require_nonsingular(sv, exc, name):

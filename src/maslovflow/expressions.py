@@ -18,8 +18,10 @@ is.
 
 ``parse`` compiles a string into an :class:`Expression`: each grammar
 construct becomes a closure over its operands' closures, so there is no
-syntax tree to walk.  Evaluation is complex throughout and vectorizes over
-numpy arrays by ordinary broadcasting.
+syntax tree to walk, and a chain of ``+ -`` or ``* /`` is one closure that
+folds its operands from the left in a loop.  Parentheses (a function call's
+included) nest at most 100 deep.  Evaluation is complex throughout and
+vectorizes over numpy arrays by ordinary broadcasting.
 
 ``parse`` raises :class:`~maslovflow.errors.ExpressionSyntaxError` with
 the zero-based character offset of the offending token, or
@@ -44,6 +46,8 @@ _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 # binary operators by precedence, loosest first; all associate to the left
 _LEVELS = (("+", "-"), ("*", "/"))
+# deepest parenthesis nesting: the parser recurses a few frames per level
+_MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -67,9 +71,16 @@ def _unary(fn, arg):
     return Expression(lambda s, t: fn(f(s, t)), arg.names)
 
 
-def _binary(op, left, right):
-    f, g = left.fn, right.fn
-    return Expression(lambda s, t: op(f(s, t), g(s, t)), left.names | right.names)
+def _fold(first, rest):
+    """``first`` and the ``(op, operand)`` pairs of ``rest`` as one left
+    fold, so a chain of any length evaluates one closure deep."""
+    def fn(s, t):
+        acc = first.fn(s, t)
+        for op, arg in rest:
+            acc = op(acc, arg.fn(s, t))
+        return acc
+
+    return Expression(fn, first.names.union(*(arg.names for _, arg in rest)))
 
 
 def _variable(name):
@@ -94,7 +105,7 @@ _TOKEN_RE = re.compile(
 
 def _tokenize(src):
     tokens = []
-    pos = 0
+    pos = depth = 0
     while pos < len(src):
         m = _TOKEN_RE.match(src, pos)
         if m is None:
@@ -107,6 +118,9 @@ def _tokenize(src):
             tokens.append(("name", m.group(), pos))
         elif m.lastgroup == "op":
             op = "-" if m.group() == "−" else m.group()
+            depth += {"(": 1, ")": -1}.get(op, 0)
+            if depth > _MAX_NESTING:
+                raise ExpressionSyntaxError(f"parentheses nest deeper than {_MAX_NESTING}", pos)
             tokens.append((op, op, pos))
         pos = m.end()
     tokens.append(("end", "", len(src)))
@@ -153,11 +167,10 @@ class _Parser:
         """``expr`` at level 0, ``term`` at level 1."""
         if level == len(_LEVELS):
             return self.factor()
-        node = self.expr(level + 1)
+        first, rest = self.expr(level + 1), []
         while self.peek()[0] in _LEVELS[level]:
-            op = _OPS[self.advance()[0]]
-            node = _binary(op, node, self.expr(level + 1))
-        return node
+            rest.append((_OPS[self.advance()[0]], self.expr(level + 1)))
+        return _fold(first, rest) if rest else first
 
     def factor(self):
         if self.peek()[0] == "-":

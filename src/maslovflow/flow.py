@@ -96,11 +96,7 @@ class CrossingReport:
 
     @property
     def partition(self):
-        pts = set()
-        for seg in self.segments:
-            pts.add(seg.s_left)
-            pts.add(seg.s_right)
-        return sorted(pts)
+        return sorted({s for seg in self.segments for s in (seg.s_left, seg.s_right)})
 
     def write_trace(self, path):
         """Dump every sampled coordinate list as CSV: s, coord_1, ...,

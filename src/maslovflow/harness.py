@@ -167,14 +167,13 @@ def _rotating_boundary(s):
     )
 
 
+def _stock_first_order(b, j=lambda s, t: np.full((1, 1), 1j)):
+    """A first-order stock family with m = 1 on [0, 1], j = i unless given."""
+    return odebvp.FirstOrderFamily(m=1, T=1.0, j=j, b=b)
+
+
 def _s1_build():
-    fam = odebvp.FirstOrderFamily(
-        m=1,
-        T=1.0,
-        j=lambda s, t: np.full((1, 1), 1j),
-        b=lambda s, t: np.full((1, 1), 0.0),
-    )
-    return fam, _rotating_boundary
+    return _stock_first_order(lambda s, t: np.full((1, 1), 0.0)), _rotating_boundary
 
 
 def _s2_build():
@@ -189,32 +188,19 @@ def _s2_build():
 
 
 def _s3_build():
-    fam = odebvp.FirstOrderFamily(
-        m=1,
-        T=1.0,
+    fam = _stock_first_order(
         j=lambda s, t: (1j * (1.0 + 0.5 * s * np.sin(np.pi * t)))[:, None, None],
-        b=lambda s, t: (s * np.cos(t))[:, None, None],
-    )
+        b=lambda s, t: (s * np.cos(t))[:, None, None])
     return fam, _rotating_boundary
 
 
 def _s4_build():
-    fam = odebvp.FirstOrderFamily(
-        m=1,
-        T=1.0,
-        j=lambda s, t: np.full((1, 1), 1j),
-        b=lambda s, t: np.full((1, 1), 1.0),
-    )
-    return fam, core.diagonal_subspace(1)
+    return _stock_first_order(lambda s, t: np.full((1, 1), 1.0)), core.diagonal_subspace(1)
 
 
 def _s5_build():
-    fam = odebvp.FirstOrderFamily(
-        m=1,
-        T=1.0,
-        j=lambda s, t: np.full((1, 1), 1j),
-        b=lambda s, t: ((s - 1.0 / 3.0) * (1.0 + np.cos(2.0 * np.pi * t)))[:, None, None],
-    )
+    fam = _stock_first_order(
+        lambda s, t: ((s - 1.0 / 3.0) * (1.0 + np.cos(2.0 * np.pi * t)))[:, None, None])
     return fam, core.diagonal_subspace(1)
 
 
@@ -777,44 +763,27 @@ def property_sweep(seed, trials, dims=(2, 4, 6, 8), suites=None):
     trials = int(trials)  # a NumPy integer is stored as a plain int
     if not dims or any(d <= 0 or d % 2 for d in dims):
         raise ValueError(f"dims must be positive even ambient dimensions, got {list(dims)}")
-    if suites is not None:
-        unknown = set(suites) - set(SUITE_NAMES)
-        if unknown:
-            raise ValueError(f"unknown suites: {sorted(unknown)}")
-        selected = set(suites)
-        if not selected:
-            raise ValueError("no suites selected")
-    else:
-        selected = set(SUITE_NAMES)
+    selected = set(SUITE_NAMES if suites is None else suites)
+    unknown = selected - set(SUITE_NAMES)
+    if unknown:
+        raise ValueError(f"unknown suites: {sorted(unknown)}")
+    if not selected:
+        raise ValueError("no suites selected")
 
     results = []
     for suite_index, (name, fn) in enumerate(ALL_SUITES):
         if name not in selected:
             continue
-        passed = failed = 0
-        worst = 0.0
-        first_failure = None
+        failures, worst = [], 0.0
         for trial in range(trials):
-            rng = _rng_for(seed, trial, suite_index)
             try:
-                ok, resid, note = fn(rng, dims)
+                ok, resid, note = fn(_rng_for(seed, trial, suite_index), dims)
             except (MaslovFlowError, nla.LinAlgError) as exc:
                 ok, resid, note = False, float("inf"), f"{type(exc).__name__}: {exc}"
             worst = max(worst, float(resid))
-            if ok:
-                passed += 1
-            else:
-                failed += 1
-                if first_failure is None:
-                    first_failure = f"trial {trial}: {note}"
-        results.append(
-            SuiteSummary(
-                name=name,
-                trials=trials,
-                passed=passed,
-                failed=failed,
-                worst_residual=worst,
-                first_failure=first_failure,
-            )
-        )
+            if not ok:
+                failures.append(f"trial {trial}: {note}")
+        results.append(SuiteSummary(name=name, trials=trials, passed=trials - len(failures),
+                                    failed=len(failures), worst_residual=worst,
+                                    first_failure=failures[0] if failures else None))
     return SweepSummary(seed=int(seed), trials=trials, dims=tuple(dims), suites=results)

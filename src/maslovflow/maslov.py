@@ -79,10 +79,10 @@ class PairPath:
     @staticmethod
     def from_parts(j, lam, mu, interval):
         """The path of a form and two subspaces, each constant or a callable
-        of one s, through :func:`~maslovflow.core.as_path`: a constant part
-        is one member for every batch, a callable one is stacked over the
-        batch, a change of shape raising ``DimensionMismatch`` (the form) or
-        ``NotLagrangian`` (lambda or mu)."""
+        of one s, through :func:`~maslovflow.core.as_path`: a constant part,
+        or a callable one whose values agree over the batch, is one member,
+        any other is stacked, a change of shape raising ``DimensionMismatch``
+        (the form) or ``NotLagrangian`` (lambda or mu)."""
         parts = (core.as_path(j, core.SymplecticSpace, make_space, "the form"),
                  core.as_path(lam, Subspace, subspace_from_span, "lambda"),
                  core.as_path(mu, Subspace, subspace_from_span, "mu"))

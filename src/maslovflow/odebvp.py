@@ -61,6 +61,7 @@ import scipy.linalg as la
 from .core import (
     TAU_RANK,
     Subspace,
+    SymplecticSpace,
     as_path,
     make_space,
     member,
@@ -68,7 +69,6 @@ from .core import (
     require_count,
     require_hermitian,
     require_nonsingular,
-    stacked,
     subspace_from_span,
 )
 from .errors import (
@@ -419,17 +419,21 @@ def transport_residual(fam, s, gamma):
     return float(np.abs(np.swapaxes(gamma.conj(), -1, -2) @ jT @ gamma - j0).max())
 
 
+def _boundary_form(fam, s):
+    """The form matrix diag(-j(s,0), j(s,T)) of :func:`boundary_space`."""
+    j0, jT = _end_forms(fam, s)
+    return la.block_diag(-j0, jT)
+
+
 def boundary_space(fam, s):
     """The boundary symplectic space the traces of solutions live in.
 
     First-order: (C^{2m}, diag(-j(s,0), j(s,T))).  Second-order:
-    (C^{4m}, diag(-J, J)) with the standard J, independent of s.
+    (C^{4m}, diag(-J, J)) with the standard J, independent of s.  Its form
+    matrix is ``_boundary_form(fam, s)``, which ``mas_bvp`` compares across
+    a batch before any check or splitting.
     """
-    j0, jT = _end_forms(fam, s)
-    d = len(j0)
-    jb = np.zeros((2 * d, 2 * d), dtype=complex)
-    jb[:d, :d], jb[d:, d:] = -j0, jT
-    return make_space(jb)
+    return make_space(_boundary_form(fam, s))
 
 
 def graph_subspace(gamma):
@@ -450,7 +454,8 @@ def w_of_r(r, m=None):
     conditions, R = C^{2m} Neumann-type, R = diagonal periodic-type.
 
     ``r`` may be a Subspace of C^{2m}, a spanning set (a frame matrix, or a
-    single vector), or None for R = {0} (in which case ``m`` is required).
+    single vector), or None for R = {0} (in which case ``m`` is required);
+    an ``m`` that R's size contradicts raises ``ValueError``.
     """
     if r is None:
         if m is None:
@@ -461,8 +466,9 @@ def w_of_r(r, m=None):
     else:
         rsub = subspace_from_span(r)
     two_m = rsub.ambient_dim
-    if two_m % 2:
-        raise ValueError("R must live in C^{2m}")
+    if two_m % 2 or m not in (None, two_m // 2):
+        size = "C^{2m}" if m is None else f"C^{{2m}} = C^{2 * m}"
+        raise ValueError(f"R must live in {size}, not C^{two_m}")
     mm = two_m // 2
     rho, sig = orthogonal_complement(rsub).frame, rsub.frame
     zr, zs = np.zeros((mm, rho.shape[1])), np.zeros((mm, sig.shape[1]))
@@ -681,8 +687,8 @@ def eigen_count(fam, s, w, window, steps=2048):
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
         raise ValueError(f"window must be finite and non-empty, got {window}")
     system = _system(fam, s, steps)
-    w = member(as_path(w, Subspace, subspace_from_span, "W")(np.array([s])), 0)
-    wperp = _boundary_perp(w, system.d)
+    w = as_path(w, Subspace, subspace_from_span, "W")(np.array([s]))
+    wperp = _boundary_perp(w, system.d).frame
     ends = system.propagate([lo, hi])
     if not np.all(np.isfinite(ends)):
         raise NonFinite(f"transfer matrix overflows at the window ends ({lo:.6g}, {hi:.6g})")
@@ -694,12 +700,13 @@ def eigen_count(fam, s, w, window, steps=2048):
 
 
 def _boundary_perp(w, d):
-    """Frame of the complement of ``w``, once ``w`` is checked to be a
-    d-dimensional subspace of C^{2d}, before any product with it."""
+    """The complement of ``w``, one member or a stack as ``w`` is, once
+    ``w`` is checked to be a d-dimensional subspace of C^{2d}, before any
+    product with it."""
     if (w.ambient_dim, w.dim) != (2 * d, d):
         raise DimensionMismatch(f"boundary subspace of dimension {w.dim} in C^{w.ambient_dim}, "
                                 f"not {d} in C^{2 * d}")
-    return orthogonal_complement(w).frame
+    return orthogonal_complement(w)
 
 
 def _eigen_count_system(system, wperp, window):
@@ -762,23 +769,26 @@ def sf_bvp(fam, w_path, opts=None):
     edge is never counted and needs no check.  The resulting coordinate
     lists feed the same adaptive crossing engine used everywhere else.
 
-    ``w_path`` is a Subspace, a spanning frame, or a path of either in s.
-    Returns ``(integer, CrossingReport)``; the report's samples double as
-    the eigenvalue river, its coordinate ``"lambda"``.
+    ``w_path`` is a Subspace, a spanning frame, or a path of either in s;
+    W's complement is taken once per engine batch, by one SVD when W is one
+    member for it (:func:`~maslovflow.core.as_path`).  Returns
+    ``(integer, CrossingReport)``; the report's samples double as the
+    eigenvalue river, its coordinate ``"lambda"``.
     """
     opts = opts or BvpOpts()
     wpath = as_path(w_path, Subspace, subspace_from_span, "W")
     r0 = float(opts.lambda_window)
 
-    def coords(s, w):
-        system = _system(fam, s, opts.steps)
-        roots = _eigen_count_system(system, _boundary_perp(w, system.d), (-r0, r0))
-        vals = [lam for lam, mult in roots for _ in range(mult)]
-        return np.array([v for v in vals if abs(v) <= 0.6 * r0], dtype=float)
-
     def sampler(ss):
-        ws = wpath(ss)
-        return [coords(s, member(ws, i)) for i, s in enumerate(ss)]
+        ws, wperp, out = wpath(ss), None, []
+        for i, s in enumerate(ss):
+            system = _system(fam, s, opts.steps)
+            if wperp is None:  # W is checked against the size of the first system
+                wperp = _boundary_perp(ws, system.d)
+            roots = _eigen_count_system(system, member(wperp, i).frame, (-r0, r0))
+            vals = [lam for lam, mult in roots for _ in range(mult)]
+            out.append(np.array([v for v in vals if abs(v) <= 0.6 * r0], dtype=float))
+        return out
 
     total, report = flow_from_sampler(sampler, opts.interval, opts, scale=r0)
     report.coordinate = "lambda"
@@ -792,27 +802,26 @@ def mas_bvp(fam, w_path, opts=None):
     condition subspace (``w_path`` as ``sf_bvp`` takes it) are compared
     inside the boundary symplectic space; the report's extras carry the
     worst symplectic-transport residual seen, alongside the
-    isotropy/unit-circle residuals from the Maslov engine.  Each s of a
-    batch gets its own system, boundary space and graph, stacked beside
-    the batch's W (one member when W is constant) for :func:`maslov_index`.
+    isotropy/unit-circle residuals from the Maslov engine.  The boundary
+    form, the graph and W are :func:`~maslovflow.core.as_path` parts, each
+    one member over a batch where its values agree and a stack otherwise.
     """
     opts = opts or BvpOpts()
-    wpath = as_path(w_path, Subspace, subspace_from_span, "W")
     stats = {"transport_residual": 0.0}
 
-    def at(s):
+    def graph(s):
         g = transfer_matrix(fam, s, 0.0, opts.steps)
         stats["transport_residual"] = max(
             stats["transport_residual"], transport_residual(fam, s, g)
         )
-        return boundary_space(fam, s), graph_subspace(g)
+        return graph_subspace(g)
 
-    def sampler(ss):
-        w = wpath(ss)
-        spaces, graphs = zip(*(at(s) for s in ss))
-        return stacked(spaces, "the boundary form"), stacked(graphs, "the graph"), w
-
-    path = PairPath(sampler=sampler, interval=opts.interval)
+    parts = (as_path(lambda s: _boundary_form(fam, s), SymplecticSpace, make_space,
+                     "the boundary form"),
+             as_path(graph, Subspace, subspace_from_span, "the graph"),
+             as_path(w_path, Subspace, subspace_from_span, "W"))
+    path = PairPath(sampler=lambda ss: tuple(part(ss) for part in parts),
+                    interval=opts.interval)
     total, report = maslov_index(path, opts)
     report.extras.update(stats)
     return total, report
@@ -839,7 +848,7 @@ def maslov_long(fam, s, w, opts=None):
         raise TypeError("maslov_long expects a SecondOrderFamily")
     opts = opts or BvpOpts()
     bspace = boundary_space(fam, s)
-    wsub = member(as_path(w, Subspace, subspace_from_span, "W")(np.array([s])), 0)
+    wsub = as_path(w, Subspace, subspace_from_span, "W")(np.array([s]))
     steps = int(opts.steps)
     for refinement in range(_TRANSPORT_REFINEMENTS + 1):
         system = _system(fam, s, steps)

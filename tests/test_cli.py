@@ -269,15 +269,34 @@ def test_a_matrix_that_does_not_use_s_is_passed_as_a_constant(tmp_path, capsys, 
     assert cli.main(["maslov", write(tmp_path, PAIR)]) == 0
     assert capsys.readouterr().out == "1\n"
     assert len(eighs) == len(batches) == 1
-    # a w_path without s reaches mas_bvp as the one frame it is
-    runs = []
-    monkeypatch.setattr(maslovflow.odebvp, "mas_bvp", counting(runs, maslovflow.odebvp.mas_bvp))
-    assert cli.main(["maslov", write(tmp_path, dict(ROT, boundary={"w_path": [["1"], ["1"]]}))]) == 0
-    w = runs[0][1]
-    assert isinstance(w, np.ndarray) and w.shape == (2, 1)
+    # a w_path without s is one member per batch: sf_bvp takes one W-perp
+    # per engine batch, where it took one per s
+    comps, sf_batches = [], []
+    engine = maslovflow.odebvp.flow_from_sampler
+    monkeypatch.setattr(maslovflow.odebvp, "orthogonal_complement",
+                        counting(comps, maslovflow.odebvp.orthogonal_complement))
+    monkeypatch.setattr(maslovflow.odebvp, "flow_from_sampler",
+                        lambda sampler, *args, **kw: engine(counting(sf_batches, sampler), *args, **kw))
+    assert cli.main(["sf", write(tmp_path, dict(ROT, boundary={"w_path": [["1"], ["1"]]}))]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert len(comps) == len(sf_batches) >= 1
     # a constant that is not finite is named as read, at s = 0
     assert cli.main(["maslov", write(tmp_path, dict(PAIR, mu=[["0/0"], ["1"]]))]) == 1
     assert capsys.readouterr().err.startswith("error: NonFinite: mu(s=0) is not finite")
+
+
+@pytest.mark.parametrize("entry", ["(" * 400 + "1" + ")" * 400, "sin(" * 200 + "0" + ")" * 200],
+                         ids=["parentheses", "functions"])
+def test_deep_nesting_exits_3(tmp_path, entry, capsys):
+    # the parser raised RecursionError, a traceback and exit 1
+    assert cli.main(["sf", write(tmp_path, dict(ROT, b=[[entry]]))]) == 3
+    assert "b[0][0]: parentheses nest deeper than 100" in capsys.readouterr().err
+
+
+def test_a_long_sum_runs(tmp_path, capsys):
+    # 1,200 terms parsed, then raised RecursionError inside the pipeline
+    assert cli.main(["sf", write(tmp_path, dict(ROT, b=[["+".join(["0.001*s"] * 1200)]]))]) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_linalg_error_exits_1(tmp_path, capsys, monkeypatch):

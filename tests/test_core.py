@@ -411,3 +411,30 @@ def test_graph_rep_round_trip_random(m, seed):
     lam = core.subspace_from_span(sp.hframe_plus + sp.hframe_minus @ u)
     rep = core.graph_rep(sp, lam)
     npt.assert_allclose(rep, u, atol=1e-8)
+
+
+def test_as_path_keeps_a_callable_equal_over_the_batch_as_one_member():
+    ss = np.linspace(0.0, 1.0, 5)
+    one = core.as_path(lambda s: STD2, core.SymplecticSpace, core.make_space, "the form")(ss)
+    assert one.form.shape == (2, 2)
+    npt.assert_array_equal(one.form, core.make_space(STD2).form)
+    # values that differ only at the last s are a stack, member i from s_i
+    frames = core.as_path(lambda s: [1.0, 2.0 if s == 1.0 else 1.0], core.Subspace,
+                          core.subspace_from_span, "lambda")(ss)
+    assert frames.frame.shape == (5, 2, 1)
+    npt.assert_array_equal(frames.frame[-1], core.subspace_from_span([1.0, 2.0]).frame)
+    # a NaN equals nothing, so it still reaches the coercion
+    for batch in (ss, ss[:1]):
+        with pytest.raises(NonFinite):
+            core.as_path(lambda s: [np.nan, 1.0], core.Subspace, core.subspace_from_span,
+                         "lambda")(batch)
+
+
+def test_orthogonal_complement_of_a_stack_is_taken_member_by_member():
+    rng = np.random.default_rng(3)
+    stack = core.subspace_from_span(rng.normal(size=(4, 5, 2)) + 1j * rng.normal(size=(4, 5, 2)))
+    comp = core.orthogonal_complement(stack)
+    assert comp.frame.shape == (4, 5, 3)
+    for i in range(4):
+        npt.assert_array_equal(comp.frame[i], core.orthogonal_complement(core.member(stack, i)).frame)
+    assert core.orthogonal_complement(core.Subspace(np.zeros((2, 3, 0)))).frame.shape == (2, 3, 3)

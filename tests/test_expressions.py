@@ -136,3 +136,34 @@ def test_round_trip(src):
     b = eval(re.sub(r"(\d)i", r"\1j", src), {"__builtins__": {}}, names)
     rel = np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300))
     assert rel <= 1e-15
+
+
+@pytest.mark.parametrize("src, offset", [
+    ("(" * 400 + "1" + ")" * 400, 100),
+    ("sin(" * 200 + "0" + ")" * 200, 403),
+], ids=["parentheses", "functions"])
+def test_nesting_deeper_than_the_limit_is_a_syntax_error(src, offset):
+    # both raised RecursionError while parsing; the error names the first
+    # parenthesis past the limit
+    with pytest.raises(ExpressionSyntaxError, match="parentheses nest deeper than 100") as info:
+        ex.parse(src)
+    assert info.value.offset == offset
+    depth = ex._MAX_NESTING
+    assert ev("(" * depth + "s" + ")" * depth, 2.0, 0.0) == 2.0
+
+
+def test_a_long_chain_is_one_left_fold():
+    # a 1,200-term sum nested 1,200 closures and raised RecursionError
+    # when evaluated; the fold keeps the order of operations
+    rng = np.random.default_rng(1)
+    coef = rng.uniform(0.001, 1.0, 1200)
+    ops = rng.choice(["+", "-"], 1199)
+    src = repr(float(coef[0])) + "*s" + "".join(
+        f"{op}{float(c)!r}*s" for op, c in zip(ops, coef[1:]))
+    s = np.linspace(0.0, 1.0, 7)
+    x = s.astype(np.complex128)
+    want = np.complex128(coef[0]) * x
+    for op, c in zip(ops, coef[1:]):
+        want = want + np.complex128(c) * x if op == "+" else want - np.complex128(c) * x
+    npt.assert_array_equal(ev(src, s, 0.0), want)
+    assert ex.parse(src).names == {"s"}

@@ -263,7 +263,12 @@ def test_a_stack_that_is_not_one_member_per_s_is_refused(index, keep):
     path = maslov.PairPath.from_parts(STD2, lambda s: [1.0, np.exp(2j * np.pi * s)],
                                       [1.0, 1.0], (0.0, 1.0))
     assert index(path)[0] == 1
-    short = maslov.PairPath(sampler=lambda ss: path.sampler(ss[:keep]), interval=path.interval)
+
+    def short_sampler(ss):
+        space, lam, mu = path.sampler(ss)
+        return space, core.Subspace(frame=lam.frame[:keep]), mu
+
+    short = maslov.PairPath(sampler=short_sampler, interval=path.interval)
     with pytest.raises(DimensionMismatch, match=f"lambda is a stack of shape \\({keep},\\)"):
         index(short)
 

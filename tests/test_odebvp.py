@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 from scipy.linalg import expm
 
-from maslovflow import core, flow, harness, odebvp
+from maslovflow import core, flow, harness, maslov, odebvp
 from maslovflow.errors import (
     DimensionMismatch,
     NonFinite,
@@ -332,6 +332,45 @@ def test_sf_runs_one_detector_pass_per_sample(monkeypatch):
     monkeypatch.setattr(odebvp, "_GammaEvaluator", counting)
     _, rep = odebvp.sf_bvp(fam, w_path, odebvp.BvpOpts(steps=64))
     assert len(built) == len(rep.samples) == 33
+
+
+def counting(calls, fun):
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return fun(*args, **kwargs)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("name", ["S2", "S5"])
+def test_mas_bvp_splits_a_boundary_form_that_holds_over_a_batch_once(name, monkeypatch):
+    # the boundary forms of S2 and S5 hold at every s; mas_bvp stacked one
+    # copy per s and make_splitting ran one eigh each (33)
+    fam, w = next(sc for sc in harness.builtin_scenarios() if sc.name == name).build()
+    eighs, batches = [], []
+    monkeypatch.setattr(core.la, "eigh", counting(eighs, core.la.eigh))
+    monkeypatch.setattr(maslov, "make_splitting", counting(batches, maslov.make_splitting))
+    odebvp.mas_bvp(fam, w, odebvp.BvpOpts(steps=64))
+    assert len(eighs) == len(batches) >= 1
+
+
+@pytest.mark.parametrize("name, form, per_sample", [
+    ("S2", lambda w: w, False),
+    ("S2", lambda w: (lambda s: w), False),
+    ("S1", lambda w: w, True),
+], ids=["constant-subspace", "constant-path", "rotating"])
+def test_sf_bvp_takes_w_perp_once_per_batch_unless_w_moves(name, form, per_sample, monkeypatch):
+    # sf_bvp took one SVD of W per s, 33 for S2's constant W
+    fam, w = next(sc for sc in harness.builtin_scenarios() if sc.name == name).build()
+    comps, svds, batches = [], [], []
+    monkeypatch.setattr(odebvp, "orthogonal_complement", counting(comps, odebvp.orthogonal_complement))
+    monkeypatch.setattr(core.la, "svd", counting(svds, core.la.svd))
+    engine = odebvp.flow_from_sampler
+    monkeypatch.setattr(odebvp, "flow_from_sampler", lambda sampler, *args, **kw: engine(
+        counting(batches, sampler), *args, **kw))
+    _, rep = odebvp.sf_bvp(fam, form(w), odebvp.BvpOpts(steps=64))
+    assert len(comps) == len(batches) < len(rep.samples)
+    assert len(svds) == (len(rep.samples) if per_sample else len(batches))
 
 
 @pytest.mark.parametrize("shape", [(6, 4), (3, 1)])
@@ -695,6 +734,15 @@ def test_constant_grids_raise_the_typed_errors(fam, exc, message):
     with pytest.raises(exc) as err:
         odebvp._system(fam, 0.25, 16)
     assert type(err.value) is exc and str(err.value) == message
+
+
+def test_w_of_r_refuses_an_m_that_disagrees_with_r():
+    # R in C^2 with m = 3 gave a W in C^4, refused only later by the pipelines
+    with pytest.raises(ValueError, match="C\\^{2m} = C\\^6, not C\\^2"):
+        odebvp.w_of_r(np.ones((2, 1)), m=3)
+    fam = dirichlet_second(lambda s, t: -1.5 * s, m=2)
+    with pytest.raises(ValueError, match="C\\^{2m} = C\\^4, not C\\^2"):
+        odebvp.index_difference_check(fam, np.ones((2, 1)))
 
 
 def test_w_of_r_is_always_lagrangian():
