@@ -27,13 +27,15 @@ family is declared unresolved rather than silently miscounted.
 from __future__ import annotations
 
 import csv
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
 
 from .core import require_count, require_hermitian, require_unitary, stacked
-from .errors import NotUnitary, SpectrumOnBoundary, UnresolvedFamily
+from .errors import NonFinite, NotUnitary, SpectrumOnBoundary, UnresolvedFamily
 
 
 @dataclass(frozen=True)
@@ -58,17 +60,21 @@ class WindowCount:
 
 
 def window_count(coords, delta, tau_zero):
-    """Count window coordinates below / at / above zero.
+    """Count the sorted ``coords`` below / at / above zero in a window.
 
     Only coordinates with ``|c| < delta`` participate; of those, the ones
     within ``tau_zero`` of 0 count as kernel (``n_zero``).
     """
-    c = np.asarray(coords, dtype=float)
-    inside = c[np.abs(c) < delta]
-    n_zero = int(np.count_nonzero(np.abs(inside) <= tau_zero))
-    n_minus = int(np.count_nonzero(inside < -tau_zero))
-    n_plus = int(np.count_nonzero(inside > tau_zero))
-    return WindowCount(n_minus=n_minus, n_zero=n_zero, n_plus=n_plus)
+    lo = bisect_right(coords, -delta)
+    hi = max(lo, bisect_left(coords, delta))  # no coordinate is inside a window delta <= 0
+    n_minus = max(0, bisect_left(coords, -tau_zero) - lo)
+    n_plus = max(0, hi - bisect_right(coords, tau_zero))
+    return WindowCount(n_minus=n_minus, n_zero=hi - lo - n_minus - n_plus, n_plus=n_plus)
+
+
+def _inside(coords, h):
+    """How many of the sorted ``coords`` have ``|c| < h``."""
+    return bisect_left(coords, h) - bisect_right(coords, -h)
 
 
 @dataclass(frozen=True)
@@ -117,93 +123,88 @@ def _sorted_movement(x, y, circular):
 
     For circular coordinates (eigenphases) the pairing is the best cyclic
     shift with distances measured around the circle, so a family that winds
-    through +-pi is matched correctly instead of tearing at the seam.
+    through +-pi is matched correctly instead of tearing at the seam.  A
+    shift is dropped as soon as its worst distance reaches the best so far,
+    which leaves the minimum over shifts unchanged.
     """
-    if x.size == 0:
-        return 0.0
     if not circular:
-        return float(np.max(np.abs(x - y)))
-    n = x.size
-    shifts = (np.arange(n)[:, None] + np.arange(n)) % n  # row k: y rolled by k
-    d = np.abs(np.mod(y[shifts] - x + np.pi, 2.0 * np.pi) - np.pi)
-    return float(d.max(axis=1).min())
+        return max((abs(a - b) for a, b in zip(x, y)), default=0.0)
+    best = math.inf if x else 0.0
+    for k in range(len(x)):
+        worst = 0.0
+        for a, b in zip(x, y[k:] + y[:k]):
+            worst = max(worst, abs((b - a + math.pi) % (2.0 * math.pi) - math.pi))
+            if worst >= best:
+                break
+        else:
+            best = worst
+    return best
 
 
-def _station_movement(cl, cm, cr, circular, delta_max):
+def _station_movement(cl, cm, cr, circular, delta_max, mags):
     """Estimated worst coordinate movement across half a segment, or None
     when the station lists cannot be matched (callers bisect then).
+    ``mags`` are the stations' distinct coordinate magnitudes, ascending.
 
     Lists of unequal length can only come from samplers that truncate far
     coordinates; those are matched inside the largest count-stable horizon
     instead, which is safe because admissible windows sit well below it.
     """
-    if cl.size == cm.size == cr.size:
-        return max(
-            _sorted_movement(cl, cm, circular), _sorted_movement(cm, cr, circular)
-        )
+    if len(cl) == len(cm) == len(cr):
+        return max(_sorted_movement(cl, cm, circular), _sorted_movement(cm, cr, circular))
     if circular:
         return None
-    merged = np.abs(np.concatenate([cl, cm, cr]))
     lo = 1.4 * delta_max
-    vals = np.unique(merged)
-    cands = [lo] + [float(h) for h in 0.5 * (vals[1:] + vals[:-1]) if h > lo]
+    cands = [lo] + [h for h in (0.5 * (a + b) for a, b in zip(mags, mags[1:])) if h > lo]
     best_h, best_clear = None, 0.0
     for h in cands:
-        if len({int(np.count_nonzero(np.abs(c) < h)) for c in (cl, cm, cr)}) != 1:
+        if not _inside(cl, h) == _inside(cm, h) == _inside(cr, h):
             continue
-        clear = float(np.min(np.abs(merged - h))) if merged.size else np.inf
+        clear = min(abs(m - h) for m in mags)
         if clear > best_clear:
             best_h, best_clear = h, clear
     if best_h is None:
         return None
-    zl, zm, zr = (c[np.abs(c) < best_h] for c in (cl, cm, cr))
+    zl, zm, zr = ([x for x in c if abs(x) < best_h] for c in (cl, cm, cr))
     return max(_sorted_movement(zl, zm, False), _sorted_movement(zm, zr, False))
 
 
-def _candidate_deltas(abs_coords, delta_max, floor):
-    """Deterministic candidate list of window half-widths, largest first.
+def _candidate_deltas(mags, delta_max, floor):
+    """Deterministic window half-widths to try, largest first, from the
+    distinct coordinate magnitudes ``mags`` (ascending).
 
-    Includes delta_max itself, midpoints of gaps between consecutive
-    coordinate magnitudes, half the smallest magnitude (so a window can
-    shrink below everything), and a geometric ladder delta_max / 2^k.  The
-    ladder and the sub-smallest value matter: segments exist where every
-    coordinate is tiny and only a window below all of them is admissible.
+    delta_max comes first; the rest, built only when it is refused, are the
+    midpoints of gaps between consecutive magnitudes, half the smallest
+    magnitude (so a window can shrink below everything), and a geometric
+    ladder delta_max / 2^k.  The ladder and the sub-smallest value matter:
+    segments exist where every coordinate is tiny and only a window below
+    all of them is admissible.
     """
-    cands = {delta_max}
-    vals = np.unique(abs_coords)
-    if vals.size:
-        mids = 0.5 * (vals[1:] + vals[:-1])
-        for m in mids:
-            if floor < m < delta_max:
-                cands.add(float(m))
-        smallest = float(vals[0])
-        if floor < 0.5 * smallest < delta_max:
-            cands.add(0.5 * smallest)
-    for k in range(1, 9):
-        d = delta_max / 2.0**k
-        if d > floor:
-            cands.add(d)
-    return sorted(cands, reverse=True)
+    yield delta_max
+    cands = {m for m in (0.5 * (a + b) for a, b in zip(mags, mags[1:])) if floor < m < delta_max}
+    if mags and floor < 0.5 * mags[0] < delta_max:
+        cands.add(0.5 * mags[0])
+    cands.update(d for d in (delta_max / 2.0**k for k in range(1, 9)) if d > floor)
+    yield from sorted(cands, reverse=True)
 
 
 def _admissible_delta(cl, cm, cr, circular, delta_max, eta, floor):
     """The largest candidate window half-width that is admissible on a
-    segment with station coordinates ``cl``, ``cm``, ``cr`` (left, middle,
-    right), or None when the segment must be bisected."""
-    merged = np.abs(np.concatenate([cl, cr, cm]))
+    segment with sorted station coordinates ``cl``, ``cm``, ``cr`` (left,
+    middle, right), or None when the segment must be bisected."""
+    mags = sorted({abs(c) for c in (*cl, *cm, *cr)})
     # Window walls must clear every sampled coordinate by more than the
     # coordinates move across half the segment; otherwise a pair can
     # trade places across the walls, which keeps the station totals
     # equal while silently breaking the count bookkeeping.
-    movement = _station_movement(cl, cm, cr, circular, delta_max)
+    movement = _station_movement(cl, cm, cr, circular, delta_max, mags)
     if movement is None:
         return None
     clearance = max(eta, 1.5 * movement)
-    for cand in _candidate_deltas(merged, delta_max, floor):
-        if merged.size and np.min(np.abs(merged - cand)) < clearance:
+    for cand in _candidate_deltas(mags, delta_max, floor):
+        if any(abs(m - cand) < clearance for m in mags):
             continue  # a coordinate could reach the window edge
-        counts = {int(np.count_nonzero(np.abs(c) < cand)) for c in (cl, cm, cr)}
-        if len(counts) != 1:
+        if not _inside(cl, cand) == _inside(cm, cand) == _inside(cr, cand):
             continue  # window contents changed across the segment
         return cand
     return None
@@ -218,14 +219,16 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
     decision.  The first sampler call takes the ``initial_segments + 1``
     grid points and the midpoints of the grid's segments; each later call
     takes the midpoints of the segments bisected at the depth before.  No
-    s is sent twice.
+    s is sent twice.  Each s's coordinates are sorted once; the report keeps
+    the array and every window is decided and counted on it as Python floats.
 
     Parameters
     ----------
     sampler : callable
         Maps a 1-D array of parameter values s to a sequence of 1-D arrays
-        of real crossing coordinates, one per s.  Must be deterministic, and
-        an s must get the same coordinates whatever else is in its batch.
+        of real, finite crossing coordinates, one per s (``NonFinite`` names
+        the first s otherwise).  Must be deterministic, and an s must get the
+        same coordinates whatever else is in its batch.
     interval : (float, float)
         Finite endpoints a < b (``ValueError`` otherwise).
     opts : FlowOpts, optional
@@ -250,23 +253,24 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
         raise ValueError(f"interval must be finite with a < b, got ({a}, {b})")
     if scale is not None and (isinstance(scale, bool) or not (np.isfinite(scale) and scale > 0)):
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
-    cache: dict[float, np.ndarray] = {}
+    cache, stations = {}, {}  # s -> sorted coordinates, as an array and as Python floats
 
     def sample(points):
         new = sorted({s for s in points if s not in cache})
         if new:
             for s, c in zip(new, sampler(np.array(new)), strict=True):
                 cache[s] = np.sort(np.asarray(c, dtype=float))
+                if not np.isfinite(cache[s]).all():
+                    raise NonFinite(f"crossing coordinates at s = {s:.17g} are not finite")
+                stations[s] = cache[s].tolist()
 
     grid = [float(s) for s in np.linspace(a, b, opts.initial_segments + 1)]
     level = list(zip(grid[:-1], grid[1:]))
     sample(grid + [0.5 * (left + right) for left, right in level])
     if scale is None:
-        top = max((float(np.abs(cache[s]).max()) for s in grid if cache[s].size), default=0.0)
+        top = max((max(abs(c[0]), abs(c[-1])) for c in map(stations.get, grid) if c), default=0.0)
         scale = top if top > 0 else 1.0
-    delta_max = 0.25 * scale
-    eta = 1e-6 * scale
-    tau_zero = 1e-9 * scale
+    delta_max, eta, tau_zero = 0.25 * scale, 1e-6 * scale, 1e-9 * scale
     floor = max(4.0 * eta, 10.0 * tau_zero)
 
     report = CrossingReport(samples=cache)
@@ -277,26 +281,22 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
         bisected = []
         for left, right in level:
             mid = 0.5 * (left + right)
-            cl, cm, cr = cache[left], cache[mid], cache[right]
+            cl, cm, cr = stations[left], stations[mid], stations[right]
             delta = _admissible_delta(cl, cm, cr, circular, delta_max, eta, floor)
             if delta is None:
                 if depth >= opts.max_depth:
                     raise UnresolvedFamily(
                         f"no admissible window on [{left:.17g}, {right:.17g}] "
                         f"at depth {depth}; family varies too fast near this segment",
-                        s_left=left,
-                        s_right=right,
-                    )
+                        s_left=left, s_right=right)
                 bisected += [(left, mid), (mid, right)]
                 continue
-            wl = window_count(cl, delta, tau_zero)
-            wr = window_count(cr, delta, tau_zero)
             seg = SegmentRecord(s_left=left, s_right=right, delta=delta,
-                                count_left=wl, count_right=wr)
+                                count_left=window_count(cl, delta, tau_zero),
+                                count_right=window_count(cr, delta, tau_zero))
             report.segments.append(seg)
             total += seg.contribution
-        level = bisected
-        depth += 1
+        level, depth = bisected, depth + 1
     report.segments.sort(key=lambda seg: seg.s_left)
     return total, report
 

@@ -3,9 +3,17 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maslovflow import core, flow, harness, maslov
-from maslovflow.errors import DimensionMismatch, NotUnitary, SpectrumOnBoundary, UnresolvedFamily
+from maslovflow.errors import (
+    DimensionMismatch,
+    NonFinite,
+    NotUnitary,
+    SpectrumOnBoundary,
+    UnresolvedFamily,
+)
 from maslovflow.flow import FlowOpts
 
 
@@ -15,10 +23,88 @@ def batched(scalar):
     return lambda ss: [scalar(s) for s in ss]
 
 
+# The engine's per-segment decisions as NumPy array code, kept here as an
+# oracle independent of the float code under test in ``flow``.
+
+def np_window_count(coords, delta, tau_zero):
+    c = np.asarray(coords, dtype=float)
+    inside = c[np.abs(c) < delta]
+    n_zero = int(np.count_nonzero(np.abs(inside) <= tau_zero))
+    n_minus = int(np.count_nonzero(inside < -tau_zero))
+    n_plus = int(np.count_nonzero(inside > tau_zero))
+    return flow.WindowCount(n_minus=n_minus, n_zero=n_zero, n_plus=n_plus)
+
+
+def np_sorted_movement(x, y, circular):
+    if x.size == 0:
+        return 0.0
+    if not circular:
+        return float(np.max(np.abs(x - y)))
+    n = x.size
+    shifts = (np.arange(n)[:, None] + np.arange(n)) % n  # row k: y rolled by k
+    d = np.abs(np.mod(y[shifts] - x + np.pi, 2.0 * np.pi) - np.pi)
+    return float(d.max(axis=1).min())
+
+
+def np_station_movement(cl, cm, cr, circular, delta_max):
+    if cl.size == cm.size == cr.size:
+        return max(np_sorted_movement(cl, cm, circular), np_sorted_movement(cm, cr, circular))
+    if circular:
+        return None
+    merged = np.abs(np.concatenate([cl, cm, cr]))
+    lo = 1.4 * delta_max
+    vals = np.unique(merged)
+    cands = [lo] + [float(h) for h in 0.5 * (vals[1:] + vals[:-1]) if h > lo]
+    best_h, best_clear = None, 0.0
+    for h in cands:
+        if len({int(np.count_nonzero(np.abs(c) < h)) for c in (cl, cm, cr)}) != 1:
+            continue
+        clear = float(np.min(np.abs(merged - h))) if merged.size else np.inf
+        if clear > best_clear:
+            best_h, best_clear = h, clear
+    if best_h is None:
+        return None
+    zl, zm, zr = (c[np.abs(c) < best_h] for c in (cl, cm, cr))
+    return max(np_sorted_movement(zl, zm, False), np_sorted_movement(zm, zr, False))
+
+
+def np_candidate_deltas(abs_coords, delta_max, floor):
+    cands = {delta_max}
+    vals = np.unique(abs_coords)
+    if vals.size:
+        mids = 0.5 * (vals[1:] + vals[:-1])
+        for m in mids:
+            if floor < m < delta_max:
+                cands.add(float(m))
+        smallest = float(vals[0])
+        if floor < 0.5 * smallest < delta_max:
+            cands.add(0.5 * smallest)
+    for k in range(1, 9):
+        d = delta_max / 2.0**k
+        if d > floor:
+            cands.add(d)
+    return sorted(cands, reverse=True)
+
+
+def np_admissible_delta(cl, cm, cr, circular, delta_max, eta, floor):
+    merged = np.abs(np.concatenate([cl, cr, cm]))
+    movement = np_station_movement(cl, cm, cr, circular, delta_max)
+    if movement is None:
+        return None
+    clearance = max(eta, 1.5 * movement)
+    for cand in np_candidate_deltas(merged, delta_max, floor):
+        if merged.size and np.min(np.abs(merged - cand)) < clearance:
+            continue
+        if len({int(np.count_nonzero(np.abs(c) < cand)) for c in (cl, cm, cr)}) != 1:
+            continue
+        return cand
+    return None
+
+
 def reference_engine(sampler, interval, opts=None, scale=None, circular=False):
     """The depth-first engine the level-by-level one replaced: a LIFO stack
-    of segments, worked left to right, sampling one s at a time.  Returns
-    ``(total, segments)``."""
+    of segments, worked left to right, sampling one s at a time and deciding
+    on NumPy arrays with the oracle above.  Returns ``(total, segments)``."""
     opts = opts or FlowOpts()
     a, b = float(interval[0]), float(interval[1])
     cache = {}
@@ -43,26 +129,15 @@ def reference_engine(sampler, interval, opts=None, scale=None, circular=False):
         left, right, depth = stack.pop()
         mid = 0.5 * (left + right)
         cl, cr, cm = coords_at(left), coords_at(right), coords_at(mid)
-        merged = np.abs(np.concatenate([cl, cr, cm]))
-        movement = flow._station_movement(cl, cm, cr, circular, delta_max)
-        delta = None
-        if movement is not None:
-            clearance = max(eta, 1.5 * movement)
-            for cand in flow._candidate_deltas(merged, delta_max, floor):
-                if merged.size and np.min(np.abs(merged - cand)) < clearance:
-                    continue
-                if len({int(np.count_nonzero(np.abs(c) < cand)) for c in (cl, cm, cr)}) != 1:
-                    continue
-                delta = cand
-                break
+        delta = np_admissible_delta(cl, cm, cr, circular, delta_max, eta, floor)
         if delta is None:
             if depth >= opts.max_depth:
                 raise UnresolvedFamily("reference engine", s_left=left, s_right=right)
             stack += [(mid, right, depth + 1), (left, mid, depth + 1)]
             continue
         seg = flow.SegmentRecord(s_left=left, s_right=right, delta=delta,
-                                 count_left=flow.window_count(cl, delta, tau_zero),
-                                 count_right=flow.window_count(cr, delta, tau_zero))
+                                 count_left=np_window_count(cl, delta, tau_zero),
+                                 count_right=np_window_count(cr, delta, tau_zero))
         segments.append(seg)
         total += seg.contribution
     return total, segments
@@ -207,6 +282,24 @@ def test_a_scale_that_is_not_finite_and_positive_is_refused(scale):
         flow.flow_from_sampler(sampler, (0.0, 1.0), scale=scale)
 
 
+def test_a_branch_that_turns_nan_is_refused_at_its_first_s():
+    # read a flow of 0: a NaN is in no window
+    def sampler(ss):
+        return [np.array([s - 0.5 if s <= 0.5 else np.nan]) for s in ss]
+
+    with pytest.raises(NonFinite, match=r"^crossing coordinates at s = 0.53125 are not finite"):
+        flow.flow_from_sampler(sampler, (0.0, 1.0))
+
+
+def test_an_infinite_coordinate_is_refused():
+    # read a flow of 0 where it is 1: the default scale became inf
+    def sampler(ss):
+        return [np.array([s - 0.5, np.inf]) for s in ss]
+
+    with pytest.raises(NonFinite, match=r"^crossing coordinates at s = 0 are not finite"):
+        flow.flow_from_sampler(sampler, (0.0, 1.0))
+
+
 @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
 def test_unitary_winding(k):
     def family(s):
@@ -265,8 +358,10 @@ def test_report_partition_and_samples():
 
 
 def test_window_count():
-    wc = flow.window_count([-0.5, -1e-12, 0.2, 0.9], delta=0.3, tau_zero=1e-9)
+    coords = [-0.5, -1e-12, 0.2, 0.9]
+    wc = flow.window_count(coords, delta=0.3, tau_zero=1e-9)
     assert (wc.n_minus, wc.n_zero, wc.n_plus) == (0, 1, 1)
+    assert wc == np_window_count(coords, 0.3, 1e-9)
     wc = flow.window_count([-0.25, 0.25], delta=0.3, tau_zero=1e-9)
     assert (wc.n_minus, wc.n_zero, wc.n_plus) == (1, 0, 1)
 
@@ -345,12 +440,21 @@ def test_circular_movement_matches_the_shift_loop():
         for _ in range(40):
             x = np.sort(rng.uniform(-np.pi, np.pi, n))
             y = np.sort(np.angle(np.exp(1j * (x + rng.normal(0.0, 0.4, n)))))
-            assert flow._sorted_movement(x, y, True) == _sorted_movement_by_shift_loop(x, y)
+            got = flow._sorted_movement(x.tolist(), y.tolist(), True)
+            assert got == _sorted_movement_by_shift_loop(x, y) == np_sorted_movement(x, y, True)
     # one phase crosses the seam from +pi - 0.01 to -pi + 0.01
     x = np.array([-1.0, np.pi - 0.01])
     y = np.array([-np.pi + 0.01, -1.0])
-    got = flow._sorted_movement(x, y, True)
+    got = flow._sorted_movement(x.tolist(), y.tolist(), True)
     assert got == _sorted_movement_by_shift_loop(x, y) == pytest.approx(0.02)
+    # evenly spaced phases turned by about half their spacing: the shift
+    # by 0 and the shift by one back nearly tie, and either may be best
+    for n in range(2, 9):
+        for _ in range(20):
+            x = np.sort(np.angle(np.exp(1j * (2.0 * np.pi * np.arange(n) / n + rng.uniform()))))
+            y = np.sort(np.angle(np.exp(1j * (x + np.pi / n + rng.normal(0.0, 1e-3, n)))))
+            got = flow._sorted_movement(x.tolist(), y.tolist(), True)
+            assert got == _sorted_movement_by_shift_loop(x, y) == np_sorted_movement(x, y, True)
 
 
 def captured_samplers(monkeypatch, module, run_index):
@@ -426,3 +530,92 @@ def test_coordinates_do_not_depend_on_the_batch(monkeypatch, n):
     assert len(samplers) == 7
     for sampler in samplers:
         assert_batch_invariant(sampler)
+
+
+def wrapped(x):
+    """Angles on (-pi, pi], as eigenphases are."""
+    x = (np.asarray(x) + np.pi) % (2.0 * np.pi) - np.pi
+    return np.where(x == -np.pi, np.pi, x)
+
+
+@st.composite
+def station_triples(draw, circular):
+    """Three sorted station lists and the engine's constants at one scale.
+
+    A list of 0-12 or 64 coordinates drifts by one of several step sizes
+    (zero included) from left to middle to right.  Coordinates sit at
+    random or on a lattice, at 0 and +-tau_zero, at +-delta for every rung
+    of the ladder, at mirrored magnitudes (x and -x) and at the midpoint of
+    two magnitudes; circular ones may cluster at the seam +-pi, other lists
+    may be truncated far out or gain coordinates, either of which can make
+    their lengths unequal.
+    """
+    scale = draw(st.sampled_from([0.35, 1.0, np.pi]))
+    delta_max, eta, tau_zero = 0.25 * scale, 1e-6 * scale, 1e-9 * scale
+    floor = max(4.0 * eta, 10.0 * tau_zero)
+    specials = [0.0, tau_zero, 2.0 * tau_zero, eta, floor, 2.0 * floor, 1.4 * delta_max]
+    specials += [delta_max / 2.0**k for k in range(9)]
+    top = np.pi if circular else 2.0 * scale
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(0, 12), st.just(64)))
+    if draw(st.booleans()):
+        def values(k):
+            return rng.uniform(-top, top, k)
+    else:  # evenly spaced, so that gaps and clearances tie
+        def values(k):
+            return scale / 16.0 * rng.integers(-32, 33, k)
+    base = values(n)
+    placed = st.tuples(st.integers(0, max(n - 1, 0)), st.sampled_from(specials),
+                       st.sampled_from([1.0, -1.0]))
+    for k, v, sign in draw(st.lists(placed, max_size=min(n, 8))):
+        base[k] = sign * v
+    mirrored = draw(st.integers(0, n // 2))
+    base[n - mirrored:] = -base[:mirrored]
+    if n >= 3 and draw(st.booleans()):
+        base[2] = np.copysign(0.5 * (abs(base[0]) + abs(base[1])), base[2])
+    if circular and draw(st.booleans()):
+        base = np.pi + 0.1 * base  # straddles the seam
+    step = draw(st.sampled_from([0.0, tau_zero, eta, 1e-3 * scale, 0.1 * scale]))
+    lists = [base, base + step * rng.uniform(-1.0, 1.0, n)]
+    lists.append(lists[1] + step * rng.uniform(-1.0, 1.0, n))
+    if circular:
+        lists = [wrapped(c) for c in lists]
+    elif draw(st.booleans()):  # truncated far out, as a sampler may do
+        cutoff = draw(st.sampled_from([1.4 * delta_max, 0.5 * top, top]))
+        lists = [c[np.abs(c) <= cutoff] for c in lists]
+    if not circular and draw(st.booleans()):
+        lists = [np.append(c, values(draw(st.integers(0, 3)))) for c in lists]
+    cl, cm, cr = (sorted(c.tolist()) for c in lists)
+    return cl, cm, cr, delta_max, eta, floor, tau_zero
+
+
+@pytest.mark.parametrize("circular", [False, True], ids=["line", "circle"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_float_decisions_match_the_numpy_oracle(circular, data):
+    cl, cm, cr, delta_max, eta, floor, tau_zero = data.draw(station_triples(circular))
+    arrays = [np.array(c, dtype=float) for c in (cl, cm, cr)]
+    mags = sorted({abs(c) for c in cl + cm + cr})
+    assert flow._station_movement(cl, cm, cr, circular, delta_max, mags) == np_station_movement(
+        *arrays, circular, delta_max)
+    delta = flow._admissible_delta(cl, cm, cr, circular, delta_max, eta, floor)
+    assert delta == np_admissible_delta(*arrays, circular, delta_max, eta, floor)
+    # windows at the ladder, at coordinate magnitudes (a coordinate at
+    # +-delta) and at their midpoints, and the one chosen
+    windows = [delta_max / 2.0**k for k in range(9)] + mags
+    windows += [0.5 * (a + b) for a, b in zip(mags, mags[1:])]
+    windows = data.draw(st.lists(st.sampled_from(windows), max_size=12))
+    for window in windows + ([] if delta is None else [delta]):
+        for coords, array in zip((cl, cm, cr), arrays):
+            assert flow.window_count(coords, window, tau_zero) == np_window_count(
+                array, window, tau_zero)
+
+
+def test_a_wall_exactly_at_the_clearance_is_admissible():
+    # dyadic coordinates: one moves 2^-8, so the clearance is 3 * 2^-9 and
+    # the middle coordinate sits exactly that far below delta_max = 0.25
+    v = 0.25 - 3.0 * 2.0**-9
+    cl, cm, cr = [v - 2.0**-8], [v], [v]
+    args = (False, 0.25, 1e-6, 4e-6)
+    assert flow._admissible_delta(cl, cm, cr, *args) == 0.25
+    assert np_admissible_delta(*(np.array(c) for c in (cl, cm, cr)), *args) == 0.25

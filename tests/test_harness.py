@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from maslovflow import cli, core, harness, maslov, odebvp
@@ -137,9 +138,22 @@ def test_sweep_is_deterministic():
 
 
 def test_sweep_trials_draw_disjoint_streams():
-    first = harness._rng_for(42, 0, 16).bit_generator.random_raw(8)
-    second = harness._rng_for(42, 1, 16).bit_generator.random_raw(8)
+    first = harness._rng_for(42, 0, "graph_lagrangian").bit_generator.random_raw(8)
+    second = harness._rng_for(42, 1, "graph_lagrangian").bit_generator.random_raw(8)
     assert not set(first) & set(second)
+
+
+def test_sweep_streams_are_keyed_by_suite_name():
+    # one distinct counter word per suite, equal to the suite's position in
+    # ALL_SUITES when streams were keyed by position, so no draw changed
+    words = harness.SUITE_STREAMS
+    assert set(words) == set(harness.SUITE_NAMES)
+    assert len(set(words.values())) == len(words)
+    assert [words[name] for name in harness.SUITE_NAMES] == list(range(21))
+    for index, name in enumerate(harness.SUITE_NAMES):
+        by_position = np.random.Philox(counter=[0, index, 3, 0], key=[42, 0])
+        npt.assert_array_equal(harness._rng_for(42, 3, name).bit_generator.random_raw(4),
+                               by_position.random_raw(4))
 
 
 def test_sweep_counts_a_singular_matrix_as_a_failed_trial(monkeypatch, capsys):
