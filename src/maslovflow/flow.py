@@ -148,7 +148,14 @@ def _station_movement(cl, cm, cr, circular, delta_max, mags):
 
     Lists of unequal length can only come from samplers that truncate far
     coordinates; those are matched inside the largest count-stable horizon
-    instead, which is safe because admissible windows sit well below it.
+    instead, and any two adjacent lists of equal length are matched whole
+    as well, so a coordinate that stays outside the horizon at both
+    stations still shows the distance it moved between them.  A coordinate
+    that enters or leaves the truncated range between two stations of
+    different lengths, or crosses the whole range within half a segment,
+    is still not seen: S1's family with a boundary condition that turns six
+    or more times over [0, 1] gets a wrong spectral flow here, and only a
+    speed bound from the sampler can refuse such a segment.
     """
     if len(cl) == len(cm) == len(cr):
         return max(_sorted_movement(cl, cm, circular), _sorted_movement(cm, cr, circular))
@@ -166,7 +173,8 @@ def _station_movement(cl, cm, cr, circular, delta_max, mags):
     if best_h is None:
         return None
     zl, zm, zr = ([x for x in c if abs(x) < best_h] for c in (cl, cm, cr))
-    return max(_sorted_movement(zl, zm, False), _sorted_movement(zm, zr, False))
+    pairs = [(zl, zm), (zm, zr)] + [(a, b) for a, b in ((cl, cm), (cm, cr)) if len(a) == len(b)]
+    return max(_sorted_movement(a, b, False) for a, b in pairs)
 
 
 def _candidate_deltas(mags, delta_max, floor):

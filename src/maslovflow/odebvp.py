@@ -22,7 +22,9 @@ is a degree-4 matrix polynomial in lambda, built once per system; a batch of
 lambdas evaluates the step matrices and multiplies them in a log-depth
 product tree, or, for the solution at every grid time, in a log-depth
 prefix scan whose last entry is the tree's product bit for bit.
-Each coefficient is read with one call on the t-grid.  A family whose raw
+Each coefficient is read with one call on the t-grid, and a family object
+keeps each system it builds, so every caller, both pipelines included,
+shares one build per (s, steps).  A family whose raw
 coefficient grids are exactly constant in t is checked, inverted and
 assembled at one grid point, and its system takes an exact
 matrix-exponential shortcut; any other runs RK4.
@@ -44,14 +46,14 @@ On top of the propagator sit the two index pipelines:
   graphs, and the boundary condition path, and hands them to the Maslov
   index.
 
-The two integers are produced by disjoint code paths (real eigenvalue
-branches vs. unitary eigenphases) and their agreement is the content of the
-identities this package exists to check.
+The two integers are produced from the same shooting systems by disjoint
+code paths (real eigenvalue branches vs. unitary eigenphases) and their
+agreement is the content of the identities this package exists to check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -126,12 +128,22 @@ class FirstOrderFamily:
     Every build calls ``j`` on three grids of 2 steps + 1 times and ``b``
     on one, once per grid.  When every grid is exactly constant in t, the
     checks, the inverse and the algebra run at one grid point.
+
+    A family object builds its shooting system once per (s, steps) and
+    keeps it for every later caller, so each coefficient is called once
+    per grid per (s, steps) per family object, and must be a pure function
+    of (s, t).  The systems live as long as the family: 5 steps d^2 complex
+    entries each (80 steps d^2 bytes, d = m here, 2m for a second-order
+    family), or 2 d^2 when constant in t.  The table takes no part in
+    ``==``, ``hash`` or ``repr``, and ``dataclasses.replace`` starts an
+    empty one.
     """
 
     m: int
     T: float
     j: Callable
     b: Callable
+    _systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_size(self)
@@ -144,7 +156,9 @@ class SecondOrderFamily:
 
     The coefficients are called as ``FirstOrderFamily``'s are, each once
     per build on one grid of 2 steps + 1 times; when p, q and r are all
-    exactly constant in t, the build works at one grid point.
+    exactly constant in t, the build works at one grid point.  Systems are
+    kept per family object as ``FirstOrderFamily`` keeps them, with
+    d = 2m.
     """
 
     m: int
@@ -152,6 +166,7 @@ class SecondOrderFamily:
     p: Callable
     q: Callable
     r: Callable
+    _systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_size(self)
@@ -199,7 +214,8 @@ class _ShootingSystem:
     any other system the RK4 step matrices are built here once: the system
     is affine in lambda, so the step matrix of step k is a degree-4 matrix
     polynomial M_k(lambda) = sum_p lambda^p N[p, k] (``self.poly``, shape
-    ``(5, steps, d, d)``).
+    ``(5, steps, d, d)``).  A family shares its systems with every caller,
+    so their arrays are read-only.
     """
 
     def __init__(self, c0, c1, T, steps):
@@ -210,8 +226,10 @@ class _ShootingSystem:
         self.const = len(c0) == 1
         if self.const:
             self.c0, self.c1 = c0[0], c1[0]
+            self.c0.flags.writeable = self.c1.flags.writeable = False
         else:
             self.poly = _rk4_step_polynomial(c0, c1, self.h)
+            self.poly.flags.writeable = False
 
     def propagate(self, lams, checkpoints=False):
         """Fundamental solutions at T for a batch of shooting parameters.
@@ -380,12 +398,22 @@ def _build_second_order(fam, s, steps):
 
 
 def _system(fam, s, steps):
+    """The shooting system of ``fam`` at (s, steps), built at most once per
+    family object: it is stored in the family's table and read from there
+    by every later caller, both pipelines included.  A build that raises
+    stores nothing, so it raises again on the next call."""
     require_count(steps, "steps", 1)
     if isinstance(fam, FirstOrderFamily):
-        return _build_first_order(fam, float(s), int(steps))
-    if isinstance(fam, SecondOrderFamily):
-        return _build_second_order(fam, float(s), int(steps))
-    raise TypeError(f"unsupported family type {type(fam).__name__}")
+        build = _build_first_order
+    elif isinstance(fam, SecondOrderFamily):
+        build = _build_second_order
+    else:
+        raise TypeError(f"unsupported family type {type(fam).__name__}")
+    key = (float(s), int(steps))
+    system = fam._systems.get(key)
+    if system is None:
+        system = fam._systems[key] = build(fam, *key)
+    return system
 
 
 # ---------------------------------------------------------------------------

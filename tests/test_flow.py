@@ -65,7 +65,8 @@ def np_station_movement(cl, cm, cr, circular, delta_max):
     if best_h is None:
         return None
     zl, zm, zr = (c[np.abs(c) < best_h] for c in (cl, cm, cr))
-    return max(np_sorted_movement(zl, zm, False), np_sorted_movement(zm, zr, False))
+    pairs = [(zl, zm), (zm, zr)] + [(a, b) for a, b in ((cl, cm), (cm, cr)) if a.size == b.size]
+    return max(np_sorted_movement(a, b, False) for a, b in pairs)
 
 
 def np_candidate_deltas(abs_coords, delta_max, floor):

@@ -1,6 +1,7 @@
 """Boundary value pipelines: shooting, eigenvalue location, both indices."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -556,6 +557,76 @@ def test_coefficients_that_take_only_t_arrays_run_both_pipelines():
     mas, rep = odebvp.mas_bvp(fam, rotating_w, opts)
     assert sf == mas == 1
     assert rep.extras["transport_residual"] <= 1e-12
+
+
+def test_both_pipelines_share_one_build_per_s(monkeypatch):
+    # mas_bvp rebuilt every system sf_bvp had built
+    fam, w = stock_family("S3"), rotating_w
+    builds = []
+    monkeypatch.setattr(odebvp, "_build_first_order",
+                        counting(builds, odebvp._build_first_order))
+    opts = odebvp.BvpOpts(steps=64)
+    _, sf_rep = odebvp.sf_bvp(fam, w, opts)
+    _, mas_rep = odebvp.mas_bvp(fam, w, opts)
+    built = [s for _, s, _ in builds]
+    assert len(built) == len(set(built))
+    assert set(built) == set(sf_rep.samples) | set(mas_rep.samples)
+
+
+def test_maslov_long_reuses_the_endpoint_systems_of_sf_bvp(monkeypatch):
+    fam, w = stock_family("S2"), odebvp.w_of_r(None, m=1)
+    opts = odebvp.BvpOpts(steps=64)
+    odebvp.sf_bvp(fam, w, opts)
+    builds = []
+    monkeypatch.setattr(odebvp, "_build_second_order",
+                        counting(builds, odebvp._build_second_order))
+    for s in (0.0, 1.0):
+        odebvp.maslov_long(fam, s, w, opts)
+    assert builds == []
+
+
+def test_a_build_that_raises_is_not_kept():
+    calls = []
+    fam = first_order(1, 1.0, counted(scalar_coeff(lambda s, t: 1j * (t - 0.5)), calls),
+                      const_coeff(np.zeros((1, 1))))
+    for attempt in (1, 2):
+        with pytest.raises(SingularJ):
+            odebvp.transfer_matrix(fam, 0.0, 0.0, steps=64)
+        assert len(calls) == 3 * attempt  # j on its three grids, each attempt
+    assert fam._systems == {}
+
+
+def test_the_system_table_is_not_part_of_the_family():
+    fam = stock_family("S2")
+    odebvp.transfer_matrix(fam, 0.5, steps=16)
+    assert list(fam._systems) == [(0.5, 16)]
+    fresh = replace(fam)
+    assert fresh._systems == {}
+    assert fresh == fam and hash(fresh) == hash(fam) and repr(fresh) == repr(fam)
+    assert replace(fam, r=lambda s, t: np.full((1, 1), -s))._systems == {}
+    assert list(fam._systems) == [(0.5, 16)]
+
+
+def test_a_kept_system_is_shared_and_read_only():
+    for name in ("S2", "S3"):
+        fam = stock_family(name)
+        system = odebvp._system(fam, 0.5, 16)
+        assert odebvp._system(fam, np.float64(0.5), np.int64(16)) is system
+        arrays = (system.c0, system.c1) if system.const else (system.poly,)
+        assert not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.1, 2.9])
+def test_a_boundary_condition_turning_five_times_gives_five(theta):
+    # S1's family against W_s = span(1, e^{i(10 pi s + theta)}): sf_bvp gave
+    # 3 or 4, because the horizon match of unequal station lists dropped an
+    # eigenvalue that crossed 0 between two stations outside the horizon
+    fam = stock_family("S1")
+
+    def w(s):
+        return core.subspace_from_span([[1.0], [np.exp(1j * (10.0 * np.pi * s + theta))]])
+
+    assert odebvp.sf_bvp(fam, w)[0] == odebvp.mas_bvp(fam, w)[0] == 5
 
 
 def test_singular_structure_matrix_raises():
