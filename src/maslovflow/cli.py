@@ -67,7 +67,6 @@ from . import expressions, flow, harness, maslov, odebvp
 from .errors import (
     ConfigError,
     ExpressionSyntaxError,
-    InvalidTrials,
     MaslovFlowError,
     NonFinite,
     UnknownIdentifier,
@@ -199,7 +198,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "steps": {"type": "integer", "minimum": 2},
+                "steps": {"type": "integer", "minimum": 1},
                 "initial_segments": {"type": "integer", "minimum": 1},
                 "max_depth": {"type": "integer", "minimum": 0},
                 "lambda_window": {"type": "number", "exclusiveMinimum": 0},
@@ -514,6 +513,11 @@ def _load(ref):
 def cmd_verify(args):
     scenarios = [_load(ref) for ref in args.config]
     if args.out:
+        names = [sc.name for sc in scenarios]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ConfigError(f"--out: scenario names {repeated} repeat, so their "
+                              "reports would overwrite each other")
         os.makedirs(args.out, exist_ok=True)
     status = 0
     for sc in scenarios:
@@ -661,8 +665,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ExpressionSyntaxError, UnknownIdentifier,
-            InvalidTrials) as exc:
+    except (ConfigError, ExpressionSyntaxError, UnknownIdentifier) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except UnresolvedFamily as exc:

@@ -105,11 +105,6 @@ class TransportBudgetExceeded(MaslovFlowError):
     the residual budget allows, even after the time grid was refined."""
 
 
-class InvalidTrials(MaslovFlowError):
-    """A sweep was requested with a trial count that is not an integer of
-    at least 1."""
-
-
 class ConfigError(MaslovFlowError):
     """A problem document failed validation: unreadable file, bad JSON,
     schema violation, malformed coefficient, or an unknown builtin

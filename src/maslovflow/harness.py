@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 import numpy.linalg as nla
 
 from . import core, flow, maslov, odebvp
-from .errors import InvalidTrials, MaslovFlowError
+from .errors import MaslovFlowError
 from .odebvp import TOL_ODE
 
 
@@ -267,20 +268,6 @@ def builtin_scenarios():
 # Randomized property sweep
 # ---------------------------------------------------------------------------
 
-# Each suite's Philox counter word, fixed by name: adding or deleting a suite
-# redraws no other.  A new suite takes a fresh word; a deleted one leaves its
-# word unused.
-SUITE_STREAMS = {
-    "fredholm_index_zero": 0, "unitary_counting": 1, "boxplus_index": 2,
-    "product_identities": 3, "flipping": 4, "catenation": 5, "naturality": 6,
-    "splitting_independence": 7, "real_comparison": 8, "flow_catenation": 9,
-    "flow_reparam": 10, "flow_oracle": 11, "flow_conjugation": 12, "flow_embedding": 13,
-    "contour_projection": 14, "transport_invariant": 15, "graph_lagrangian": 16,
-    "second_order_sp": 17, "double_annihilator": 18, "graph_reconstruction": 19,
-    "normalize_metric": 20,
-}
-
-
 def _rng_for(seed, trial, suite):
     # Philox advances counter word 0 for every block it emits, so the trial
     # sits in word 2: trial streams never run into each other.
@@ -414,10 +401,13 @@ def _branch_crossings(values, tau):
     return total
 
 
-def _branch_oracle(eigval_fun, interval, samples):
-    """Brute-force flow: follow sorted eigenvalue branches on a uniform grid
-    and add up their signed crossings of zero."""
-    grid = np.linspace(interval[0], interval[1], samples)
+def _branch_oracle(eigval_fun, rep):
+    """Brute-force flow over the interval of the engine's report ``rep``:
+    follow sorted eigenvalue branches on a uniform grid ten times finer than
+    its partition (161 points at least) and add up their signed crossings
+    of zero."""
+    cuts = rep.partition
+    grid = np.linspace(cuts[0], cuts[-1], 10 * max(len(cuts) - 1, 16) + 1)
     branches = np.array([np.sort(eigval_fun(float(s))) for s in grid])
     scale = max(np.abs(branches).max(), 1.0)
     tau = 1e-9 * scale
@@ -482,12 +472,16 @@ def _suite_boxplus_index(rng, dims):
 def _suite_product_identities(rng, dims):
     n = _pick_dim(rng, dims)
     path = _random_pair_path(rng, n)
-    pi = maslov.maslov_product_identities(path)
-    note = (
-        f"dim {n}: direct {pi.direct}, boxplus {pi.boxplus_diagonal}, "
-        f"flipped {pi.flipped_swapped}, flipped boxplus {pi.flipped_boxplus}"
-    )
-    return pi.agree, 0.0, note
+    # Mas{lambda, mu} in (H, omega), Mas{lambda x mu, diag} in (H, omega) (+)
+    # (H, -omega), Mas{mu, lambda} in (H, -omega) and Mas{diag, lambda x mu}
+    # in (H, -omega) (+) (H, omega) agree; the flipped ones run the
+    # complementary splitting projection, as K changes sign with the form.
+    flipped = path.flipped_swapped()
+    direct, boxed, flip, flip_boxed = (
+        maslov.maslov_index(p)[0]
+        for p in (path, path.boxplus_diagonal(), flipped, flipped.boxplus_diagonal()))
+    note = f"dim {n}: direct {direct}, boxplus {boxed}, flipped {flip}, flipped boxplus {flip_boxed}"
+    return direct == boxed == flip == flip_boxed, 0.0, note
 
 
 def _suite_flipping(rng, dims):
@@ -529,7 +523,8 @@ def _suite_splitting_independence(rng, dims):
     path = _random_pair_path(rng, n)
     u = _random_unitary(rng, n)
     metric = u @ np.diag(rng.uniform(0.4, 2.5, n)) @ u.conj().T
-    canonical, deformed = maslov.splitting_independence_check(path, metric)
+    canonical, _ = maslov.maslov_index(path)
+    deformed, _ = maslov.maslov_index(path, metric=metric)
     return canonical == deformed, 0.0, f"dim {n}: {canonical} vs {deformed}"
 
 
@@ -577,8 +572,7 @@ def _suite_flow_oracle(rng, dims):
     n = _pick_dim(rng, dims)
     fam = _random_hermitian_family(rng, n)
     engine, rep = flow.spectral_flow(fam, (0.0, 1.0))
-    fine = 10 * max(len(rep.partition) - 1, 16) + 1
-    oracle = _branch_oracle(lambda s: nla.eigvalsh(fam(s)), (0.0, 1.0), fine)
+    oracle = _branch_oracle(lambda s: nla.eigvalsh(fam(s)), rep)
     return engine == oracle, 0.0, f"dim {n}: engine {engine}, oracle {oracle}"
 
 
@@ -593,8 +587,7 @@ def _suite_flow_conjugation(rng, dims):
         vals = nla.eigvals(t @ fam(s) @ tinv)
         return np.sort(vals.real)
 
-    fine = 10 * max(len(rep.partition) - 1, 16) + 1
-    oracle = _branch_oracle(conjugated_eigs, (0.0, 1.0), fine)
+    oracle = _branch_oracle(conjugated_eigs, rep)
     return engine == oracle, 0.0, f"dim {n}: engine {engine}, conjugated oracle {oracle}"
 
 
@@ -640,13 +633,15 @@ def _suite_contour_projection(rng, dims):
     return resid <= 1e-8, resid, f"dim {n}: quadrature deviation {resid:.2e}"
 
 
-def _suite_transport_invariant(rng, dims):
+def _suite_transport(draw, label, rng, dims):
+    """Symplectic transport of a family ``draw(rng, m)`` at one random
+    (s, lambda), within TOL_ODE at 1024 steps."""
     m = 1 + int(rng.integers(0, 2))
-    fam = _random_first_order(rng, m)
+    fam = draw(rng, m)
     s = float(rng.uniform(0.0, 1.0))
     gamma = odebvp.transfer_matrix(fam, s, lam=float(rng.uniform(-0.5, 0.5)), steps=1024)
     resid = odebvp.transport_residual(fam, s, gamma)
-    return resid <= TOL_ODE, resid, f"m {m}: transport residual {resid:.2e}"
+    return resid <= TOL_ODE, resid, f"m {m}: {label} {resid:.2e}"
 
 
 def _suite_graph_lagrangian(rng, dims):
@@ -659,15 +654,6 @@ def _suite_graph_lagrangian(rng, dims):
     cls = core.classify(bspace, graph)
     resid = core.isotropy_residual(bspace, graph)
     return cls is core.SubspaceClass.LAGRANGIAN, resid, f"m {m}: classified {cls.name}"
-
-
-def _suite_second_order_sp(rng, dims):
-    m = 1 + int(rng.integers(0, 2))
-    fam = _random_second_order(rng, m)
-    s = float(rng.uniform(0.0, 1.0))
-    gamma = odebvp.transfer_matrix(fam, s, lam=float(rng.uniform(-0.5, 0.5)), steps=1024)
-    resid = odebvp.transport_residual(fam, s, gamma)
-    return resid <= TOL_ODE, resid, f"m {m}: structure transport residual {resid:.2e}"
 
 
 def _suite_double_annihilator(rng, dims):
@@ -706,31 +692,37 @@ def _suite_normalize_metric(rng, dims):
     return resid <= 1e-10, resid, f"dim {n}: worst factorization residual {resid:.2e}"
 
 
+# One row per suite: its name, its Philox counter word and its body.  The
+# word is fixed by name, so adding or deleting a suite redraws no other: a
+# new suite takes a fresh word, and a deleted one leaves its word unused.
 ALL_SUITES = (
-    ("fredholm_index_zero", _suite_fredholm_index_zero),
-    ("unitary_counting", _suite_unitary_counting),
-    ("boxplus_index", _suite_boxplus_index),
-    ("product_identities", _suite_product_identities),
-    ("flipping", _suite_flipping),
-    ("catenation", _suite_maslov_catenation),
-    ("naturality", _suite_naturality),
-    ("splitting_independence", _suite_splitting_independence),
-    ("real_comparison", _suite_real_comparison),
-    ("flow_catenation", _suite_flow_catenation),
-    ("flow_reparam", _suite_flow_reparam),
-    ("flow_oracle", _suite_flow_oracle),
-    ("flow_conjugation", _suite_flow_conjugation),
-    ("flow_embedding", _suite_flow_embedding),
-    ("contour_projection", _suite_contour_projection),
-    ("transport_invariant", _suite_transport_invariant),
-    ("graph_lagrangian", _suite_graph_lagrangian),
-    ("second_order_sp", _suite_second_order_sp),
-    ("double_annihilator", _suite_double_annihilator),
-    ("graph_reconstruction", _suite_graph_reconstruction),
-    ("normalize_metric", _suite_normalize_metric),
+    ("fredholm_index_zero", 0, _suite_fredholm_index_zero),
+    ("unitary_counting", 1, _suite_unitary_counting),
+    ("boxplus_index", 2, _suite_boxplus_index),
+    ("product_identities", 3, _suite_product_identities),
+    ("flipping", 4, _suite_flipping),
+    ("catenation", 5, _suite_maslov_catenation),
+    ("naturality", 6, _suite_naturality),
+    ("splitting_independence", 7, _suite_splitting_independence),
+    ("real_comparison", 8, _suite_real_comparison),
+    ("flow_catenation", 9, _suite_flow_catenation),
+    ("flow_reparam", 10, _suite_flow_reparam),
+    ("flow_oracle", 11, _suite_flow_oracle),
+    ("flow_conjugation", 12, _suite_flow_conjugation),
+    ("flow_embedding", 13, _suite_flow_embedding),
+    ("contour_projection", 14, _suite_contour_projection),
+    ("transport_invariant", 15,
+     partial(_suite_transport, _random_first_order, "transport residual")),
+    ("graph_lagrangian", 16, _suite_graph_lagrangian),
+    ("second_order_sp", 17,
+     partial(_suite_transport, _random_second_order, "structure transport residual")),
+    ("double_annihilator", 18, _suite_double_annihilator),
+    ("graph_reconstruction", 19, _suite_graph_reconstruction),
+    ("normalize_metric", 20, _suite_normalize_metric),
 )
 
-SUITE_NAMES = tuple(name for name, _ in ALL_SUITES)
+SUITE_NAMES = tuple(name for name, _, _ in ALL_SUITES)
+SUITE_STREAMS = {name: word for name, word, _ in ALL_SUITES}
 
 
 @dataclass
@@ -773,7 +765,7 @@ def property_sweep(seed, trials, dims=(2, 4, 6, 8), suites=None):
     error or a ``LinAlgError`` in a trial is counted as a failed trial, and
     the first failing note per suite is kept.
     """
-    core.require_count(trials, "trials", 1, InvalidTrials)
+    core.require_count(trials, "trials", 1)
     trials = int(trials)  # a NumPy integer is stored as a plain int
     if not dims or any(d <= 0 or d % 2 for d in dims):
         raise ValueError(f"dims must be positive even ambient dimensions, got {list(dims)}")
@@ -785,7 +777,7 @@ def property_sweep(seed, trials, dims=(2, 4, 6, 8), suites=None):
         raise ValueError("no suites selected")
 
     results = []
-    for name, fn in ALL_SUITES:
+    for name, _, fn in ALL_SUITES:
         if name not in selected:
             continue
         failures, worst = [], 0.0

@@ -214,48 +214,6 @@ def maslov_index_block(path, opts=None):
     return flow_from_sampler(block_phases, path.interval, opts, circular=True)
 
 
-@dataclass(frozen=True)
-class ProductIdentities:
-    direct: int
-    boxplus_diagonal: int
-    flipped_swapped: int
-    flipped_boxplus: int
-
-    @property
-    def agree(self):
-        return self.direct == self.boxplus_diagonal == self.flipped_swapped == self.flipped_boxplus
-
-
-def maslov_product_identities(path, opts=None):
-    """Evaluate the four equivalent product formulas for one path.
-
-    direct          Mas{lambda, mu}            in (H, omega)
-    boxplus         Mas{lambda x mu, diag}     in (H, omega) (+) (H, -omega)
-    flipped/swapped Mas{mu, lambda}            in (H, -omega)
-    flipped boxplus Mas{diag, lambda x mu}     in (H, -omega) (+) (H, omega)
-
-    All four must agree; the flipped variants exercise the complementary
-    splitting projection automatically because K changes sign with the form.
-    """
-    direct, _ = maslov_index(path, opts)
-    boxed, _ = maslov_index(path.boxplus_diagonal(), opts)
-    flipped, _ = maslov_index(path.flipped_swapped(), opts)
-    flipped_boxed, _ = maslov_index(path.flipped_swapped().boxplus_diagonal(), opts)
-    return ProductIdentities(
-        direct=direct,
-        boxplus_diagonal=boxed,
-        flipped_swapped=flipped,
-        flipped_boxplus=flipped_boxed,
-    )
-
-
-def splitting_independence_check(path, metric, opts=None):
-    """Index with the canonical splitting vs. a deformed-metric splitting."""
-    canonical, _ = maslov_index(path, opts)
-    deformed, _ = maslov_index(path, opts, metric=metric)
-    return canonical, deformed
-
-
 # ---------------------------------------------------------------------------
 # Real symplectic category: comparison against the generator-based index
 # ---------------------------------------------------------------------------

@@ -116,69 +116,69 @@ _STACK_ENTRIES = 2 ** 14
 
 
 @dataclass(frozen=True)
-class FirstOrderFamily:
+class _Family:
+    """What both family kinds declare and check: ``m``, an integer of at
+    least 1, and ``T``, finite and positive and not a bool (``ValueError``;
+    a negative T runs time backwards and flips the sign of the spectral
+    flow), and the table of the shooting systems the family has built.
+
+    A family object builds its shooting system once per (s, steps) and
+    keeps it for every later caller, so each build reads the coefficients
+    once per (s, steps) per family object, and they must be pure functions
+    of (s, t).  The systems live as long as the family: 5 steps d^2 complex
+    entries each (80 steps d^2 bytes, d = m for a first-order family, 2m
+    for a second-order one), or 2 d^2 when constant in t.  The table takes
+    no part in ``==``, ``hash`` or ``repr``, and ``dataclasses.replace``
+    starts an empty one.
+    """
+
+    m: int
+    T: float
+    _systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        require_count(self.m, "m", 1)
+        if isinstance(self.T, bool) or not (np.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"T must be finite and positive, got {self.T!r}")
+
+
+@dataclass(frozen=True)
+class FirstOrderFamily(_Family):
     """Coefficients of a linear Hamiltonian family.
 
     ``j`` and ``b`` are called as ``f(s, t)`` with a float s and a 1-D
     t-array of nt times, and return ``(nt, m, m)``, or ``(m, m)`` for a
     value that holds at every t.  The t-derivative of ``j`` is a central
-    difference with step ``T / (8 * steps)``.  ``m`` must be an integer of
-    at least 1 and ``T`` finite and positive, in both family kinds.
+    difference with step ``T / (8 * steps)``.  ``m``, ``T`` and the table
+    of built systems are those of ``_Family``.
 
     Every build calls ``j`` on three grids of 2 steps + 1 times and ``b``
     on one, once per grid.  When every grid is exactly constant in t, the
-    checks, the inverse and the algebra run at one grid point.
-
-    A family object builds its shooting system once per (s, steps) and
-    keeps it for every later caller, so each coefficient is called once
-    per grid per (s, steps) per family object, and must be a pure function
-    of (s, t).  The systems live as long as the family: 5 steps d^2 complex
-    entries each (80 steps d^2 bytes, d = m here, 2m for a second-order
-    family), or 2 d^2 when constant in t.  The table takes no part in
-    ``==``, ``hash`` or ``repr``, and ``dataclasses.replace`` starts an
-    empty one.
+    checks, the inverse and the algebra run at one grid point.  The
+    boundary form reads ``j`` once more on the grid t = (0, T) at each
+    call: ``mas_bvp`` does so twice per sample (its transport residual and
+    its boundary space), outside the build.
     """
 
-    m: int
-    T: float
     j: Callable
     b: Callable
-    _systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _check_size(self)
 
 
 @dataclass(frozen=True)
-class SecondOrderFamily:
+class SecondOrderFamily(_Family):
     """Coefficients p, q, r of a formally self-adjoint second-order family;
     p(s,t) Hermitian invertible, r(s,t) Hermitian, q arbitrary.
 
     The coefficients are called as ``FirstOrderFamily``'s are, each once
     per build on one grid of 2 steps + 1 times; when p, q and r are all
-    exactly constant in t, the build works at one grid point.  Systems are
-    kept per family object as ``FirstOrderFamily`` keeps them, with
-    d = 2m.
+    exactly constant in t, the build works at one grid point.  The boundary
+    form is the standard J and reads no coefficient.  ``m``, ``T`` and the
+    table of built systems are those of ``_Family``, with d = 2m.
     """
 
-    m: int
-    T: float
     p: Callable
     q: Callable
     r: Callable
-    _systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _check_size(self)
-
-
-def _check_size(fam):
-    """Refuse a family whose ``m`` is not an integer of at least 1 or whose
-    ``T`` is not finite and positive (``ValueError``): a negative T runs
-    time backwards and flips the sign of the spectral flow."""
-    require_count(fam.m, "m", 1)
-    if not (np.isfinite(fam.T) and fam.T > 0):
-        raise ValueError(f"T must be finite and positive, got {fam.T!r}")
 
 
 def std_j(m):
@@ -420,7 +420,25 @@ def _system(fam, s, steps):
 # Public building blocks
 # ---------------------------------------------------------------------------
 
-def transfer_matrix(fam, s, lam=0.0, steps=2048):
+@dataclass(frozen=True)
+class BvpOpts(FlowOpts):
+    """Options of the BVP pipelines: the crossing engine's partition plus
+    time steps and the half-width of the eigenvalue window, a finite
+    positive number.  The parameter range is fixed at [0, 1]."""
+
+    steps: int = 2048
+    lambda_window: float = 1.0
+    interval: ClassVar[tuple] = (0.0, 1.0)
+
+    def __post_init__(self):
+        super().__post_init__()
+        require_count(self.steps, "steps", 1)
+        w = self.lambda_window
+        if isinstance(w, bool) or not (np.isfinite(w) and w > 0):
+            raise ValueError(f"lambda_window must be finite and positive, got {w!r}")
+
+
+def transfer_matrix(fam, s, lam=0.0, steps=BvpOpts.steps):
     """Fundamental solution at t = T for one (s, lambda).
 
     For a first-order family this is the m x m matrix with
@@ -675,7 +693,7 @@ def _window_roots(system, wperp, lo, hi, nodes, splits=0):
     return list(0.5 * (hi + lo) + 0.5 * (hi - lo) * u.real)
 
 
-def eigen_count(fam, s, w, window, steps=2048):
+def eigen_count(fam, s, w, window, steps=BvpOpts.steps):
     """Eigenvalues (with multiplicity) of the boundary value problem at
     parameter s inside a real window.
 
@@ -768,24 +786,6 @@ def _eigen_count_system(system, wperp, window):
 # ---------------------------------------------------------------------------
 # The two index pipelines
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BvpOpts(FlowOpts):
-    """Options of the BVP pipelines: the crossing engine's partition plus
-    time steps and the half-width of the eigenvalue window, a finite
-    positive number.  The parameter range is fixed at [0, 1]."""
-
-    steps: int = 2048
-    lambda_window: float = 1.0
-    interval: ClassVar[tuple] = (0.0, 1.0)
-
-    def __post_init__(self):
-        super().__post_init__()
-        require_count(self.steps, "steps", 1)
-        w = self.lambda_window
-        if isinstance(w, bool) or not (np.isfinite(w) and w > 0):
-            raise ValueError(f"lambda_window must be finite and positive, got {w!r}")
-
 
 def sf_bvp(fam, w_path, opts=None):
     """Spectral flow of the boundary value family through 0.

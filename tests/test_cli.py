@@ -72,6 +72,23 @@ def test_verify_multiple_documents(tmp_path):
     assert code == 0
 
 
+def test_verify_out_refuses_a_repeated_scenario_name(tmp_path, monkeypatch, capsys):
+    # a/doc.json and b/doc.json both wrote out/doc.json, the second report
+    # replacing the first, and verify exited 0
+    def never(sc):
+        raise AssertionError("a pipeline ran before the names were checked")
+
+    monkeypatch.setattr(cli.harness, "run_scenario", never)
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+    unnamed = {key: value for key, value in OSC.items() if key != "name"}
+    docs = [write(tmp_path / "a", unnamed, "doc.json"), write(tmp_path / "b", ROT, "doc.json")]
+    out = tmp_path / "out"
+    assert cli.main(["verify", *docs, "--out", str(out)]) == 3
+    assert "names ['doc'] repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_builtin_reference(capsys):
     assert cli.main(["verify", "@S4"]) == 0
     assert "S4" in capsys.readouterr().out
@@ -133,6 +150,14 @@ def test_integral_floats_in_documents_are_counts(tmp_path, doc, capsys):
     assert cli.main(["verify", cfg]) == 0
     assert cli.main(["maslov", cfg]) == 0
     assert capsys.readouterr().out.endswith(f"\n{doc['expected']['mas']}\n")
+
+
+def test_one_step_is_the_least_document_step_count(tmp_path, capsys):
+    # the schema asked for 2 steps, while BvpOpts and the build accept 1
+    doc = cli.load_document(write(tmp_path, dict(ROT, numerics={"steps": 1})))
+    assert cli.scenario_from_document(doc, "x").opts.steps == 1
+    assert cli.main(["verify", write(tmp_path, dict(ROT, numerics={"steps": 0}))]) == 3
+    assert "numerics/steps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

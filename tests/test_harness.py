@@ -7,7 +7,6 @@ import numpy.testing as npt
 import pytest
 
 from maslovflow import cli, core, harness, maslov, odebvp
-from maslovflow.errors import InvalidTrials
 
 
 def rotation_scenario(expected=None):
@@ -103,7 +102,7 @@ def test_doubled_opts():
 
 
 def test_sweep_rejects_bad_inputs():
-    with pytest.raises(InvalidTrials):
+    with pytest.raises(ValueError):
         harness.property_sweep(seed=1, trials=0)
     with pytest.raises(ValueError):
         harness.property_sweep(seed=1, trials=1, suites=("no_such_suite",))
@@ -117,7 +116,7 @@ def test_sweep_rejects_bad_inputs():
 @pytest.mark.parametrize("trials", [2.5, True, 1.0, "3"])
 def test_sweep_refuses_a_trial_count_that_is_not_an_integer(trials):
     # 2.5 ran 2 trials and True one
-    with pytest.raises(InvalidTrials, match="trials must be an integer of at least 1"):
+    with pytest.raises(ValueError, match="trials must be an integer of at least 1"):
         harness.property_sweep(seed=42, trials=trials, suites=["normalize_metric"])
 
 
@@ -145,8 +144,11 @@ def test_sweep_trials_draw_disjoint_streams():
 
 def test_sweep_streams_are_keyed_by_suite_name():
     # one distinct counter word per suite, equal to the suite's position in
-    # ALL_SUITES when streams were keyed by position, so no draw changed
+    # ALL_SUITES when streams were keyed by position, so no draw changed;
+    # the names and the words are read off the one suite table
     words = harness.SUITE_STREAMS
+    assert harness.SUITE_NAMES == tuple(name for name, _, _ in harness.ALL_SUITES)
+    assert words == {name: word for name, word, _ in harness.ALL_SUITES}
     assert set(words) == set(harness.SUITE_NAMES)
     assert len(set(words.values())) == len(words)
     assert [words[name] for name in harness.SUITE_NAMES] == list(range(21))
@@ -160,7 +162,7 @@ def test_sweep_counts_a_singular_matrix_as_a_failed_trial(monkeypatch, capsys):
     def singular(rng, dims):
         return True, 0.0, f"inverse {np.linalg.inv(np.zeros((2, 2)))}"
 
-    monkeypatch.setattr(harness, "ALL_SUITES", (("fredholm_index_zero", singular),))
+    monkeypatch.setattr(harness, "ALL_SUITES", (("fredholm_index_zero", 0, singular),))
     (row,) = harness.property_sweep(seed=1, trials=3, dims=(2,)).suites
     assert (row.passed, row.failed) == (0, 3)
     assert "LinAlgError" in row.first_failure

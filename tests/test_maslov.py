@@ -99,9 +99,10 @@ def test_results_do_not_depend_on_the_frames():
 
 
 def test_product_identities_on_rotation():
-    ids = maslov.maslov_product_identities(rotation_path(1))
-    assert ids.agree
-    assert ids.direct == 1
+    path = rotation_path(1)
+    flipped = path.flipped_swapped()
+    paths = (path, path.boxplus_diagonal(), flipped, flipped.boxplus_diagonal())
+    assert [maslov.maslov_index(p)[0] for p in paths] == [1, 1, 1, 1]
 
 
 def test_swap_sum_rule():
@@ -141,9 +142,8 @@ def test_pushforward_invariance():
 
 def test_splitting_independence():
     metric = np.diag([1.0, 2.0])
-    canonical, deformed = maslov.splitting_independence_check(
-        rotation_path(1), metric
-    )
+    canonical, _ = maslov.maslov_index(rotation_path(1))
+    deformed, _ = maslov.maslov_index(rotation_path(1), metric=metric)
     assert canonical == deformed == 1
 
 

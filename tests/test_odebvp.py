@@ -1,5 +1,6 @@
 """Boundary value pipelines: shooting, eigenvalue location, both indices."""
 
+import inspect
 import tracemalloc
 from dataclasses import replace
 
@@ -460,16 +461,23 @@ def test_numpy_integer_counts_are_accepted():
 
 
 @pytest.mark.parametrize("m, T", [(1, -1.0), (1, 0.0), (1, np.inf), (1, np.nan),
-                                  (0, 1.0), (1.0, 1.0), (True, 1.0)])
+                                  (0, 1.0), (1.0, 1.0), (True, 1.0), (1, True)])
 @pytest.mark.parametrize("kind", ["first", "second"])
 def test_families_without_a_meaning_are_refused(kind, m, T):
-    # with S3's coefficients T = -1 gave sf_bvp == -1, T = 0 an IndexError
+    # with S3's coefficients T = -1 gave sf_bvp == -1, T = 0 an IndexError;
+    # T = True was read as T = 1
     one = const_coeff([[1.0]])
     with pytest.raises(ValueError, match="m must|T must"):
         if kind == "first":
             odebvp.FirstOrderFamily(m=m, T=T, j=const_coeff([[1j]]), b=one)
         else:
             odebvp.SecondOrderFamily(m=m, T=T, p=one, q=one, r=one)
+
+
+def test_the_step_count_has_one_default():
+    default = odebvp.BvpOpts().steps
+    for fn in (odebvp.transfer_matrix, odebvp.eigen_count):
+        assert inspect.signature(fn).parameters["steps"].default == default
 
 
 @pytest.mark.parametrize("steps", [0, 2.5, True])
