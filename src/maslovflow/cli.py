@@ -579,13 +579,13 @@ def cmd_sweep(args):
         raise ConfigError(f"--dims: expected comma-separated integers, "
                           f"got {args.dims!r}") from exc
     suites = args.suites.split(",") if args.suites else None
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-    try:
-        summary = harness.property_sweep(args.seed, args.trials, dims=dims,
-                                         suites=suites)
+    try:  # a refused run makes no --out directory
+        harness.check_sweep(args.trials, dims, suites)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    summary = harness.property_sweep(args.seed, args.trials, dims=dims, suites=suites)
     for suite in summary.suites:
         flag = "ok  " if suite.failed == 0 else "FAIL"
         line = (f"{flag} {suite.name:<28} {suite.passed}/{suite.trials}"

@@ -259,7 +259,7 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b) and b > a):
         raise ValueError(f"interval must be finite with a < b, got ({a}, {b})")
-    if scale is not None and (isinstance(scale, bool) or not (np.isfinite(scale) and scale > 0)):
+    if scale is not None and (isinstance(scale, (bool, np.bool_)) or not (np.isfinite(scale) and scale > 0)):
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
     cache, stations = {}, {}  # s -> sorted coordinates, as an array and as Python floats
 

@@ -756,6 +756,22 @@ class SweepSummary:
         }
 
 
+def check_sweep(trials, dims, suites):
+    """The set of suite names :func:`property_sweep` runs for ``suites``
+    (every suite when None), once ``trials`` is a count of at least 1 and
+    ``dims`` positive even dimensions; ``ValueError`` otherwise."""
+    core.require_count(trials, "trials", 1)
+    if not dims or any(d <= 0 or d % 2 for d in dims):
+        raise ValueError(f"dims must be positive even ambient dimensions, got {list(dims)}")
+    selected = set(SUITE_NAMES if suites is None else suites)
+    unknown = selected - set(SUITE_NAMES)
+    if unknown:
+        raise ValueError(f"unknown suites: {sorted(unknown)}")
+    if not selected:
+        raise ValueError("no suites selected")
+    return selected
+
+
 def property_sweep(seed, trials, dims=(2, 4, 6, 8), suites=None):
     """Run the randomized invariant suites and summarize pass/fail counts.
 
@@ -765,17 +781,8 @@ def property_sweep(seed, trials, dims=(2, 4, 6, 8), suites=None):
     error or a ``LinAlgError`` in a trial is counted as a failed trial, and
     the first failing note per suite is kept.
     """
-    core.require_count(trials, "trials", 1)
+    selected = check_sweep(trials, dims, suites)
     trials = int(trials)  # a NumPy integer is stored as a plain int
-    if not dims or any(d <= 0 or d % 2 for d in dims):
-        raise ValueError(f"dims must be positive even ambient dimensions, got {list(dims)}")
-    selected = set(SUITE_NAMES if suites is None else suites)
-    unknown = selected - set(SUITE_NAMES)
-    if unknown:
-        raise ValueError(f"unknown suites: {sorted(unknown)}")
-    if not selected:
-        raise ValueError("no suites selected")
-
     results = []
     for name, _, fn in ALL_SUITES:
         if name not in selected:

@@ -226,6 +226,10 @@ class RealPairData:
     ``lam``      real orthonormal frame (2m x m) of the fixed Lagrangian;
     ``mu_path``  s -> real orthonormal frame (2m x m) of the moving one;
     ``interval`` parameter range.
+
+    :func:`complexify_and_compare` calls ``mu_path`` once per distinct s
+    (both of its flows share the checked frame) and hands the generator
+    path one stack of frames per engine batch.
     """
 
     j: np.ndarray
@@ -266,25 +270,35 @@ def real_generator(j, lam_frame, mu_frame):
     generator is ``S = V V^T`` (plain transpose); it depends only on the two
     subspaces up to real-orthogonal conjugation, so its spectrum is an
     invariant of the pair.  Returns (V, S).
+
+    ``mu_frame`` may be a stack ``(S, 2m, m)``, one engine batch of frames
+    (the generator path of :func:`complexify_and_compare` passes one per
+    batch); V and S are then stacks too.  Every member is checked and
+    decomposed (SciPy's ``eigh``, one member at a time) bit for bit as if
+    alone, so a stack with one bad member raises what that member raises
+    alone.
     """
     q = np.asarray(lam_frame, dtype=float)
     mfr = np.asarray(mu_frame, dtype=float)
     a = q.T @ mfr
     b = (j @ q).T @ mfr
     t = b - 1j * a
-    tt = t.conj().T @ t
+    tt = t.conj().swapaxes(-1, -2) @ t
     if not np.abs(tt.imag).max() <= 1e-8:
         raise NotLagrangianReal(
             f"T*T has imaginary part {np.abs(tt.imag).max():.3e}; frames are not a Lagrangian pair"
         )
     tt = tt.real
-    w, vecs = la.eigh(0.5 * (tt + tt.T))
-    if w.min() <= 1e-14 * max(w.max(), 1.0):
+    w = np.empty(tt.shape[:-1])
+    vecs = np.empty(tt.shape)
+    for i in np.ndindex(tt.shape[:-2]):
+        w[i], vecs[i] = la.eigh(0.5 * (tt[i] + tt[i].T))
+    if np.any(w.min(axis=-1) <= 1e-14 * np.maximum(w.max(axis=-1), 1.0)):
         raise Degenerate("T*T is numerically singular")
-    ginv = (vecs / np.sqrt(w)) @ vecs.T
+    ginv = (vecs / np.sqrt(w)[..., None, :]) @ vecs.swapaxes(-1, -2)
     v = t @ ginv
     core.require_unitary(v, NonUnitaryGenerator, "generator")
-    return v, v @ v.T
+    return v, v @ v.swapaxes(-1, -2)
 
 
 def complexify_and_compare(data, opts=None):
@@ -298,6 +312,11 @@ def complexify_and_compare(data, opts=None):
     of each other, and the bridge between the formalisms is checked
     numerically: in the frames ``(I -+ iJ)Q / sqrt(2)`` the complex
     comparison unitary ``V U^{-1}`` must equal ``-conj(S)`` entrywise.
+
+    ``data.mu_path`` is called, and its frame checked, once per distinct s
+    over both flows.  The generator path answers a whole engine batch: one
+    :func:`real_generator` call on the stack of its frames, one ``solve``
+    for their bridge coordinates and one :func:`eigenphases` call.
 
     Returns
     -------
@@ -313,8 +332,12 @@ def complexify_and_compare(data, opts=None):
         raise Degenerate("real structure matrix must satisfy J^2 = -I")
     q = _check_real_lagrangian(j, data.lam, "lambda frame")
 
+    frames = {}  # s -> checked mu frame, shared by both flows
+
     def mu_at(s):
-        return _check_real_lagrangian(j, data.mu_path(s), f"mu frame at s={s:.6g}")
+        if s not in frames:
+            frames[s] = _check_real_lagrangian(j, data.mu_path(s), f"mu frame at s={s:.6g}")
+        return frames[s]
 
     path = PairPath.from_parts(j, q, mu_at, data.interval)
     mas, _ = maslov_index(path, opts)
@@ -328,15 +351,17 @@ def complexify_and_compare(data, opts=None):
     u_inv = la.inv(coords_lam[m:] @ la.inv(coords_lam[:m]))
     stats = {"residual": 0.0}
 
-    def generator_phases(s):
-        mfr = mu_at(s)
+    def generator_phases(ss):
+        mfr = core.stacked([mu_at(s) for s in ss], "mu")
         _, smat = real_generator(j, q, mfr)
+        # SciPy solves (and inverts) a stack member by member in one call;
+        # the frames side by side as one right-hand side would change the
+        # m = 1 coordinates, which LAPACK solves as a single column
         coords_mu = la.solve(basis, mfr.astype(complex))
-        v = coords_mu[m:] @ la.inv(coords_mu[:m])
+        v = coords_mu[:, m:] @ la.inv(coords_mu[:, :m])
         bridge = v @ u_inv
         stats["residual"] = max(stats["residual"], float(np.abs(bridge + smat.conj()).max()))
         return eigenphases(-smat.conj())
 
-    mas_bf, _ = flow_from_sampler(lambda ss: [generator_phases(s) for s in ss],
-                                  data.interval, opts, circular=True)
+    mas_bf, _ = flow_from_sampler(generator_phases, data.interval, opts, circular=True)
     return RealComparison(mas=mas, mas_bf=mas_bf, residual=stats["residual"])

@@ -138,7 +138,7 @@ class _Family:
 
     def __post_init__(self):
         require_count(self.m, "m", 1)
-        if isinstance(self.T, bool) or not (np.isfinite(self.T) and self.T > 0):
+        if isinstance(self.T, (bool, np.bool_)) or not (np.isfinite(self.T) and self.T > 0):
             raise ValueError(f"T must be finite and positive, got {self.T!r}")
 
 
@@ -434,7 +434,7 @@ class BvpOpts(FlowOpts):
         super().__post_init__()
         require_count(self.steps, "steps", 1)
         w = self.lambda_window
-        if isinstance(w, bool) or not (np.isfinite(w) and w > 0):
+        if isinstance(w, (bool, np.bool_)) or not (np.isfinite(w) and w > 0):
             raise ValueError(f"lambda_window must be finite and positive, got {w!r}")
 
 

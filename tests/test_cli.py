@@ -452,6 +452,16 @@ def test_sweep_smoke(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["--trials", "0"], ["--trials", "1", "--suites", "nope"],
+                                  ["--trials", "1", "--dims", "3"]])
+def test_a_refused_sweep_makes_no_out_directory(tmp_path, argv, capsys):
+    # the directory used to be made before the sweep checked its arguments
+    out = tmp_path / "out"
+    assert cli.main(["sweep"] + argv + ["--out", str(out)]) == 3
+    assert not out.exists()
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("dims", ["2,x", "3"])
 def test_sweep_rejects_bad_dims(dims, capsys):
     assert cli.main(["sweep", "--trials", "1", "--dims", dims]) == 3

@@ -272,7 +272,7 @@ def test_a_non_finite_interval_is_refused(interval):
         flow.flow_from_sampler(lambda ss: [np.array([s]) for s in ss], interval)
 
 
-@pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan, np.inf, True])
+@pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan, np.inf, True, np.True_])
 def test_a_scale_that_is_not_finite_and_positive_is_refused(scale):
     # -1, nan and inf read a flow of 0; 0 bisected to depth 12, then gave up
     def sampler(ss):

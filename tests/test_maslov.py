@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg as la
 
 from maslovflow import core, flow, harness, maslov
 from maslovflow.errors import (
@@ -213,6 +214,98 @@ def test_real_generator_refuses_a_nan_frame():
     data = line_rotation_data()
     with pytest.raises(NotLagrangianReal):
         maslov.real_generator(data.j, data.lam, NAN_FRAME)
+
+
+def real_comparison_draws(seed=42, trials=16):
+    """The RealPairData the sweep's real_comparison suite draws."""
+    draws = []
+    compare = maslov.complexify_and_compare
+
+    def record(data, opts=None):
+        draws.append(data)
+        return compare(data, opts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maslov, "complexify_and_compare", record)
+        harness.property_sweep(seed, trials, suites=("real_comparison",))
+    assert len(draws) == trials
+    return draws
+
+
+def test_real_generator_answers_a_stack_as_its_members_alone():
+    for data in real_comparison_draws(trials=4):
+        frames = np.stack([data.mu_path(s) for s in np.linspace(0.0, 1.0, 7)])
+        v, s = maslov.real_generator(data.j, data.lam, frames)
+        for i, frame in enumerate(frames):
+            vi, si = maslov.real_generator(data.j, data.lam, frame)
+            assert np.array_equal(v[i], vi) and np.array_equal(s[i], si)
+
+
+@pytest.mark.parametrize("bad, exc", [(np.zeros((2, 1)), Degenerate),
+                                      (NAN_FRAME, NotLagrangianReal)], ids=["zero", "nan"])
+def test_one_bad_member_of_a_stack_raises_what_it_raises_alone(bad, exc):
+    data = line_rotation_data()
+    with pytest.raises(exc):
+        maslov.real_generator(data.j, data.lam, bad)
+    frames = np.stack([data.mu_path(0.2), bad, data.mu_path(0.7)])
+    with pytest.raises(exc):
+        maslov.real_generator(data.j, data.lam, frames)
+
+
+def test_the_bridge_reads_each_mu_frame_once_per_s():
+    # both flows used to read and check the frame at every s they sampled
+    data = line_rotation_data()
+    calls = Counter()
+
+    def mu_path(s):
+        calls[s] += 1
+        return data.mu_path(s)
+
+    assert maslov.complexify_and_compare(replace(data, mu_path=mu_path)).agree
+    assert calls and set(calls.values()) == {1}
+
+
+def _per_s_real_generator(j, lam_frame, mu_frame):
+    """``real_generator`` for one frame, as it was before it took stacks."""
+    q = np.asarray(lam_frame, dtype=float)
+    mfr = np.asarray(mu_frame, dtype=float)
+    t = (j @ q).T @ mfr - 1j * (q.T @ mfr)
+    tt = (t.conj().T @ t).real
+    w, vecs = la.eigh(0.5 * (tt + tt.T))
+    v = t @ ((vecs / np.sqrt(w)) @ vecs.T)
+    return v, v @ v.T
+
+
+def _per_s_comparison(data):
+    """``complexify_and_compare`` with the generator path sampled one s at a
+    time, as it was before the generator side took a batch."""
+    j = np.asarray(data.j, dtype=float)
+    q = np.asarray(data.lam, dtype=float)
+    path = maslov.PairPath.from_parts(j, q, data.mu_path, data.interval)
+    mas, _ = maslov.maslov_index(path)
+    basis = np.hstack([(q - 1j * (j @ q)) / np.sqrt(2.0), (q + 1j * (j @ q)) / np.sqrt(2.0)])
+    m = q.shape[1]
+    coords_lam = la.solve(basis, q.astype(complex))
+    u_inv = la.inv(coords_lam[m:] @ la.inv(coords_lam[:m]))
+    stats = {"residual": 0.0}
+
+    def generator_phases(s):
+        mfr = np.asarray(data.mu_path(s), dtype=float)
+        _, smat = _per_s_real_generator(j, q, mfr)
+        coords_mu = la.solve(basis, mfr.astype(complex))
+        bridge = coords_mu[m:] @ la.inv(coords_mu[:m]) @ u_inv
+        stats["residual"] = max(stats["residual"], float(np.abs(bridge + smat.conj()).max()))
+        return flow.eigenphases(-smat.conj())
+
+    mas_bf, _ = flow.flow_from_sampler(lambda ss: [generator_phases(s) for s in ss],
+                                       data.interval, circular=True)
+    return mas, mas_bf, stats["residual"]
+
+
+def test_the_batched_bridge_matches_the_per_s_reference_on_the_sweep_draws():
+    for data in real_comparison_draws():
+        cmpr = maslov.complexify_and_compare(data)
+        assert (cmpr.mas, cmpr.mas_bf, cmpr.residual) == _per_s_comparison(data)
 
 
 def test_from_parts_evaluates_a_form_path_once_per_sample():

@@ -443,11 +443,12 @@ def test_entry_points_refuse_a_family_of_the_wrong_kind(run):
     (odebvp.BvpOpts, {"steps": True}),
     (odebvp.BvpOpts, {"lambda_window": True}),
     (odebvp.BvpOpts, {"lambda_window": np.inf}),
+    (odebvp.BvpOpts, {"lambda_window": np.True_}),
 ])
 def test_options_without_a_meaning_are_refused(opts, kw):
     # initial_segments=0 made spectral_flow return 0 for a crossing family,
     # steps=0 a ZeroDivisionError; steps=256.7 ran 256 steps, steps=True one,
-    # lambda_window=True a window of 1
+    # lambda_window=True (or np.True_) a window of 1
     with pytest.raises(ValueError):
         opts(**kw)
     with pytest.raises(AttributeError):  # frozen: the check cannot be bypassed
@@ -461,11 +462,12 @@ def test_numpy_integer_counts_are_accepted():
 
 
 @pytest.mark.parametrize("m, T", [(1, -1.0), (1, 0.0), (1, np.inf), (1, np.nan),
-                                  (0, 1.0), (1.0, 1.0), (True, 1.0), (1, True)])
+                                  (0, 1.0), (1.0, 1.0), (True, 1.0), (1, True),
+                                  (1, np.True_)])
 @pytest.mark.parametrize("kind", ["first", "second"])
 def test_families_without_a_meaning_are_refused(kind, m, T):
     # with S3's coefficients T = -1 gave sf_bvp == -1, T = 0 an IndexError;
-    # T = True was read as T = 1
+    # T = True and T = np.True_ were read as T = 1
     one = const_coeff([[1.0]])
     with pytest.raises(ValueError, match="m must|T must"):
         if kind == "first":
