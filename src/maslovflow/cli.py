@@ -561,11 +561,12 @@ def cmd_index(args):
 def cmd_trace(args):
     key = "sf" if args.what == "eigenvalues" else "mas"
     sc = _load(args.config)
+    missing = "a pair path has no eigenvalue river; use --what eigenphases"
+    if key == "sf" and sc.kind == "pair_path":  # refused before --out is made
+        raise ConfigError(missing)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
-    _, rep = _run_pipeline(
-        sc, key, "a pair path has no eigenvalue river; use --what "
-        "eigenphases")
+    _, rep = _run_pipeline(sc, key, missing)
     path = os.path.join(outdir, f"{sc.name}_{args.what}.csv")
     rep.write_trace(path)
     print(path)

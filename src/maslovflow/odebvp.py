@@ -21,9 +21,15 @@ loop over steps.  The system is affine in lambda, so every RK4 step matrix
 is a degree-4 matrix polynomial in lambda, built once per system; a batch of
 lambdas evaluates the step matrices and multiplies them in a log-depth
 product tree, or, for the solution at every grid time, in a log-depth
-prefix scan whose last entry is the tree's product bit for bit.
-Each coefficient is read with one call on the t-grid, and a family object
-keeps each system it builds, so every caller, both pipelines included,
+prefix scan whose last entry is the tree's product bit for bit.  The
+shooting parameter lambda is real.  A t-varying system of size
+2 <= d <= 4 runs the products of its build and of its propagation in the
+real embedding z = x + iy -> [[x, y], [-y, x]], where NumPy's stacked real
+2d x 2d product costs a seventh to a quarter of the complex d x d one;
+d = 1, where the complex product is elementwise, and d >= 5, where the
+gain shrinks and then reverses, stay complex.  Each coefficient is read
+with one call on the t-grid, and a family object keeps each system it
+builds, so every caller, both pipelines included,
 shares one build per (s, steps).  A family whose raw
 coefficient grids are exactly constant in t is checked, inverted and
 assembled at one grid point, and its system takes an exact
@@ -110,9 +116,15 @@ _MAX_SPLITS = 8
 _SIN_RANK = float(np.sqrt(TAU_RANK * (2.0 - TAU_RANK)))
 
 # RK4 propagation takes the lambdas in chunks whose (chunk, steps, d, d)
-# stack of step matrices holds at most this many complex entries (256 KiB),
-# one lambda at least: memory stays flat in the batch size.
+# stack of step matrices holds at most this many complex entries (256 KiB;
+# its real embedding, at 2 <= d <= 4, twice that), one lambda at least:
+# memory stays flat in the batch size.
 _STACK_ENTRIES = 2 ** 14
+
+# The sizes d whose RK4 systems multiply in the real embedding (see
+# ``_ShootingSystem``), each with the factor [I | K] of ``_embed``.
+_EMBED_FACTORS = {d: np.hstack([np.eye(2 * d), np.kron(np.eye(d), [[0.0, 1.0], [-1.0, 0.0]])])
+                  for d in (2, 3, 4)}
 
 
 @dataclass(frozen=True)
@@ -205,7 +217,7 @@ def _eval_grid(fam, name, s, ts):
 
 class _ShootingSystem:
     """x' = (C0(t) + lambda C1(t)) x on [0, T], integrated without a loop
-    over steps.
+    over steps, for real lambda.
 
     ``c0``/``c1`` are sampled on the doubled grid t_k = k T / (2 steps) so a
     step has its midpoint value available; a build whose raw coefficients
@@ -216,6 +228,14 @@ class _ShootingSystem:
     polynomial M_k(lambda) = sum_p lambda^p N[p, k] (``self.poly``, shape
     ``(5, steps, d, d)``).  A family shares its systems with every caller,
     so their arrays are read-only.
+
+    ``self.real`` picks the arithmetic of the build and of propagation: an
+    RK4 system with 2 <= d <= 4 multiplies in the real embedding
+    z = x + iy -> [[x, y], [-y, x]] (``_embed``), where NumPy's stacked
+    real 2d x 2d product costs a seventh to a quarter of the complex d x d
+    one.  At d = 1 the complex product is elementwise and cheaper, and from
+    d = 5 on the gain shrinks and then reverses, so those keep complex
+    arithmetic.  Only the complex ``poly`` is stored either way.
     """
 
     def __init__(self, c0, c1, T, steps):
@@ -224,30 +244,38 @@ class _ShootingSystem:
         self.h = self.T / self.steps
         self.d = c0.shape[1]
         self.const = len(c0) == 1
+        self.real = not self.const and self.d in _EMBED_FACTORS
         if self.const:
             self.c0, self.c1 = c0[0], c1[0]
             self.c0.flags.writeable = self.c1.flags.writeable = False
         else:
-            self.poly = _rk4_step_polynomial(c0, c1, self.h)
+            self.poly = _rk4_step_polynomial(c0, c1, self.h, self.real)
             self.poly.flags.writeable = False
 
     def propagate(self, lams, checkpoints=False):
-        """Fundamental solutions at T for a batch of shooting parameters.
+        """Fundamental solutions at T for a batch of real shooting parameters.
 
         Returns ``(L, d, d)``, or ``(steps + 1, L, d, d)`` when
         ``checkpoints`` is set (values at the grid times
         ``linspace(0, T, steps + 1)``, the last of which is T itself).  A
+        lambda with a nonzero imaginary part raises ``ValueError``.  A
         constant system is propagated by the exact matrix exponential.  Any
         other gets its RK4 step matrices M_k(lambda) by Horner's rule on the
         step polynomial and multiplies them in a pairwise product tree,
         ceil(log2 steps) batched matmuls; checkpoints come from a
         Hillis-Steele prefix scan instead, whose last entry equals the
-        tree's product bit for bit.  The lambdas go through in chunks whose
-        ``(chunk, steps, d, d)`` stack holds at most ``_STACK_ENTRIES``
-        entries (one lambda at least), so memory stays flat in the batch,
-        and each result is the same whatever batch it came in.
+        tree's product bit for bit.  With ``self.real`` Horner runs on the
+        polynomial's real view, the step matrices are embedded, and the
+        products are read back to complex at the end.  The lambdas go
+        through in chunks whose Horner stack ``(chunk, steps, d, d)`` holds
+        at most ``_STACK_ENTRIES`` complex entries (one lambda at least; the
+        real embedding of a chunk takes twice those bytes), so memory stays
+        flat in the batch, and each result is the same whatever batch it
+        came in.
         """
         lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+        if np.any(lams.imag):
+            raise ValueError(f"shooting parameters must be real, got {lams[lams.imag != 0][0]!r}")
         if self.const:
             a = self.c0 + lams[:, None, None] * self.c1
             if checkpoints:
@@ -260,41 +288,86 @@ class _ShootingSystem:
             out[0] = np.eye(d)
         else:
             out = np.empty((L, d, d), dtype=complex)
+        poly = self.poly
+        if self.real:
+            lams, poly = lams.real, poly.view(float)
         chunk = max(1, _STACK_ENTRIES // (steps * d * d))
         for i in range(0, L, chunk):
             lam = lams[i:i + chunk, None, None, None]
-            m = lam * self.poly[4]
+            m = lam * poly[4]
             for p in (3, 2, 1, 0):
-                m += self.poly[p]
+                m += poly[p]
                 if p:
                     m *= lam
+            if self.real:
+                m = _embed(m)
+            prods = _prefix_products(m) if checkpoints else _tree_product(m)
+            if self.real:
+                prods = _unembed(prods)
             if checkpoints:
-                out[1:, i:i + chunk] = _prefix_products(m).swapaxes(0, 1)
+                out[1:, i:i + chunk] = prods.swapaxes(0, 1)
             else:
-                out[i:i + chunk] = _tree_product(m)
+                out[i:i + chunk] = prods
         return out
 
 
-def _rk4_step_polynomial(c0, c1, h):
+def _embed(rows):
+    """The real embedding ``(..., 2d, 2d)`` of complex d x d matrices given
+    by their real views ``rows`` ``(..., d, 2d)``: each entry x + iy becomes
+    the block [[x, y], [-y, x]], so products of embeddings embed the
+    products.  Row 2i is row i of ``rows`` and row 2i + 1 is that row times
+    K = I_d (x) [[0, 1], [-1, 0]]; both come from one GEMM with [I | K],
+    exact since K is a signed permutation."""
+    *lead, d, two_d = rows.shape
+    return (rows.reshape(-1, two_d) @ _EMBED_FACTORS[d]).reshape(*lead, two_d, two_d)
+
+
+def _unembed(a):
+    """The complex matrices ``(..., d, d)`` whose real embeddings are ``a``
+    ``(..., 2d, 2d)``: the even rows, as complex."""
+    return a[..., ::2, :].view(complex)
+
+
+def _rk4_step_polynomial(c0, c1, h, real):
     """Coefficients ``(5, steps, d, d)`` of the RK4 step matrices of
     x' = (C0 + lambda C1) x, M_k(lambda) = sum_p lambda^p N[p, k].
 
     With a = C0 + lambda C1 at the start, middle and end of a step, RK4 is
     x -> M x for M = I + h/6 (a0 + 2 (K2 + K3) + K4), K2 = am (I + h/2 a0),
     K3 = am (I + h/2 K2), K4 = a1 (I + h K3); the polynomials are expanded as
-    coefficient lists, every product batched over steps.
+    coefficient lists, every product batched over steps.  With ``real`` the
+    products run in the real embedding (``_embed``): C0 and C1 in full, and
+    each coefficient as the odd columns of its embedding, ``(steps, 2d, d)``
+    holding [y; x] for each entry x + iy (the bytes of a complex
+    coefficient), since the odd columns of R(A) R(B) are R(A) times those of
+    R(B).  The complex coefficients are read off at the end, once the
+    embeddings are released.
     """
-    eye = np.eye(c0.shape[1])
+    if not real:
+        return _step_coefficients(c0, c1, h, slice(None))
+    n = _step_coefficients(_embed(c0.view(float)), _embed(c1.view(float)), h, slice(1, None, 2))
+    poly = np.empty(n.shape[:2] + n.shape[-1:] * 2, dtype=complex)
+    poly.real, poly.imag = n[:, :, 1::2], n[:, :, 0::2]
+    return poly
 
-    def times(a, poly):  # a poly, for a = (A0, A1) of degree 1
-        out = [a[0] @ c for c in poly] + [a[1] @ poly[-1]]
-        for p, c in enumerate(poly[:-1]):
-            out[p + 1] += a[1] @ c
+
+def _step_coefficients(c0, c1, h, cols):
+    """``_rk4_step_polynomial`` in the arithmetic of ``c0`` and ``c1``, each
+    coefficient kept as its columns ``cols``."""
+    eye = np.eye(c0.shape[1])[:, cols]
+
+    def times(a, poly):  # a poly, for a = (A0, A1) of degree 1; empties poly
+        out = [a[1] @ poly[-1]]
+        while poly:  # from the top, dropping each input once it is used up
+            c = a[0] @ poly.pop()
+            if poly:
+                c += a[1] @ poly[-1]
+            out.insert(0, c)
         return out
 
     am, a1 = (c0[1::2], c1[1::2]), (c0[2::2], c1[2::2])
-    n = np.zeros((5,) + am[0].shape, dtype=complex)
-    n[0], n[1] = c0[0:-1:2], c1[0:-1:2]
+    n = np.zeros((5,) + am[0].shape[:-1] + eye.shape[1:], dtype=c0.dtype)
+    n[0], n[1] = c0[0:-1:2, :, cols], c1[0:-1:2, :, cols]
     k = [(0.5 * h) * n[0], (0.5 * h) * n[1]]  # h/2 a0
     for a, w, f in ((am, 2.0, 0.5 * h), (am, 2.0, h), (a1, 1.0, 0.0)):
         k[0] += eye
@@ -388,8 +461,9 @@ def _build_second_order(fam, s, steps):
     b0[:, :m, m:] = -pinv @ qg
     b0[:, m:, :m] = -qg.conj().transpose(0, 2, 1) @ pinv
     b0[:, m:, m:] = qg.conj().transpose(0, 2, 1) @ pinv @ qg - rg
-    jstd = std_j(m)
-    c0 = jstd @ b0
+    c0 = np.empty_like(b0)  # J @ b0, as a signed block swap
+    c0[:, :m] = -b0[:, m:]
+    c0[:, m:] = b0[:, :m]
     # The lambda shift replaces r by r - lambda, adding J @ diag(0, I).
     shift = np.zeros((2 * m, 2 * m), dtype=complex)
     shift[:m, m:] = -np.eye(m)
@@ -439,11 +513,14 @@ class BvpOpts(FlowOpts):
 
 
 def transfer_matrix(fam, s, lam=0.0, steps=BvpOpts.steps):
-    """Fundamental solution at t = T for one (s, lambda).
+    """Fundamental solution at t = T for one (s, lambda), lambda real.
 
     For a first-order family this is the m x m matrix with
     ``Gamma(0) = I``; for a second-order family, the 2m x 2m phase-space
-    fundamental solution of the reduced Hamiltonian system.
+    fundamental solution of the reduced Hamiltonian system.  A lambda with
+    a nonzero imaginary part raises ``ValueError``.  A t-varying system of
+    size 2 <= d <= 4 is integrated in real arithmetic (``_ShootingSystem``),
+    which agrees with the complex products to rounding, not bit for bit.
     """
     return _system(fam, s, steps).propagate([lam])[0]
 

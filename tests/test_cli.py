@@ -422,6 +422,14 @@ def test_trace_eigenvalues_rejects_pair_path(tmp_path, capsys):
     assert "pair path" in capsys.readouterr().err
 
 
+def test_a_refused_trace_makes_no_out_directory(tmp_path, capsys):
+    out = tmp_path / "refused"
+    assert cli.main(["trace", write(tmp_path, PAIR), "--what", "eigenvalues",
+                     "--out", str(out)]) == 3
+    assert "pair path" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trace_pair_path_eigenphases(tmp_path, capsys):
     assert cli.main(["trace", write(tmp_path, PAIR), "--what", "eigenphases",
                      "--out", str(tmp_path)]) == 0

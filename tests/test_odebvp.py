@@ -684,7 +684,8 @@ def full_grid_row0(fam, s, steps):
     b0[:, m:, m:] = qh @ pinv @ qg - rg
     shift = np.zeros((2 * m, 2 * m), dtype=complex)
     shift[:m, m:] = -np.eye(m)
-    return (odebvp.std_j(m) @ b0)[0], shift
+    c0 = np.concatenate([-b0[:, m:], b0[:, :m]], axis=1)  # J @ b0, as a signed block swap
+    return c0[0], shift
 
 
 def constant_second_order():
@@ -914,14 +915,14 @@ def rk4_loop(c0, c1, T, steps, lams):
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 7, 100, 256])
-@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])  # real arithmetic at 2 <= d <= 4 only
 def test_propagate_matches_the_reference_loop(d, steps):
     rng = np.random.default_rng([d, steps])
     shape = (2 * steps + 1, d, d)
     c0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     c1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     system = odebvp._ShootingSystem(c0, c1, 1.0, steps)
-    assert system.const is False
+    assert system.const is False and system.real is (2 <= d <= 4)
     for n_lams in (1, 3, 70):  # 70 at d = 4, 256 steps spans more than one chunk
         lams = rng.uniform(-1.0, 1.0, n_lams)
         reference = rk4_loop(c0, c1, 1.0, steps, lams)
@@ -931,6 +932,31 @@ def test_propagate_matches_the_reference_loop(d, steps):
         # the result does not depend on the batch it came in
         for lam, gamma in zip(lams, gammas):
             npt.assert_array_equal(system.propagate([lam])[0], gamma)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_the_real_step_polynomial_is_the_complex_one(d):
+    rng = np.random.default_rng(d)
+    shape = (2 * 100 + 1, d, d)
+    c0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert odebvp._ShootingSystem(c0, c1, 1.0, 100).real is True
+    npt.assert_allclose(odebvp._rk4_step_polynomial(c0, c1, 0.01, True),
+                        odebvp._rk4_step_polynomial(c0, c1, 0.01, False), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d, steps", [(1, 8), (2, 8), (4, 8), (6, 8), (4, 1)])
+def test_a_shooting_parameter_off_the_real_line_is_refused(d, steps):
+    rng = np.random.default_rng(d)
+    shape = (2 * steps + 1, d, d) if steps > 1 else (1, d, d)  # (4, 1): a constant system
+    c0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    system = odebvp._ShootingSystem(c0, c0, 1.0, steps)
+    for lams in ([0.5j], [0.0, 0.1 + 1e-300j]):
+        with pytest.raises(ValueError, match="must be real"):
+            system.propagate(lams)
+        with pytest.raises(ValueError, match="must be real"):
+            system.propagate(lams, True)
+    npt.assert_array_equal(system.propagate([0.1 + 0j]), system.propagate([0.1]))
 
 
 def test_propagation_memory_is_flat_in_the_batch():
