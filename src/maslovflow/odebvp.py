@@ -59,6 +59,8 @@ agreement is the content of the identities this package exists to check.
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
@@ -117,8 +119,9 @@ _SIN_RANK = float(np.sqrt(TAU_RANK * (2.0 - TAU_RANK)))
 
 # RK4 propagation takes the lambdas in chunks whose (chunk, steps, d, d)
 # stack of step matrices holds at most this many complex entries (256 KiB;
-# its real embedding, at 2 <= d <= 4, twice that), one lambda at least:
-# memory stays flat in the batch size.
+# its real embedding, at 2 <= d <= 4, twice that), one lambda at least, and
+# the certificate evaluates its contours in chunks of the same size: memory
+# stays flat in the batch size.
 _STACK_ENTRIES = 2 ** 14
 
 # The sizes d whose RK4 systems multiply in the real embedding (see
@@ -220,9 +223,10 @@ class _ShootingSystem:
     over steps, for real lambda.
 
     ``c0``/``c1`` are sampled on the doubled grid t_k = k T / (2 steps) so a
-    step has its midpoint value available; a build whose raw coefficients
-    are exactly constant in t passes that grid's first row alone, and such
-    a one-row system is integrated exactly with the matrix exponential.  For
+    step has its midpoint value available; ``c1`` may also be one row that
+    holds at every grid point.  A build whose raw coefficients are exactly
+    constant in t passes that grid's first row alone, and such a one-row
+    system is integrated exactly with the matrix exponential.  For
     any other system the RK4 step matrices are built here once: the system
     is affine in lambda, so the step matrix of step k is a degree-4 matrix
     polynomial M_k(lambda) = sum_p lambda^p N[p, k] (``self.poly``, shape
@@ -341,11 +345,15 @@ def _rk4_step_polynomial(c0, c1, h, real):
     holding [y; x] for each entry x + iy (the bytes of a complex
     coefficient), since the odd columns of R(A) R(B) are R(A) times those of
     R(B).  The complex coefficients are read off at the end, once the
-    embeddings are released.
+    embeddings are released.  A one-row ``c1`` holds at every grid point:
+    it is embedded once and its embedding broadcast, which gives the same
+    bits as embedding the full grid, since embedding works row by row.
     """
     if not real:
-        return _step_coefficients(c0, c1, h, slice(None))
-    n = _step_coefficients(_embed(c0.view(float)), _embed(c1.view(float)), h, slice(1, None, 2))
+        return _step_coefficients(c0, np.broadcast_to(c1, c0.shape), h, slice(None))
+    e1 = _embed(c1.view(float))
+    n = _step_coefficients(_embed(c0.view(float)), np.broadcast_to(e1, (len(c0),) + e1.shape[1:]),
+                           h, slice(1, None, 2))
     poly = np.empty(n.shape[:2] + n.shape[-1:] * 2, dtype=complex)
     poly.real, poly.imag = n[:, :, 1::2], n[:, :, 0::2]
     return poly
@@ -464,10 +472,10 @@ def _build_second_order(fam, s, steps):
     c0 = np.empty_like(b0)  # J @ b0, as a signed block swap
     c0[:, :m] = -b0[:, m:]
     c0[:, m:] = b0[:, :m]
-    # The lambda shift replaces r by r - lambda, adding J @ diag(0, I).
-    shift = np.zeros((2 * m, 2 * m), dtype=complex)
-    shift[:m, m:] = -np.eye(m)
-    c1 = np.broadcast_to(shift, (nt, 2 * m, 2 * m)).copy()
+    # The lambda shift replaces r by r - lambda, adding J @ diag(0, I): one
+    # row that holds at every grid point.
+    c1 = np.zeros((1, 2 * m, 2 * m), dtype=complex)
+    c1[0, :m, m:] = -np.eye(m)
     return _ShootingSystem(c0, c1, fam.T, steps)
 
 
@@ -603,17 +611,18 @@ def w_of_r(r, m=None):
 # Eigenvalue localization by shooting
 # ---------------------------------------------------------------------------
 
-def _graph_detector(wperp_frame, gammas):
+def _graph_detector(wperp, gammas):
     """Singular values, descending, of W_perp* @ orth[I; Gamma] for a stack
-    ``(P, d, d)`` of Gammas; returns ``(P, d)``.  They are the sines of the
-    principal angles between graph(Gamma) and W, so the last is the
+    ``(P, d, d)`` of Gammas, against one frame ``wperp`` ``(2d, d)`` or a
+    stack ``(P, 2d, d)`` of them; returns ``(P, d)``.  They are the sines of
+    the principal angles between graph(Gamma) and W, so the last is the
     detector and the number near 0 is dim(graph ∩ W)."""
     P, d, _ = gammas.shape
     graphs = np.empty((P, 2 * d, d), dtype=complex)
     graphs[:, :d] = np.eye(d)
     graphs[:, d:] = gammas
     q = np.linalg.qr(graphs)[0]
-    return np.linalg.svd(wperp_frame.conj().T[None] @ q, compute_uv=False)
+    return np.linalg.svd(np.swapaxes(wperp.conj(), -1, -2) @ q, compute_uv=False)
 
 
 class _GammaEvaluator:
@@ -665,11 +674,20 @@ def _dct1(vals):
     c_0, c_N halved, as a cosine-matrix product (reduced mod 2N so that
     every cosine is taken of an argument in [0, 2 pi))."""
     n = len(vals) - 1
-    w = np.concatenate([[0.5], np.ones(n - 1), [0.5]])
-    jk = np.outer(np.arange(n + 1), np.arange(n, -1, -1)) % (2 * n)
-    coef = np.tensordot(np.cos(jk * (np.pi / n)) * w, vals, axes=1) * (2.0 / n)
+    coef = np.tensordot(_dct1_matrix(n), vals, axes=1) * (2.0 / n)
     coef[[0, -1]] *= 0.5
     return coef
+
+
+@functools.cache  # one entry per node count: 17, 33 and 65 in the detector
+def _dct1_matrix(n):
+    """The cosine matrix of ``_dct1`` on n + 1 nodes, end columns halved;
+    read-only, since every caller shares it."""
+    w = np.concatenate([[0.5], np.ones(n - 1), [0.5]])
+    jk = np.outer(np.arange(n + 1), np.arange(n, -1, -1)) % (2 * n)
+    out = np.cos(jk * (np.pi / n)) * w
+    out.flags.writeable = False
+    return out
 
 
 def _colleague_eigvals(f):
@@ -702,52 +720,114 @@ def _gap_middle(x, lo, hi):
     return 0.5 * (ends[i] + ends[i + 1])
 
 
-def _certify_count(f, u):
-    """Raise RootCountMismatch unless the winding number of det P around the
+def _certify_count(pencils):
+    """One error or None per pencil ``(f, u)`` of a batch, all of one size d:
+    ``RootCountMismatch`` unless the winding number of det P around the
     rectangle a < Re u < b, |Im u| < ``_STRIP`` equals the number of pencil
     eigenvalues ``u`` inside; a and b sit in the widest root-free gaps of
-    [-1, -0.6] and [0.6, 1].  The contour starts at 64 points and doubles
+    [-1, -0.6] and [0.6, 1].  A contour starts at 64 points and doubles
     until every step in arg det P is below pi/2 and within pi/4 of the
     trapezoid rule on the log-derivative tr(P^-1 P'), so that a step of
-    2 pi more is not taken for a small one.  Roots are never edited."""
-    deg = len(f) - 1
-    if deg == 0:
-        return  # a constant F has no roots, and the pencil gave none
-    near = u.real[np.abs(u.imag) < 2.0 * _STRIP]
-    a, b = _gap_middle(near, -1.0, -0.6), _gap_middle(near, 0.6, 1.0)
-    inside = np.count_nonzero((u.real > a) & (u.real < b) & (np.abs(u.imag) < _STRIP))
-    corners = [b - 1j * _STRIP, b + 1j * _STRIP, a + 1j * _STRIP, a - 1j * _STRIP]
+    2 pi more is not taken for a small one.  Roots are never edited.
+
+    The contours of the batch are evaluated together, as many at a time as
+    keep the stacked arrays within ``_STACK_ENTRIES`` entries: the
+    coefficients are zero-padded to the top degree, which changes no value,
+    and each contour is padded to the longest by repeating its first point,
+    which adds steps of 0 over segments of length 0.  Only the contours
+    still unresolved double."""
+    errors = [None] * len(pencils)
+    todo = [k for k, (f, _) in enumerate(pencils) if len(f) > 1]
+    if not todo:
+        return errors  # a constant F has no roots, and the pencil gave none
+    ends, inside = [], []
+    for k in todo:
+        u = pencils[k][1]
+        near = u.real[np.abs(u.imag) < 2.0 * _STRIP]
+        a, b = _gap_middle(near, -1.0, -0.6), _gap_middle(near, 0.6, 1.0)
+        ends.append((a, b))
+        inside.append(np.count_nonzero((u.real > a) & (u.real < b) & (np.abs(u.imag) < _STRIP)))
+    a, b = np.array(ends).T
+    corners = np.stack([b - 1j * _STRIP, b + 1j * _STRIP, a + 1j * _STRIP, a - 1j * _STRIP], axis=1)
+    edges = np.roll(corners, -1, axis=1) - corners
     length = 2.0 * (b - a) + 4.0 * _STRIP
+    deg = max(len(pencils[k][0]) for k in todo) - 1
+    d = pencils[todo[0]][0].shape[1]
+    f = np.zeros((len(todo), deg + 1, d, 2 * d), dtype=complex)  # P, then P' with a zero top term
+    for i, k in enumerate(todo):
+        f[i, :len(pencils[k][0]), :, :d] = pencils[k][0]
+    f[:, :-1, :, d:] = ncheb.chebder(f[..., :d], axis=1)
+    f = f.reshape(len(todo), deg + 1, 2 * d * d)
+    active = np.arange(len(todo))
     for n in 64 * 2 ** np.arange(9):
-        z = np.concatenate([
-            np.linspace(p, q, max(2, int(np.ceil(n * abs(q - p) / length))), endpoint=False)
-            for p, q in zip(corners, corners[1:] + corners[:1])
-        ])
-        vander = ncheb.chebvander(z, deg)
-        vals = np.tensordot(vander, f, axes=1)
-        det = np.linalg.det(vals)
-        if not np.all(det != 0.0):
-            continue
-        ders = np.tensordot(vander[:, :deg], ncheb.chebder(f), axes=1)
-        logder = np.trace(np.linalg.solve(vals, ders), axis1=1, axis2=2)
-        step = np.angle(np.roll(det, -1) * det.conj())
-        trapezoid = np.imag(0.5 * (logder + np.roll(logder, -1)) * (np.roll(z, -1) - z))
-        if np.all(np.abs(step) < 0.5 * np.pi) and np.all(np.abs(trapezoid - step) < 0.25 * np.pi):
-            winding = round(step.sum() / (2.0 * np.pi))
-            if winding != inside:
-                raise RootCountMismatch(f"det F winds {winding} times around ({a:.6g}, {b:.6g}) "
-                                        f"x (-{_STRIP}, {_STRIP})i, the pencil has {inside} roots inside")
-            return
-    raise RootCountMismatch(f"arg det F unresolved with {n} contour points")
+        counts = np.ceil(n * np.abs(edges[active]) / length[active, None]).astype(int)
+        counts = np.maximum(2, counts)
+        per = max(1, _STACK_ENTRIES // (counts.sum(axis=1).max() * (deg + 1 + 2 * d * d)))
+        unresolved = []
+        for i in range(0, len(active), per):
+            chunk = active[i:i + per]
+            z = _contours(corners[chunk], edges[chunk], counts[i:i + per])
+            done, windings = _windings(z, f[chunk], d)
+            for j, winding in zip(chunk[done].tolist(), windings[done].tolist()):
+                if winding != inside[j]:
+                    errors[todo[j]] = RootCountMismatch(
+                        f"det F winds {winding} times around ({a[j]:.6g}, {b[j]:.6g}) "
+                        f"x (-{_STRIP}, {_STRIP})i, the pencil has {inside[j]} roots inside")
+            unresolved.append(chunk[~done])
+        active = np.concatenate(unresolved)
+        if not len(active):
+            return errors
+    for j in active.tolist():
+        errors[todo[j]] = RootCountMismatch(f"arg det F unresolved with {n} contour points")
+    return errors
 
 
-def _window_roots(system, wperp, lo, hi, nodes, splits=0):
+def _windings(z, f, d):
+    """Which of the closed contours ``z`` ``(C, n)`` resolve arg det P, by
+    ``_certify_count``'s tests, and the winding number of each, ``f``
+    ``(C, deg + 1, 2 d^2)`` holding the Chebyshev coefficients of P and P'
+    side by side.  A contour where det P is 0 at some point is unresolved."""
+    both = (ncheb.chebvander(z, f.shape[1] - 1) @ f).reshape(z.shape + (d, 2 * d))
+    det = np.linalg.det(both[..., :d])
+    live = np.all(det != 0.0, axis=1)
+    z, det, both = z[live], det[live], both[live]
+    logder = np.trace(np.linalg.solve(both[..., :d], both[..., d:]), axis1=2, axis2=3)
+    step = np.angle(np.roll(det, -1, axis=1) * det.conj())
+    trapezoid = np.imag(0.5 * (logder + np.roll(logder, -1, axis=1)) * (np.roll(z, -1, axis=1) - z))
+    done, windings = np.zeros(len(live), dtype=bool), np.zeros(len(live), dtype=int)
+    done[live] = (np.all(np.abs(step) < 0.5 * np.pi, axis=1)
+                  & np.all(np.abs(trapezoid - step) < 0.25 * np.pi, axis=1))
+    windings[live] = np.rint(step.sum(axis=1) / (2.0 * np.pi))
+    return done, windings
+
+
+def _contours(corners, edges, counts):
+    """Points ``(C, n)`` of C closed polygons: polygon i runs from
+    ``corners[i, e]`` along ``edges[i, e]`` in ``counts[i, e]`` equal steps,
+    the edge's end left to the next edge, as ``np.linspace(..., endpoint=False)``
+    would; a polygon with fewer than n points repeats its first point to
+    fill its row."""
+    per_edge = counts.ravel()
+    j = np.arange(per_edge.sum()) - np.repeat(np.cumsum(per_edge) - per_edge, per_edge)
+    points = (j * np.repeat(edges.ravel() / per_edge, per_edge)
+              + np.repeat(corners.ravel(), per_edge))
+    per_polygon = counts.sum(axis=1)
+    rows = np.repeat(np.arange(len(counts)), per_polygon)
+    cols = np.arange(len(points)) - np.repeat(np.cumsum(per_polygon) - per_polygon, per_polygon)
+    z = np.repeat(corners[:, :1], per_polygon.max(), axis=1)
+    z[rows, cols] = points
+    return z
+
+
+def _window_roots(system, wperp, lo, hi, nodes, pencils, splits=0):
     """Candidate roots lambda in [lo, hi] of det F, F = W_perp* [I; Gamma].
 
     On a certified window F is a matrix polynomial, F_k = W_perp*
     [delta_k0 I; C_k] with trailing F_k below 1e-14 of the largest dropped;
     its pencil eigenvalues u with |Re u| <= 1 and |Im u| <= ``_REAL`` give
-    the candidates, at Re u.  A window whose fit does not certify by
+    the candidates, at Re u.  Each pencil ``(f, u)`` is appended to
+    ``pencils``, in window order, for the caller to certify
+    (``_certify_count``).  A window whose fit does not certify by
     4 ``nodes`` - 3 nodes is halved, each half with its own fit.  A half
     keeps roots up to 1e-9 of its width past its edges, so a root on a
     shared edge is found from both sides and the caller merges it into one.
@@ -757,15 +837,15 @@ def _window_roots(system, wperp, lo, hi, nodes, splits=0):
         if splits == _MAX_SPLITS:
             raise RootCountMismatch(f"no certified Chebyshev fit on ({lo:.6g}, {hi:.6g})")
         mid = 0.5 * (lo + hi)
-        return (_window_roots(system, wperp, lo, mid, nodes, splits + 1)
-                + _window_roots(system, wperp, mid, hi, nodes, splits + 1))
+        return (_window_roots(system, wperp, lo, mid, nodes, pencils, splits + 1)
+                + _window_roots(system, wperp, mid, hi, nodes, pencils, splits + 1))
     d = system.d
     f = wperp[d:].conj().T @ ev.coef
     f[0] += wperp[:d].conj().T
     size = np.abs(f).max(axis=(1, 2))
     f = f[:np.flatnonzero(size >= 1e-14 * size.max())[-1] + 1]
     u = _colleague_eigvals(f)
-    _certify_count(f, u)
+    pencils.append((f, u))
     u = u[(np.abs(u.imag) <= _REAL) & (np.abs(u.real) <= 1.0 + 1e-9)]
     return list(0.5 * (hi + lo) + 0.5 * (hi - lo) * u.real)
 
@@ -784,7 +864,8 @@ def eigen_count(fam, s, w, window, steps=BvpOpts.steps):
     a winding number of det F checks their count.  A window too wide to
     certify is halved until each piece is.  Every root is verified on the
     exactly integrated transfer matrix, and its multiplicity is the
-    dimension of the intersection there.
+    dimension of the intersection there.  This is the detector ``sf_bvp``
+    runs on a whole engine batch, here on a batch of one s.
 
     Returns a sorted list of ``(lambda, multiplicity)`` pairs.
 
@@ -819,7 +900,7 @@ def eigen_count(fam, s, w, window, steps=BvpOpts.steps):
         raise WindowBoundaryEigenvalue(
             f"detector at window endpoint(s) of ({lo:.6g}, {hi:.6g}) below margin"
         )
-    return _eigen_count_system(system, wperp, (lo, hi))
+    return _eigen_count_system([(system, wperp)], (lo, hi))[0]
 
 
 def _boundary_perp(w, d):
@@ -832,32 +913,66 @@ def _boundary_perp(w, d):
     return orthogonal_complement(w)
 
 
-def _eigen_count_system(system, wperp, window):
-    """``eigen_count`` past its endpoint check: a built system, the frame
-    ``wperp`` of W's complement and a window ``(lo, hi)`` checked finite and non-empty."""
+def _eigen_count_system(batch, window):
+    """``eigen_count`` past its endpoint check, for a batch of s: ``batch``
+    yields a ``(system, wperp)`` pair per s, a built system and the frame of
+    W's complement, and ``window`` ``(lo, hi)`` is checked finite and
+    non-empty.  Returns one sorted ``(lambda, multiplicity)`` list per s.
+
+    Each s gets its own fit, halvings and pencil eigensolves; then one
+    ``_certify_count`` call certifies every pencil of the batch, and one
+    ``_graph_detector`` stack verifies every root on its s's exact
+    propagator, before the results are split back per s for multiplicity
+    and merging.  The batch raises what a loop over its s would: the error
+    of the first failing s, and within that s the first of drawing its pair
+    (the build), the fit, the certificate, the verification and the cluster
+    check.  The s after it are neither certified nor verified.
+    """
     lo, hi = window
     tau_root = 1e-9 * (hi - lo)
-    found = np.array(_window_roots(system, wperp, lo, hi, 17))
-    found = found[(lo <= found) & (found <= hi)]
-    if not len(found):
-        return []
-    sv = _graph_detector(wperp, system.propagate(found))
-    worst = int(sv[:, -1].argmax())
-    if sv[worst, -1] >= _ACCEPT:
-        raise RootCountMismatch(f"pencil root {found[worst]:.12g} fails verification "
-                                f"on the exact propagator (detector {sv[worst, -1]:.3g})")
-    mults = np.count_nonzero(sv <= _SIN_RANK, axis=1)
-    merged = []
-    for lam, mult in sorted(zip(found.tolist(), mults.tolist())):
-        if merged and lam - merged[-1][0] < 2.0 * tau_root:
-            continue  # one root, from a double eigenvalue or two pieces
-        if merged and lam - merged[-1][0] < 10.0 * tau_root:
-            raise RootCluster(
-                f"roots {merged[-1][0]:.12g} and {lam:.12g} closer than 10x root tolerance; "
-                "use a smaller window"
-            )
-        merged.append((lam, mult))
-    return merged
+    pairs, found, pencils, starts, failure = [], [], [], [], None
+    try:
+        for system, wperp in batch:
+            pairs.append((system, wperp))
+            starts.append(len(pencils))
+            roots = np.array(_window_roots(system, wperp, lo, hi, 17, pencils))
+            found.append(roots[(lo <= roots) & (roots <= hi)])
+    except Exception as exc:  # whatever s fails, raised below once the s before it are done
+        failure = exc
+    errors = _certify_count(pencils)
+    first = next((k for k, error in enumerate(errors) if error is not None), None)
+    if first is not None:
+        failure = errors[first]
+        del found[bisect.bisect_right(starts, first) - 1:]
+    counts, svs = [len(roots) for roots in found], [None] * len(found)
+    if any(counts):
+        gammas = np.concatenate([pairs[i][0].propagate(roots) for i, roots in enumerate(found)
+                                 if len(roots)])
+        frames = np.repeat(np.stack([wperp for _, wperp in pairs[:len(found)]]), counts, axis=0)
+        svs = np.split(_graph_detector(frames, gammas), np.cumsum(counts)[:-1])
+    out = []
+    for roots, sv in zip(found, svs):
+        merged = []
+        out.append(merged)
+        if not len(roots):
+            continue
+        worst = int(sv[:, -1].argmax())
+        if sv[worst, -1] >= _ACCEPT:
+            raise RootCountMismatch(f"pencil root {roots[worst]:.12g} fails verification "
+                                    f"on the exact propagator (detector {sv[worst, -1]:.3g})")
+        mults = np.count_nonzero(sv <= _SIN_RANK, axis=1)
+        for lam, mult in sorted(zip(roots.tolist(), mults.tolist())):
+            if merged and lam - merged[-1][0] < 2.0 * tau_root:
+                continue  # one root, from a double eigenvalue or two pieces
+            if merged and lam - merged[-1][0] < 10.0 * tau_root:
+                raise RootCluster(
+                    f"roots {merged[-1][0]:.12g} and {lam:.12g} closer than 10x root tolerance; "
+                    "use a smaller window"
+                )
+            merged.append((lam, mult))
+    if failure is not None:
+        raise failure
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -871,8 +986,11 @@ def sf_bvp(fam, w_path, opts=None):
     shooting inside the window ``(-R, R)`` with ``R = opts.lambda_window``,
     and only those with ``|lambda| <= 0.6 R`` are kept: that horizon keeps
     every kept root 0.4 R inside the window, so an eigenvalue on the window
-    edge is never counted and needs no check.  The resulting coordinate
-    lists feed the same adaptive crossing engine used everywhere else.
+    edge is never counted and needs no check.  The fits and eigensolves run
+    per s, while one winding certificate and one verification stack serve
+    each engine batch, and the batch raises what the first failing s would.
+    The resulting coordinate lists feed the same adaptive crossing engine
+    used everywhere else.
 
     ``w_path`` is a Subspace, a spanning frame, or a path of either in s;
     W's complement is taken once per engine batch, by one SVD when W is one
@@ -885,12 +1003,18 @@ def sf_bvp(fam, w_path, opts=None):
     r0 = float(opts.lambda_window)
 
     def sampler(ss):
-        ws, wperp, out = wpath(ss), None, []
-        for i, s in enumerate(ss):
-            system = _system(fam, s, opts.steps)
-            if wperp is None:  # W is checked against the size of the first system
-                wperp = _boundary_perp(ws, system.d)
-            roots = _eigen_count_system(system, member(wperp, i).frame, (-r0, r0))
+        ws = wpath(ss)
+
+        def batch():  # lazy, so that a build that raises stops the batch at its s
+            wperp = None
+            for i, s in enumerate(ss):
+                system = _system(fam, s, opts.steps)
+                if wperp is None:  # W is checked against the size of the first system
+                    wperp = _boundary_perp(ws, system.d)
+                yield system, member(wperp, i).frame
+
+        out = []
+        for roots in _eigen_count_system(batch(), (-r0, r0)):
             vals = [lam for lam, mult in roots for _ in range(mult)]
             out.append(np.array([v for v in vals if abs(v) <= 0.6 * r0], dtype=float))
         return out
