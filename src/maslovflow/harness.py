@@ -336,11 +336,14 @@ def _random_pair_path(rng, n):
 
 
 def _random_hermitian_family(rng, n):
+    """s -> a + s b + sin(pi s) c for random Hermitian a, b, c; an array of
+    s gives the stack of its matrices."""
     a = _random_hermitian(rng, n)
     b = _random_hermitian(rng, n)
     c = _random_hermitian(rng, n)
 
     def fam(s):
+        s = np.asarray(s)[..., None, None]
         return a + s * b + np.sin(np.pi * s) * c
 
     return fam
@@ -405,10 +408,11 @@ def _branch_oracle(eigval_fun, rep):
     """Brute-force flow over the interval of the engine's report ``rep``:
     follow sorted eigenvalue branches on a uniform grid ten times finer than
     its partition (161 points at least) and add up their signed crossings
-    of zero."""
+    of zero.  ``eigval_fun`` takes the whole grid and returns the real
+    eigenvalues at each point, ``(len(grid), n)``."""
     cuts = rep.partition
     grid = np.linspace(cuts[0], cuts[-1], 10 * max(len(cuts) - 1, 16) + 1)
-    branches = np.array([np.sort(eigval_fun(float(s))) for s in grid])
+    branches = np.sort(eigval_fun(grid), axis=-1)
     scale = max(np.abs(branches).max(), 1.0)
     tau = 1e-9 * scale
     return sum(
@@ -572,7 +576,7 @@ def _suite_flow_oracle(rng, dims):
     n = _pick_dim(rng, dims)
     fam = _random_hermitian_family(rng, n)
     engine, rep = flow.spectral_flow(fam, (0.0, 1.0))
-    oracle = _branch_oracle(lambda s: nla.eigvalsh(fam(s)), rep)
+    oracle = _branch_oracle(lambda grid: nla.eigvalsh(fam(grid)), rep)
     return engine == oracle, 0.0, f"dim {n}: engine {engine}, oracle {oracle}"
 
 
@@ -583,11 +587,7 @@ def _suite_flow_conjugation(rng, dims):
     tinv = nla.inv(t)
     engine, rep = flow.spectral_flow(fam, (0.0, 1.0))
 
-    def conjugated_eigs(s):
-        vals = nla.eigvals(t @ fam(s) @ tinv)
-        return np.sort(vals.real)
-
-    oracle = _branch_oracle(conjugated_eigs, rep)
+    oracle = _branch_oracle(lambda grid: nla.eigvals(t @ fam(grid) @ tinv).real, rep)
     return engine == oracle, 0.0, f"dim {n}: engine {engine}, conjugated oracle {oracle}"
 
 

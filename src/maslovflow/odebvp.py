@@ -26,11 +26,11 @@ shooting parameter lambda is real.  A t-varying system of size
 2 <= d <= 4 runs the products of its build and of its propagation in the
 real embedding z = x + iy -> [[x, y], [-y, x]], where NumPy's stacked real
 2d x 2d product costs a seventh to a quarter of the complex d x d one;
-d = 1, where the complex product is elementwise, and d >= 5, where the
-gain shrinks and then reverses, stay complex.  Each coefficient is read
-with one call on the t-grid, and a family object keeps each system it
-builds, so every caller, both pipelines included,
-shares one build per (s, steps).  A family whose raw
+d >= 5, where the gain shrinks and then reverses, stays complex, and
+d = 1 inverts and multiplies elementwise, with no per-matrix BLAS or
+LAPACK call.  Each coefficient is read with one call on the t-grid, and
+a family object keeps each system it builds, so every caller, both
+pipelines included, shares one build per (s, steps).  A family whose raw
 coefficient grids are exactly constant in t is checked, inverted and
 assembled at one grid point, and its system takes an exact
 matrix-exponential shortcut; any other runs RK4.
@@ -237,9 +237,11 @@ class _ShootingSystem:
     RK4 system with 2 <= d <= 4 multiplies in the real embedding
     z = x + iy -> [[x, y], [-y, x]] (``_embed``), where NumPy's stacked
     real 2d x 2d product costs a seventh to a quarter of the complex d x d
-    one.  At d = 1 the complex product is elementwise and cheaper, and from
-    d = 5 on the gain shrinks and then reverses, so those keep complex
-    arithmetic.  Only the complex ``poly`` is stored either way.
+    one.  From d = 5 on the gain shrinks and then reverses, so those keep
+    complex arithmetic, and so does d = 1, where every product of the
+    step polynomial and of propagation is an elementwise complex product
+    (``_times``) instead of one matmul call per 1 x 1 matrix.  Only the
+    complex ``poly`` is stored either way.
     """
 
     def __init__(self, c0, c1, T, steps):
@@ -365,11 +367,11 @@ def _step_coefficients(c0, c1, h, cols):
     eye = np.eye(c0.shape[1])[:, cols]
 
     def times(a, poly):  # a poly, for a = (A0, A1) of degree 1; empties poly
-        out = [a[1] @ poly[-1]]
+        out = [_times(a[1], poly[-1])]
         while poly:  # from the top, dropping each input once it is used up
-            c = a[0] @ poly.pop()
+            c = _times(a[0], poly.pop())
             if poly:
-                c += a[1] @ poly[-1]
+                c += _times(a[1], poly[-1])
             out.insert(0, c)
         return out
 
@@ -388,13 +390,20 @@ def _step_coefficients(c0, c1, h, cols):
     return n
 
 
+def _times(a, b):
+    """The stacked matrix product a @ b, as an elementwise product when the
+    inner size is 1 (d = 1), where the product of 1 x 1 matrices is that of
+    their entries and NumPy's matmul would pay one call per matrix."""
+    return a * b if a.shape[-1] == 1 else a @ b
+
+
 def _tree_product(m):
     """M_{n-1} ... M_0 of a stack ``(L, n, d, d)``, pairing from the top end,
     (M_{n-1} M_{n-2}), (M_{n-3} M_{n-4}), ..., with M_0 carried when n is
-    odd: ceil(log2 n) batched matmuls."""
+    odd: ceil(log2 n) batched products (``_times``)."""
     while m.shape[1] > 1:
         odd = m.shape[1] % 2
-        pairs = m[:, 1 + odd::2] @ m[:, odd::2]
+        pairs = _times(m[:, 1 + odd::2], m[:, odd::2])
         m = np.concatenate([m[:, :1], pairs], axis=1) if odd else pairs
     return m[:, 0]
 
@@ -405,7 +414,7 @@ def _prefix_products(m):
     ``_tree_product``, so the last prefix is that product bit for bit."""
     s = 1
     while s < m.shape[1]:
-        m[:, s:] = m[:, s:] @ m[:, :-s]
+        m[:, s:] = _times(m[:, s:], m[:, :-s])
         s *= 2
     return m
 
@@ -415,9 +424,18 @@ def _checked_inv(a, exc, name):
     ``require_nonsingular`` on their singular values would.  Since
     sigma_max / sigma_min <= |A|_F |A^-1|_F, members with that bound below
     1e11 are cleared by the inverse alone; only the others get an SVD, or
-    the whole stack when ``inv`` meets an exact zero pivot."""
+    the whole stack when ``inv`` meets an exact zero pivot.  A stack of
+    1 x 1 matrices is inverted as ``1.0 / a``, with no per-matrix LAPACK
+    call, and an exact zero in it takes the zero-pivot path; that equals
+    ``np.linalg.inv`` bit for bit on real and on purely imaginary entries
+    (a Hermitian p, a skew-Hermitian j), and agrees to rounding on others."""
     try:
-        inv = np.linalg.inv(a)
+        if a.shape[-1] > 1:
+            inv = np.linalg.inv(a)
+        elif a.all():
+            inv = 1.0 / a
+        else:
+            raise np.linalg.LinAlgError("Singular matrix")
     except np.linalg.LinAlgError:
         require_nonsingular(np.linalg.svd(a, compute_uv=False), exc, name)
         raise
@@ -455,6 +473,9 @@ def _build_first_order(fam, s, steps):
 
 
 def _build_second_order(fam, s, steps):
+    """The shooting system u' = J b_lam u of a second-order family in the
+    phase-space variable u = (p x' + q x, x): c0 = J b_0
+    (``_second_order_c0``) and c1 = J diag(0, I)."""
     m = fam.m
     ts = np.linspace(0.0, fam.T, 2 * steps + 1)
     pg, qg, rg = _cut_if_constant(*(_eval_grid(fam, name, s, ts) for name in "pqr"))
@@ -463,20 +484,40 @@ def _build_second_order(fam, s, steps):
     if not np.all(np.isfinite(qg)):
         raise NonFinite(f"q(s={s:.6g}, t) is not finite at a grid point")
     rg = require_hermitian(rg, f"r(s={s:.6g}, t) on the t-grid")
-    nt = len(pg)
-    b0 = np.zeros((nt, 2 * m, 2 * m), dtype=complex)
-    b0[:, :m, :m] = pinv
-    b0[:, :m, m:] = -pinv @ qg
-    b0[:, m:, :m] = -qg.conj().transpose(0, 2, 1) @ pinv
-    b0[:, m:, m:] = qg.conj().transpose(0, 2, 1) @ pinv @ qg - rg
-    c0 = np.empty_like(b0)  # J @ b0, as a signed block swap
-    c0[:, :m] = -b0[:, m:]
-    c0[:, m:] = b0[:, :m]
     # The lambda shift replaces r by r - lambda, adding J @ diag(0, I): one
     # row that holds at every grid point.
     c1 = np.zeros((1, 2 * m, 2 * m), dtype=complex)
     c1[0, :m, m:] = -np.eye(m)
-    return _ShootingSystem(c0, c1, fam.T, steps)
+    return _ShootingSystem(_second_order_c0(pinv, qg, rg), c1, fam.T, steps)
+
+
+def _second_order_c0(pinv, qg, rg):
+    """c0 = J b_0 on a grid of p^-1, q and r ``(nt, m, m)``, for
+    b_0 = [[p^-1, -p^-1 q], [-q* p^-1, q* p^-1 q - r]].  On a t-varying
+    grid with m in 2..4 the products p^-1 q, q* p^-1 and q* p^-1 q run on
+    the real embeddings (``_embed``), E(q*) being E(q)^T, and are read
+    back with ``_unembed``: equal to the complex products to rounding
+    (about 1e-16 of the largest entry), not bit for bit.  A constant
+    grid's one row, and any other m, takes the complex products.  Its
+    temporaries, b_0 and the embeddings, are released before the RK4
+    build runs."""
+    nt, m = pinv.shape[:2]
+    b0 = np.zeros((nt, 2 * m, 2 * m), dtype=complex)
+    b0[:, :m, :m] = pinv
+    if nt > 1 and m in _EMBED_FACTORS:
+        ep, eq = _embed(pinv.view(float)), _embed(np.ascontiguousarray(qg).view(float))
+        qhp = eq.transpose(0, 2, 1) @ ep
+        b0[:, :m, m:] = -_unembed(ep @ eq)
+        b0[:, m:, :m] = -_unembed(qhp)
+        b0[:, m:, m:] = _unembed(qhp @ eq) - rg
+    else:
+        b0[:, :m, m:] = -pinv @ qg
+        b0[:, m:, :m] = -qg.conj().transpose(0, 2, 1) @ pinv
+        b0[:, m:, m:] = qg.conj().transpose(0, 2, 1) @ pinv @ qg - rg
+    c0 = np.empty_like(b0)  # J @ b0, as a signed block swap
+    c0[:, :m] = -b0[:, m:]
+    c0[:, m:] = b0[:, :m]
+    return c0
 
 
 def _system(fam, s, steps):
@@ -699,10 +740,7 @@ def _colleague_eigvals(f):
     n, d = len(f) - 1, f.shape[1]
     if n == 0:
         return np.empty(0, dtype=complex)
-    t = np.diag(np.full(n - 1, 0.5), 1) + np.diag(np.full(n - 1, 0.5), -1)
-    t[0, 1:2] = 1.0
-    a = np.kron(t, np.eye(d)).astype(complex)
-    b = np.eye(n * d, dtype=complex)
+    a, b = (x.copy() for x in _colleague_scaffold(n, d))
     # F_n u T_{n-1} = (F_n T_{n-2} - sum_{k<n} F_k T_k) / 2, or F_1 u = -F_0
     c = 0.5 if n > 1 else 1.0
     a[-d:] = -c * np.hstack(f[:n])
@@ -711,6 +749,20 @@ def _colleague_eigvals(f):
     b[-d:, -d:] = f[n]
     u = la.eigvals(a, b)
     return u[np.isfinite(u)]
+
+
+@functools.lru_cache(maxsize=16)  # each stock workload meets one or two (degree, d) pairs
+def _colleague_scaffold(n, d):
+    """The parts of ``_colleague_eigvals``' pencil (a, b) that depend only
+    on the degree n and the size d: the block recurrence T (x) I_d and the
+    identity, each (n d, n d); read-only, since every caller shares them.
+    The cache is bounded because an entry grows as (n d)^2."""
+    t = np.diag(np.full(n - 1, 0.5), 1) + np.diag(np.full(n - 1, 0.5), -1)
+    t[0, 1:2] = 1.0
+    a = np.kron(t, np.eye(d)).astype(complex)
+    b = np.eye(n * d, dtype=complex)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
 
 
 def _gap_middle(x, lo, hi):

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.linalg as nla
 import pytest
+from scipy.integrate import quad
 
 from maslovflow import harness, maslov, odebvp
 
@@ -194,3 +195,45 @@ def test_c8_numerical_certificates():
         assert rep.residuals["unitary"] <= 1e-8, rep.name
     _stamp("acceptance 8", "transport and unit-circle residuals <= 1e-8 on "
                           "all scenarios")
+
+
+def _s3_river(s):
+    """S3's branches: with j = i g, g = 1 + 0.5 s sin(pi t), the solution is
+    x(1) = exp(i (B - lambda C)) x(0) (g(0) = g(1) = 1), for B = int b / g
+    and C = int 1 / g over [0, 1]."""
+    g = lambda t: 1.0 + 0.5 * s * np.sin(np.pi * t)
+    b = quad(lambda t: s * np.cos(t) / g(t), 0.0, 1.0, epsabs=1e-15, epsrel=1e-13)[0]
+    c = quad(lambda t: 1.0 / g(t), 0.0, 1.0, epsabs=1e-15, epsrel=1e-13)[0]
+    return [(2.0 * np.pi * (s + n) - b) / c for n in (-1, 0, 1)]
+
+
+# The eigenvalue branches of each stock problem in closed form at s, over
+# every n that can come within the horizon |lambda| <= 0.6.
+RIVERS = {
+    "S1": lambda s: [2.0 * np.pi * (s + n) for n in (-1, 0, 1)],
+    "S2": lambda s: [n * n - 1.5 * s for n in (1, 2)],
+    "S3": _s3_river,
+    "S4": lambda s: [-1.0 + 2.0 * np.pi * n for n in (-1, 0, 1)],
+    "S5": lambda s: [1.0 / 3.0 - s + 2.0 * np.pi * n for n in (-1, 0, 1)],
+}
+
+
+@pytest.mark.parametrize("steps", [odebvp.BvpOpts.steps, 256])
+@pytest.mark.parametrize("name", RIVERS)
+def test_every_sampled_root_lies_on_its_closed_form_river(name, steps):
+    # S3 is the one river RK4 does not integrate to rounding at 256 steps:
+    # its h^4 error measured 2.75e-13 there
+    bound = 1e-12 if (name, steps) == ("S3", 256) else 4e-15
+    sc = STOCK[name]
+    fam, w_path = sc.build()
+    _, rep = odebvp.sf_bvp(fam, w_path, replace(sc.opts, steps=steps))
+    horizon = 0.6 * sc.opts.lambda_window
+    worst = 0.0
+    for s, roots in rep.samples.items():
+        river = np.array([lam for lam in RIVERS[name](s) if abs(lam) <= horizon])
+        assert len(roots) == len(river), (s, roots, river)
+        if len(roots):
+            worst = max(worst, float(np.abs(np.sort(roots) - np.sort(river)).max()))
+    assert worst <= bound, worst
+    _stamp(f"river {name} at {steps} steps",
+           f"{sum(map(len, rep.samples.values()))} roots within {worst:.2e} of the closed form")

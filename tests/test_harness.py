@@ -200,3 +200,20 @@ def test_all_suites_registered():
         "transport_invariant", "graph_lagrangian",
     ):
         assert required in names
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_the_branch_oracle_stack_gives_the_per_s_values_bit_for_bit(n):
+    grid = np.linspace(0.0, 1.0, 161)
+    for draw in range(5):
+        rng = np.random.default_rng([n, draw])
+        fam = harness._random_hermitian_family(rng, n)
+        t = np.eye(n) + 0.4 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        tinv = np.linalg.inv(t)
+        stack = fam(grid)
+        assert stack.tobytes() == np.stack([fam(float(s)) for s in grid]).tobytes()
+        assert (np.linalg.eigvalsh(stack).tobytes()
+                == np.stack([np.linalg.eigvalsh(fam(float(s))) for s in grid]).tobytes())
+        conjugated = np.sort(np.linalg.eigvals(t @ stack @ tinv).real, axis=-1)
+        assert conjugated.tobytes() == np.stack(
+            [np.sort(np.linalg.eigvals(t @ fam(float(s)) @ tinv).real) for s in grid]).tobytes()

@@ -308,13 +308,48 @@ def test_checked_inverse_raises_exactly_when_the_svd_check_does(d):
         if expected:
             with pytest.raises(SingularJ):
                 odebvp._checked_inv(a, SingularJ, "a")
-        else:
-            npt.assert_array_equal(odebvp._checked_inv(a, SingularJ, "a"), np.linalg.inv(a))
+        else:  # a 1 x 1 stack is inverted elementwise
+            npt.assert_array_equal(odebvp._checked_inv(a, SingularJ, "a"),
+                                   1.0 / a if d == 1 else np.linalg.inv(a))
         assert expected == (cond is not None and cond > 1e12 and d > 1)
     exact = stack(None)
     exact[3] = 0.0  # an exact zero pivot
     with pytest.raises(SingularJ):
         odebvp._checked_inv(exact, SingularJ, "a")
+
+
+def raised(fn):
+    """The type of the exception ``fn()`` raises, or None."""
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001 -- the type is the result
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("entry, svd_raises", [
+    (0.0, SingularJ), (-0.0j, SingularJ), (np.nan, np.linalg.LinAlgError),
+    (1e-150j, None), (1e150, None), (3.0, None),
+])
+def test_a_one_by_one_inverse_raises_exactly_when_the_svd_check_does(entry, svd_raises):
+    # an exact zero, a NaN, an ill-conditioned member (a 1 x 1 matrix has
+    # condition number 1 however small), a huge and an ordinary one, each
+    # in one member of a stack
+    a = 1j * np.random.default_rng(1).uniform(0.5, 2.0, (40, 1, 1))
+    a[5] = entry
+    svd = raised(lambda: core.require_nonsingular(np.linalg.svd(a, compute_uv=False),
+                                                  SingularJ, "a"))
+    assert svd is svd_raises
+    with np.errstate(invalid="ignore"):  # 1 / NaN warns before the SVD raises
+        assert raised(lambda: odebvp._checked_inv(a, SingularJ, "a")) is svd
+
+
+@pytest.mark.parametrize("kind", ["skew-Hermitian j", "Hermitian p"])
+def test_a_one_by_one_inverse_is_lapacks_bit_for_bit_on_real_or_imaginary_entries(kind):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((2049, 1, 1)) * np.geomspace(1e-6, 1e6, 2049)[:, None, None]
+    a = 1j * x if kind == "skew-Hermitian j" else x.astype(complex)
+    assert odebvp._checked_inv(a, SingularJ, "a").tobytes() == np.linalg.inv(a).tobytes()
 
 
 def test_eigen_count_window_boundary_raises():
@@ -762,6 +797,15 @@ def full_grid_row0(fam, s, steps):
         jd = (odebvp._eval_grid(fam, "j", s, ts + hd)
               - odebvp._eval_grid(fam, "j", s, ts - hd)) / (2.0 * hd)
         return (-jinv @ (bg + 0.5 * jd))[0], (-jinv)[0]
+    shift = np.zeros((2 * m, 2 * m), dtype=complex)
+    shift[:m, m:] = -np.eye(m)
+    return complex_second_order_c0(fam, s, ts)[0], shift
+
+
+def complex_second_order_c0(fam, s, ts):
+    """c0 = J b0 of a second-order family on the times ``ts``, every block
+    of b0 from complex products."""
+    m = fam.m
     pinv = np.linalg.inv(core.require_hermitian(odebvp._eval_grid(fam, "p", s, ts)))
     qg = odebvp._eval_grid(fam, "q", s, ts)
     rg = core.require_hermitian(odebvp._eval_grid(fam, "r", s, ts))
@@ -771,10 +815,23 @@ def full_grid_row0(fam, s, steps):
     b0[:, :m, m:] = -pinv @ qg
     b0[:, m:, :m] = -qh @ pinv
     b0[:, m:, m:] = qh @ pinv @ qg - rg
-    shift = np.zeros((2 * m, 2 * m), dtype=complex)
-    shift[:m, m:] = -np.eye(m)
-    c0 = np.concatenate([-b0[:, m:], b0[:, :m]], axis=1)  # J @ b0, as a signed block swap
-    return c0[0], shift
+    return np.concatenate([-b0[:, m:], b0[:, :m]], axis=1)  # J @ b0, as a signed block swap
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_a_second_order_build_assembles_b0_in_the_real_embedding_at_2_to_4(m, monkeypatch):
+    drawn = harness._random_second_order(np.random.default_rng(m), m)
+    q1 = np.random.default_rng(m + 10).standard_normal((m, m))  # q varies in t too
+    fam = replace(drawn, q=lambda s, t: drawn.q(s, t) + np.cos(3.0 * t)[:, None, None] * q1)
+    seen = {}
+    monkeypatch.setattr(odebvp, "_ShootingSystem", lambda c0, c1, T, steps: seen.update(c0=c0))
+    odebvp._build_second_order(fam, 0.7, 256)
+    reference = complex_second_order_c0(fam, 0.7, np.linspace(0.0, fam.T, 513))
+    if m in odebvp._EMBED_FACTORS:
+        scale = np.abs(reference).max()
+        npt.assert_allclose(seen["c0"], reference, rtol=0, atol=1e-15 * scale)
+    else:  # complex products, as a constant grid's one row is
+        assert seen["c0"].tobytes() == reference.tobytes()
 
 
 def constant_second_order():
@@ -1060,7 +1117,7 @@ def test_propagation_memory_is_flat_in_the_batch():
     finally:
         tracemalloc.stop()
     assert system.const is False and gammas.shape == (257, 4, 4)
-    assert peak <= 16e6  # 11.31 MB measured, with c1 embedded once and broadcast
+    assert peak <= 16e6  # 10.27 MB measured; b0 and its embeddings are freed before RK4
 
 
 @pytest.mark.parametrize("r_fun, const", [
