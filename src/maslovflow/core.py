@@ -564,3 +564,9 @@ def require_count(value, name, least, exc=ValueError):
     ``least``: 4.0 and True are refused, not read as 4 and 1."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise exc(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def require_positive(value, name):
+    """Raise ``ValueError`` unless ``value`` is finite and positive and not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")

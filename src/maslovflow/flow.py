@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .core import require_count, require_hermitian, require_unitary, stacked
+from .core import require_count, require_hermitian, require_positive, require_unitary, stacked
 from .errors import NonFinite, NotUnitary, SpectrumOnBoundary, UnresolvedFamily
 
 
@@ -259,8 +259,8 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b) and b > a):
         raise ValueError(f"interval must be finite with a < b, got ({a}, {b})")
-    if scale is not None and (isinstance(scale, (bool, np.bool_)) or not (np.isfinite(scale) and scale > 0)):
-        raise ValueError(f"scale must be finite and positive, got {scale!r}")
+    if scale is not None:
+        require_positive(scale, "scale")
     cache, stations = {}, {}  # s -> sorted coordinates, as an array and as Python floats
 
     def sample(points):

@@ -22,14 +22,10 @@ is a degree-4 matrix polynomial in lambda, built once per system; a batch of
 lambdas evaluates the step matrices and multiplies them in a log-depth
 product tree, or, for the solution at every grid time, in a log-depth
 prefix scan whose last entry is the tree's product bit for bit.  The
-shooting parameter lambda is real.  A t-varying system of size
-2 <= d <= 4 runs the products of its build and of its propagation in the
-real embedding z = x + iy -> [[x, y], [-y, x]], where NumPy's stacked real
-2d x 2d product costs a seventh to a quarter of the complex d x d one;
-d >= 5, where the gain shrinks and then reverses, stays complex, and
-d = 1 inverts and multiplies elementwise, with no per-matrix BLAS or
-LAPACK call.  Each coefficient is read with one call on the t-grid, and
-a family object keeps each system it builds, so every caller, both
+shooting parameter lambda is real, and the system size d picks the
+arithmetic: the real embedding at 2 <= d <= 4, elementwise at d = 1,
+complex otherwise (``_ShootingSystem``).  Each coefficient is read with
+one call on the t-grid, and a family object keeps each system it builds, so every caller, both
 pipelines included, shares one build per (s, steps).  A family whose raw
 coefficient grids are exactly constant in t is checked, inverted and
 assembled at one grid point, and its system takes an exact
@@ -79,6 +75,7 @@ from .core import (
     require_count,
     require_hermitian,
     require_nonsingular,
+    require_positive,
     subspace_from_span,
 )
 from .errors import (
@@ -153,8 +150,7 @@ class _Family:
 
     def __post_init__(self):
         require_count(self.m, "m", 1)
-        if isinstance(self.T, (bool, np.bool_)) or not (np.isfinite(self.T) and self.T > 0):
-            raise ValueError(f"T must be finite and positive, got {self.T!r}")
+        require_positive(self.T, "T")
 
 
 @dataclass(frozen=True)
@@ -520,18 +516,23 @@ def _second_order_c0(pinv, qg, rg):
     return c0
 
 
+def _kind(fam):
+    """The build of a family's shooting systems and their size d (m, or 2m
+    for a second-order family); anything else raises ``TypeError``."""
+    if isinstance(fam, FirstOrderFamily):
+        return _build_first_order, fam.m
+    if isinstance(fam, SecondOrderFamily):
+        return _build_second_order, 2 * fam.m
+    raise TypeError(f"unsupported family type {type(fam).__name__}")
+
+
 def _system(fam, s, steps):
     """The shooting system of ``fam`` at (s, steps), built at most once per
     family object: it is stored in the family's table and read from there
     by every later caller, both pipelines included.  A build that raises
     stores nothing, so it raises again on the next call."""
     require_count(steps, "steps", 1)
-    if isinstance(fam, FirstOrderFamily):
-        build = _build_first_order
-    elif isinstance(fam, SecondOrderFamily):
-        build = _build_second_order
-    else:
-        raise TypeError(f"unsupported family type {type(fam).__name__}")
+    build, _ = _kind(fam)
     key = (float(s), int(steps))
     system = fam._systems.get(key)
     if system is None:
@@ -556,9 +557,7 @@ class BvpOpts(FlowOpts):
     def __post_init__(self):
         super().__post_init__()
         require_count(self.steps, "steps", 1)
-        w = self.lambda_window
-        if isinstance(w, (bool, np.bool_)) or not (np.isfinite(w) and w > 0):
-            raise ValueError(f"lambda_window must be finite and positive, got {w!r}")
+        require_positive(self.lambda_window, "lambda_window")
 
 
 def transfer_matrix(fam, s, lam=0.0, steps=BvpOpts.steps):
@@ -627,16 +626,15 @@ def w_of_r(r, m=None):
 
     ``r`` may be a Subspace of C^{2m}, a spanning set (a frame matrix, or a
     single vector), or None for R = {0} (in which case ``m`` is required);
-    an ``m`` that R's size contradicts raises ``ValueError``.
+    an ``m`` below 1, not an integer, or contradicted by R raises ``ValueError``.
     """
+    if m is not None:
+        require_count(m, "m", 1)
     if r is None:
         if m is None:
             raise ValueError("R = {0} needs the block size m")
-        rsub = Subspace(frame=np.zeros((2 * m, 0), dtype=complex))
-    elif isinstance(r, Subspace):
-        rsub = r
-    else:
-        rsub = subspace_from_span(r)
+        r = np.zeros((2 * m, 0))
+    rsub = r if isinstance(r, Subspace) else subspace_from_span(r)
     two_m = rsub.ambient_dim
     if two_m % 2 or m not in (None, two_m // 2):
         size = "C^{2m}" if m is None else f"C^{{2m}} = C^{2 * m}"
@@ -777,17 +775,14 @@ def _certify_count(pencils):
     ``RootCountMismatch`` unless the winding number of det P around the
     rectangle a < Re u < b, |Im u| < ``_STRIP`` equals the number of pencil
     eigenvalues ``u`` inside; a and b sit in the widest root-free gaps of
-    [-1, -0.6] and [0.6, 1].  A contour starts at 64 points and doubles
-    until every step in arg det P is below pi/2 and within pi/4 of the
-    trapezoid rule on the log-derivative tr(P^-1 P'), so that a step of
-    2 pi more is not taken for a small one.  Roots are never edited.
-
-    The contours of the batch are evaluated together, as many at a time as
-    keep the stacked arrays within ``_STACK_ENTRIES`` entries: the
-    coefficients are zero-padded to the top degree, which changes no value,
-    and each contour is padded to the longest by repeating its first point,
-    which adds steps of 0 over segments of length 0.  Only the contours
-    still unresolved double."""
+    [-1, -0.6] and [0.6, 1].  Every contour of a batch is the reference
+    perimeter of n points (``_perimeter``) under x + iy -> a + (b - a) x + iy,
+    n doubling from 64 until every step in arg det P is below pi/2 and
+    within pi/4 of the trapezoid rule on the log-derivative tr(P^-1 P'), so
+    that a step of 2 pi more is not taken for a small one.  Only unresolved
+    contours double; they are evaluated together, as many at a time as keep
+    the stacked arrays within ``_STACK_ENTRIES`` entries, the coefficients
+    zero-padded to the top degree.  Roots are never edited."""
     errors = [None] * len(pencils)
     todo = [k for k, (f, _) in enumerate(pencils) if len(f) > 1]
     if not todo:
@@ -800,9 +795,6 @@ def _certify_count(pencils):
         ends.append((a, b))
         inside.append(np.count_nonzero((u.real > a) & (u.real < b) & (np.abs(u.imag) < _STRIP)))
     a, b = np.array(ends).T
-    corners = np.stack([b - 1j * _STRIP, b + 1j * _STRIP, a + 1j * _STRIP, a - 1j * _STRIP], axis=1)
-    edges = np.roll(corners, -1, axis=1) - corners
-    length = 2.0 * (b - a) + 4.0 * _STRIP
     deg = max(len(pencils[k][0]) for k in todo) - 1
     d = pencils[todo[0]][0].shape[1]
     f = np.zeros((len(todo), deg + 1, d, 2 * d), dtype=complex)  # P, then P' with a zero top term
@@ -812,13 +804,12 @@ def _certify_count(pencils):
     f = f.reshape(len(todo), deg + 1, 2 * d * d)
     active = np.arange(len(todo))
     for n in 64 * 2 ** np.arange(9):
-        counts = np.ceil(n * np.abs(edges[active]) / length[active, None]).astype(int)
-        counts = np.maximum(2, counts)
-        per = max(1, _STACK_ENTRIES // (counts.sum(axis=1).max() * (deg + 1 + 2 * d * d)))
+        ref = _perimeter(int(n))
+        per = max(1, _STACK_ENTRIES // (n * (deg + 1 + 2 * d * d)))
         unresolved = []
         for i in range(0, len(active), per):
             chunk = active[i:i + per]
-            z = _contours(corners[chunk], edges[chunk], counts[i:i + per])
+            z = a[chunk, None] + (b - a)[chunk, None] * ref.real + 1j * ref.imag
             done, windings = _windings(z, f[chunk], d)
             for j, winding in zip(chunk[done].tolist(), windings[done].tolist()):
                 if winding != inside[j]:
@@ -853,22 +844,18 @@ def _windings(z, f, d):
     return done, windings
 
 
-def _contours(corners, edges, counts):
-    """Points ``(C, n)`` of C closed polygons: polygon i runs from
-    ``corners[i, e]`` along ``edges[i, e]`` in ``counts[i, e]`` equal steps,
-    the edge's end left to the next edge, as ``np.linspace(..., endpoint=False)``
-    would; a polygon with fewer than n points repeats its first point to
-    fill its row."""
-    per_edge = counts.ravel()
-    j = np.arange(per_edge.sum()) - np.repeat(np.cumsum(per_edge) - per_edge, per_edge)
-    points = (j * np.repeat(edges.ravel() / per_edge, per_edge)
-              + np.repeat(corners.ravel(), per_edge))
-    per_polygon = counts.sum(axis=1)
-    rows = np.repeat(np.arange(len(counts)), per_polygon)
-    cols = np.arange(len(points)) - np.repeat(np.cumsum(per_polygon) - per_polygon, per_polygon)
-    z = np.repeat(corners[:, :1], per_polygon.max(), axis=1)
-    z[rows, cols] = points
-    return z
+@functools.cache  # one entry per point count of the certificate's doubling schedule
+def _perimeter(n):
+    """n points x + iy counter-clockwise around [0, 1] x [-_STRIP, _STRIP]
+    from 1 - i _STRIP, in equal steps from each corner: n // 16 up each
+    vertical edge and half the rest along each horizontal one.  For n a
+    multiple of 32 the corners and edge midpoints are points.  Read-only."""
+    v = n // 16
+    ys = np.linspace(-_STRIP, _STRIP, v, endpoint=False)
+    xs = np.linspace(1.0, 0.0, n // 2 - v, endpoint=False)
+    out = np.concatenate([1.0 + 1j * ys, xs + 1j * _STRIP, -1j * ys, (1.0 - xs) - 1j * _STRIP])
+    out.flags.writeable = False
+    return out
 
 
 def _window_roots(system, wperp, lo, hi, nodes, pencils, splits=0):
@@ -942,9 +929,8 @@ def eigen_count(fam, s, w, window, steps=BvpOpts.steps):
     lo, hi = float(window[0]), float(window[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
         raise ValueError(f"window must be finite and non-empty, got {window}")
+    wperp = orthogonal_complement(_boundary_condition(fam, w)(np.array([s]))).frame
     system = _system(fam, s, steps)
-    w = as_path(w, Subspace, subspace_from_span, "W")(np.array([s]))
-    wperp = _boundary_perp(w, system.d).frame
     ends = system.propagate([lo, hi])
     if not np.all(np.isfinite(ends)):
         raise NonFinite(f"transfer matrix overflows at the window ends ({lo:.6g}, {hi:.6g})")
@@ -955,14 +941,21 @@ def eigen_count(fam, s, w, window, steps=BvpOpts.steps):
     return _eigen_count_system([(system, wperp)], (lo, hi))[0]
 
 
-def _boundary_perp(w, d):
-    """The complement of ``w``, one member or a stack as ``w`` is, once
-    ``w`` is checked to be a d-dimensional subspace of C^{2d}, before any
-    product with it."""
-    if (w.ambient_dim, w.dim) != (2 * d, d):
-        raise DimensionMismatch(f"boundary subspace of dimension {w.dim} in C^{w.ambient_dim}, "
-                                f"not {d} in C^{2 * d}")
-    return orthogonal_complement(w)
+def _boundary_condition(fam, w):
+    """W as every entry point reads it, a :func:`~maslovflow.core.as_path`
+    path each of whose values must be a d-dimensional subspace of C^{2d}, d
+    the family's system size (``DimensionMismatch``, before any build)."""
+    _, d = _kind(fam)
+    path = as_path(w, Subspace, subspace_from_span, "W")
+
+    def checked(ss):
+        ws = path(ss)
+        if (ws.ambient_dim, ws.dim) != (2 * d, d):
+            raise DimensionMismatch(f"boundary subspace of dimension {ws.dim} in "
+                                    f"C^{ws.ambient_dim}, not {d} in C^{2 * d}")
+        return ws
+
+    return checked
 
 
 def _eigen_count_system(batch, window):
@@ -1045,28 +1038,21 @@ def sf_bvp(fam, w_path, opts=None):
     used everywhere else.
 
     ``w_path`` is a Subspace, a spanning frame, or a path of either in s;
-    W's complement is taken once per engine batch, by one SVD when W is one
-    member for it (:func:`~maslovflow.core.as_path`).  Returns
+    W is checked and its complement taken once per engine batch, before
+    its builds, by one SVD when W is one member for it (``as_path``).  Returns
     ``(integer, CrossingReport)``; the report's samples double as the
     eigenvalue river, its coordinate ``"lambda"``.
     """
     opts = opts or BvpOpts()
-    wpath = as_path(w_path, Subspace, subspace_from_span, "W")
+    wpath = _boundary_condition(fam, w_path)
     r0 = float(opts.lambda_window)
 
     def sampler(ss):
-        ws = wpath(ss)
-
-        def batch():  # lazy, so that a build that raises stops the batch at its s
-            wperp = None
-            for i, s in enumerate(ss):
-                system = _system(fam, s, opts.steps)
-                if wperp is None:  # W is checked against the size of the first system
-                    wperp = _boundary_perp(ws, system.d)
-                yield system, member(wperp, i).frame
-
+        wperp = orthogonal_complement(wpath(ss))
+        # lazy, so that a build that raises stops the batch at its s
+        batch = ((_system(fam, s, opts.steps), member(wperp, i).frame) for i, s in enumerate(ss))
         out = []
-        for roots in _eigen_count_system(batch(), (-r0, r0)):
+        for roots in _eigen_count_system(batch, (-r0, r0)):
             vals = [lam for lam, mult in roots for _ in range(mult)]
             out.append(np.array([v for v in vals if abs(v) <= 0.6 * r0], dtype=float))
         return out
@@ -1097,12 +1083,16 @@ def mas_bvp(fam, w_path, opts=None):
         )
         return graph_subspace(g)
 
-    parts = (as_path(lambda s: _boundary_form(fam, s), SymplecticSpace, make_space,
+    parts = (_boundary_condition(fam, w_path),
+             as_path(lambda s: _boundary_form(fam, s), SymplecticSpace, make_space,
                      "the boundary form"),
-             as_path(graph, Subspace, subspace_from_span, "the graph"),
-             as_path(w_path, Subspace, subspace_from_span, "W"))
-    path = PairPath(sampler=lambda ss: tuple(part(ss) for part in parts),
-                    interval=opts.interval)
+             as_path(graph, Subspace, subspace_from_span, "the graph"))
+
+    def sampler(ss):  # W first, so that it is checked before any build
+        w, form, graphs = (part(ss) for part in parts)
+        return form, graphs, w
+
+    path = PairPath(sampler=sampler, interval=opts.interval)
     total, report = maslov_index(path, opts)
     report.extras.update(stats)
     return total, report
@@ -1128,8 +1118,8 @@ def maslov_long(fam, s, w, opts=None):
     if not isinstance(fam, SecondOrderFamily):
         raise TypeError("maslov_long expects a SecondOrderFamily")
     opts = opts or BvpOpts()
+    wsub = _boundary_condition(fam, w)(np.array([s]))
     bspace = boundary_space(fam, s)
-    wsub = as_path(w, Subspace, subspace_from_span, "W")(np.array([s]))
     steps = int(opts.steps)
     for refinement in range(_TRANSPORT_REFINEMENTS + 1):
         system = _system(fam, s, steps)

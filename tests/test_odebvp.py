@@ -211,6 +211,45 @@ def test_a_root_on_the_contour_leaves_the_winding_unresolved():
         raise error
 
 
+def stretched_pencil(first, im):
+    """A scalar pencil with one root at u = i ``im`` and eight more at
+    Re u = ±(``first`` + 0.08 k), k < 4, and Im u = 1.5 ``_STRIP``: outside
+    the strip, but near enough to leave the widest gaps, where the
+    rectangle's ends go, at |Re u| > 0.9 for ``first`` = 0.66 and
+    |Re u| < 0.7 for ``first`` = 0.70."""
+    near = first + 0.08 * np.arange(4)
+    roots = np.concatenate([[1j * im], np.concatenate([-near, near]) + 1.5j * odebvp._STRIP])
+    return np.polynomial.chebyshev.chebfromroots(roots)[:, None, None], roots
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_the_reference_perimeter_has_its_corners_and_midpoints_at_fixed_indices(n):
+    z = odebvp._perimeter(n)
+    v, h, strip = n // 16, n // 2 - n // 16, odebvp._STRIP
+    assert z.shape == (n,) and not z.flags.writeable
+    # the corners and the edge midpoints: fixed points for a check on the exact F
+    npt.assert_allclose(z[[v, v + h, 2 * v + h, 0]],
+                        [1 + 1j * strip, 1j * strip, -1j * strip, 1 - 1j * strip], rtol=0, atol=1e-15)
+    npt.assert_allclose(z[[v // 2, v + h // 2, v + h + v // 2, 2 * v + h + h // 2]],
+                        [1.0, 0.5 + 1j * strip, 0.0, 0.5 - 1j * strip], rtol=0, atol=1e-15)
+    # counter-clockwise once around the centre
+    assert np.angle(np.roll(z - 0.5, -1) / (z - 0.5)).sum() == pytest.approx(2 * np.pi)
+
+
+def test_the_reference_contour_certifies_the_widest_and_the_narrowest_rectangle():
+    # a root 0.1 _STRIP inside a horizontal edge, where the stretch to
+    # b - a = 1.9 leaves the points sparsest and b - a = 1.3 densest
+    pencils = [stretched_pencil(0.66, 0.9 * odebvp._STRIP),
+               stretched_pencil(0.70, -0.9 * odebvp._STRIP)]
+    assert [odebvp._certify_count([p]) for p in pencils] == [[None], [None]]
+    assert odebvp._certify_count(pencils) == [None, None]
+    dropped = [(f, u[1:]) for f, u in pencils]  # the root inside
+    alone = [odebvp._certify_count([p])[0] for p in dropped]
+    for a, error in zip((0.95, 0.65) * 2, odebvp._certify_count(dropped) + alone):
+        with pytest.raises(RootCountMismatch, match=rf"winds 1 times around \({-a:g}, {a:g}\)"):
+            raise error
+
+
 def test_the_certificate_judges_each_pencil_of_a_batch_alone():
     # the pieces of a window halved twice (pencils of several degrees), one
     # pencil missing a root and the unresolved one above, in one batch: each
@@ -400,11 +439,11 @@ def test_the_detector_gives_each_s_of_a_batch_the_roots_it_gets_alone(name):
     sc = {sc.name: sc for sc in harness.builtin_scenarios()}[name]
     fam, w_path = sc.build()
     window = (-4.0, 4.0)  # the sf window is (-1, 1); S4 has no eigenvalue there
-    wpath = core.as_path(w_path, core.Subspace, core.subspace_from_span, "W")
+    wpath = odebvp._boundary_condition(fam, w_path)
     pairs = []
     for s in np.linspace(0.0, 1.0, 9):
-        system = odebvp._system(fam, s, 64)
-        pairs.append((system, odebvp._boundary_perp(wpath(np.array([s])), system.d).frame))
+        wperp = core.orthogonal_complement(wpath(np.array([s]))).frame
+        pairs.append((odebvp._system(fam, s, 64), wperp))
     alone = [odebvp._eigen_count_system([pair], window)[0] for pair in pairs]
     assert all(alone)
     assert repr(odebvp._eigen_count_system(pairs, window)) == repr(alone)
@@ -499,10 +538,11 @@ def test_sf_bvp_takes_w_perp_once_per_batch_unless_w_moves(name, form, per_sampl
     assert len(svds) == (len(rep.samples) if per_sample else len(batches))
 
 
-@pytest.mark.parametrize("shape", [(6, 4), (3, 1)])
+@pytest.mark.parametrize("shape", [(6, 4), (3, 1), (4, 1)])
 @pytest.mark.parametrize("entry", ["eigen_count", "sf_bvp", "mas_bvp", "maslov_long"])
 def test_a_boundary_subspace_in_the_wrong_ambient_space_raises(shape, entry):
-    # d = 2, so W must be a 2-dimensional subspace of C^4
+    # d = 2, so W must be a 2-dimensional subspace of C^4; a line in C^4
+    # made mas_bvp and maslov_long raise NotLagrangian
     fam = dirichlet_second(lambda s, t: -1.5 * s)
     w = core.subspace_from_span(np.eye(*shape))
     opts = odebvp.BvpOpts(steps=64)
@@ -999,6 +1039,13 @@ def test_w_of_r_is_always_lagrangian():
 def test_w_of_r_needs_positions_in_c_2m(r, m):
     with pytest.raises(ValueError):
         odebvp.w_of_r(r, m)
+
+
+@pytest.mark.parametrize("m", [True, 0, 2.5, -1])
+def test_w_of_r_refuses_an_m_that_is_not_a_block_size(m):
+    # True gave a W in C^4 and 0 a 0 x 0 frame; 2.5 and -1 raised NumPy's errors
+    with pytest.raises(ValueError, match="m must be an integer of at least 1"):
+        odebvp.w_of_r(None, m=m)
 
 
 def test_w_of_r_takes_r_as_a_subspace_or_its_frame():
