@@ -22,6 +22,7 @@ module exists to produce it reliably.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -567,6 +568,8 @@ def require_count(value, name, least, exc=ValueError):
 
 
 def require_positive(value, name):
-    """Raise ``ValueError`` unless ``value`` is finite and positive and not a bool."""
-    if isinstance(value, (bool, np.bool_)) or not (np.isfinite(value) and value > 0):
+    """Raise ``ValueError`` unless ``value`` is a real number (not a bool)
+    that is finite and positive: "1", None, 1+0j and [1.0] are refused."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0)):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")

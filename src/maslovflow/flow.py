@@ -34,7 +34,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .core import require_count, require_hermitian, require_positive, require_unitary, stacked
+from .core import (
+    TAU_SYM,
+    require_count,
+    require_hermitian,
+    require_positive,
+    require_unitary,
+    stacked,
+)
 from .errors import NonFinite, NotUnitary, SpectrumOnBoundary, UnresolvedFamily
 
 
@@ -339,19 +346,41 @@ def unit_circle_residual(u):
     return float(np.abs(np.abs(np.linalg.eigvals(u)) - 1.0).max())
 
 
+def _hermitian_batch(family, ss):
+    """The exactly symmetrized values of ``family`` at the s of one engine
+    batch, as one stack.  Each member is checked against its own tolerance,
+    ``TAU_SYM * max(1, max |A_s|)``, as :func:`require_hermitian` checks one
+    matrix.  A batch that is not one shape of nonempty square matrices, or
+    that fails the check, is checked again one s at a time, so it raises
+    what that loop raises: the first failing s, named ``family(<s>)``."""
+    try:
+        a = np.array([family(s) for s in ss], dtype=complex)
+    except Exception:  # the loop below raises it again, once the members before it pass
+        a = None
+    if a is not None and a.ndim == 3 and a.shape[1] == a.shape[2] > 0:
+        ah = a.conj().swapaxes(1, 2)
+        with np.errstate(invalid="ignore"):  # only a non-finite member warns, and it fails
+            scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+            passed = (np.abs(a - ah).max(axis=(1, 2)) <= TAU_SYM * scale).all()
+        if passed:
+            return 0.5 * (a + ah)
+    mats = [require_hermitian(family(s), name=f"family({s:.6g})") for s in ss]
+    return stacked(mats, "the family")
+
+
 def spectral_flow(family, interval, opts=None):
     """Spectral flow through 0 of ``family``, s -> Hermitian matrix
     (validated at every sample); returns ``(int, CrossingReport)``.
 
-    The eigenvalues of one engine batch come from one stacked call, so its
-    matrices must share a size (``DimensionMismatch`` otherwise).  A unitary
-    family's flow through 1 is :func:`flow_from_sampler` on the
-    :func:`eigenphases` of its batch with ``circular=True``.
+    Each engine batch is checked and symmetrized as one stack and its
+    eigenvalues come from one stacked call, so its matrices must share a
+    size (``DimensionMismatch`` otherwise).  A unitary family's flow
+    through 1 is :func:`flow_from_sampler` on the :func:`eigenphases` of
+    its batch with ``circular=True``.
     """
 
     def sampler(ss):
-        mats = [require_hermitian(family(s), name=f"family({s:.6g})") for s in ss]
-        return np.linalg.eigvalsh(stacked(mats, "the family"))
+        return np.linalg.eigvalsh(_hermitian_batch(family, ss))
 
     return flow_from_sampler(sampler, interval, opts)
 

@@ -18,7 +18,8 @@ system ``u' = J b_lam(t) u`` with the standard ``J = [[0, -I], [I, 0]]``.
 Both reductions share one numerical object: a linear system ``x' = (C0(t) +
 lambda C1(t)) x`` integrated by classical RK4 on a uniform grid, with no
 loop over steps.  The system is affine in lambda, so every RK4 step matrix
-is a degree-4 matrix polynomial in lambda, built once per system; a batch of
+is a matrix polynomial in lambda of degree at most 4 (2 for a second-order
+family, whose C1 squares to 0), built once per system; a batch of
 lambdas evaluates the step matrices and multiplies them in a log-depth
 product tree, or, for the solution at every grid time, in a log-depth
 prefix scan whose last entry is the tree's product bit for bit.  The
@@ -137,9 +138,10 @@ class _Family:
     A family object builds its shooting system once per (s, steps) and
     keeps it for every later caller, so each build reads the coefficients
     once per (s, steps) per family object, and they must be pure functions
-    of (s, t).  The systems live as long as the family: 5 steps d^2 complex
-    entries each (80 steps d^2 bytes, d = m for a first-order family, 2m
-    for a second-order one), or 2 d^2 when constant in t.  The table takes
+    of (s, t).  The systems live as long as the family: at most 5 steps d^2
+    complex entries each (80 steps d^2 bytes, d = m for a first-order
+    family; 3 steps d^2 for a second-order one, d = 2m), or 2 d^2 when
+    constant in t.  The table takes
     no part in ``==``, ``hash`` or ``repr``, and ``dataclasses.replace``
     starts an empty one.
     """
@@ -224,10 +226,11 @@ class _ShootingSystem:
     constant in t passes that grid's first row alone, and such a one-row
     system is integrated exactly with the matrix exponential.  For
     any other system the RK4 step matrices are built here once: the system
-    is affine in lambda, so the step matrix of step k is a degree-4 matrix
-    polynomial M_k(lambda) = sum_p lambda^p N[p, k] (``self.poly``, shape
-    ``(5, steps, d, d)``).  A family shares its systems with every caller,
-    so their arrays are read-only.
+    is affine in lambda, so the step matrix of step k is a matrix
+    polynomial M_k(lambda) = sum_p lambda^p N[p, k] of degree at most 4
+    (``self.poly``, shape ``(q, steps, d, d)``: the q <= 5 coefficients up
+    to the highest that is not exactly 0).  A family shares its systems
+    with every caller, so their arrays are read-only.
 
     ``self.real`` picks the arithmetic of the build and of propagation: an
     RK4 system with 2 <= d <= 4 multiplies in the real embedding
@@ -296,8 +299,8 @@ class _ShootingSystem:
         chunk = max(1, _STACK_ENTRIES // (steps * d * d))
         for i in range(0, L, chunk):
             lam = lams[i:i + chunk, None, None, None]
-            m = lam * poly[4]
-            for p in (3, 2, 1, 0):
+            m = lam * poly[-1]
+            for p in range(len(poly) - 2, -1, -1):
                 m += poly[p]
                 if p:
                     m *= lam
@@ -331,13 +334,18 @@ def _unembed(a):
 
 
 def _rk4_step_polynomial(c0, c1, h, real):
-    """Coefficients ``(5, steps, d, d)`` of the RK4 step matrices of
+    """Coefficients ``(q, steps, d, d)`` of the RK4 step matrices of
     x' = (C0 + lambda C1) x, M_k(lambda) = sum_p lambda^p N[p, k].
 
     With a = C0 + lambda C1 at the start, middle and end of a step, RK4 is
     x -> M x for M = I + h/6 (a0 + 2 (K2 + K3) + K4), K2 = am (I + h/2 a0),
     K3 = am (I + h/2 K2), K4 = a1 (I + h K3); the polynomials are expanded as
-    coefficient lists, every product batched over steps.  With ``real`` the
+    coefficient lists, every product batched over steps.  A stage whose top
+    coefficient is exactly 0 at every step drops it, and only the
+    coefficients up to the highest one left are returned (q <= 5): a
+    second-order C1 = J diag(0, I) squares to 0, which makes the lambda^3
+    and lambda^4 coefficients exact zeros, so its q is 3, while an
+    invertible C1 (first order, -j^-1) keeps all 5.  With ``real`` the
     products run in the real embedding (``_embed``): C0 and C1 in full, and
     each coefficient as the odd columns of its embedding, ``(steps, 2d, d)``
     holding [y; x] for each entry x + iy (the bytes of a complex
@@ -378,12 +386,14 @@ def _step_coefficients(c0, c1, h, cols):
     for a, w, f in ((am, 2.0, 0.5 * h), (am, 2.0, h), (a1, 1.0, 0.0)):
         k[0] += eye
         k = times(a, k)  # K2, K3, K4
+        if not k[-1].any():  # a nilpotent C1 (second order) makes the top exactly 0
+            k.pop()
         for p, c in enumerate(k):
             n[p] += w * c
             c *= f  # f K, so the next stage forms I + f K
     n *= h / 6.0
     n[0] += eye
-    return n
+    return n if len(k) == len(n) else n[:len(k)].copy()
 
 
 def _times(a, b):
@@ -424,18 +434,21 @@ def _checked_inv(a, exc, name):
     1 x 1 matrices is inverted as ``1.0 / a``, with no per-matrix LAPACK
     call, and an exact zero in it takes the zero-pivot path; that equals
     ``np.linalg.inv`` bit for bit on real and on purely imaginary entries
-    (a Hermitian p, a skew-Hermitian j), and agrees to rounding on others."""
+    (a Hermitian p, a skew-Hermitian j), and agrees to rounding on others.
+    Its bound is |a| |1/a| entry by entry, the Frobenius norms of 1 x 1
+    matrices."""
     try:
         if a.shape[-1] > 1:
             inv = np.linalg.inv(a)
+            bound = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
         elif a.all():
             inv = 1.0 / a
+            bound = np.abs(a[:, 0, 0]) * np.abs(inv[:, 0, 0])
         else:
             raise np.linalg.LinAlgError("Singular matrix")
     except np.linalg.LinAlgError:
         require_nonsingular(np.linalg.svd(a, compute_uv=False), exc, name)
         raise
-    bound = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
     unclear = ~(bound < 1e11)
     if unclear.any():
         require_nonsingular(np.linalg.svd(a[unclear], compute_uv=False), exc, name)

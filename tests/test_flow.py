@@ -10,6 +10,7 @@ from maslovflow import core, flow, harness, maslov
 from maslovflow.errors import (
     DimensionMismatch,
     NonFinite,
+    NotHermitian,
     NotUnitary,
     SpectrumOnBoundary,
     UnresolvedFamily,
@@ -249,6 +250,55 @@ def test_spectral_flow_hermitian():
 def test_spectral_flow_rejects_non_hermitian():
     with pytest.raises(Exception):
         flow.spectral_flow(lambda s: np.array([[0.0, 1.0], [0.0, 0.0]]), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_each_s_of_a_batch_gets_the_eigenvalues_it_gets_alone(n):
+    rng = np.random.default_rng([13, n])
+    hermitian = harness._random_hermitian_family(rng, n)
+    skew = 1e-12 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+    def family(s):  # within the tolerance, so symmetrizing it matters
+        return hermitian(s) + s * skew
+
+    _, report = flow.spectral_flow(family, (0.0, 1.0))
+    assert len(report.samples) >= 33
+    for s, coords in report.samples.items():
+        alone = np.linalg.eigvalsh(core.require_hermitian(family(s), "family"))
+        assert coords.tobytes() == alone.tobytes()
+
+
+def family_with(later, bad=None):
+    """A 2 x 2 family whose first engine batch on [0, 1] (its 33 grid points
+    and midpoints) holds ``bad``, if given, at s = 0.25, and past s = 0.5
+    does what ``later`` names."""
+    def family(s):
+        if s == 0.25 and bad is not None:
+            return bad
+        if s > 0.5 and later == "a larger matrix":
+            return np.eye(3)
+        if s > 0.5 and later == "an exception":
+            raise RuntimeError("the family cannot be evaluated here")
+        if s > 0.5 and later == "non-square":
+            return np.ones((2, 3))
+        return np.diag([s - 0.3, 1.0])
+
+    return family
+
+
+@pytest.mark.parametrize("later", ["nothing", "a larger matrix", "an exception", "non-square"])
+@pytest.mark.parametrize("bad", [np.array([[0.0, 1.0], [0.0, 0.0]]), np.full((2, 2), np.nan)],
+                         ids=["non-Hermitian", "NaN"])
+def test_a_failing_member_of_a_batch_is_named_by_its_s(bad, later):
+    with pytest.raises(NotHermitian, match=r"^family\(0\.25\) residual"):
+        flow.spectral_flow(family_with(later, bad), (0.0, 1.0))
+
+
+def test_a_shape_change_is_found_once_the_members_before_it_pass():
+    with pytest.raises(DimensionMismatch, match="^the family changes shape along the path"):
+        flow.spectral_flow(family_with("a larger matrix"), (0.0, 1.0))
+    with pytest.raises(DimensionMismatch, match=r"^family\(0\.53125\) must be a square matrix"):
+        flow.spectral_flow(family_with("non-square"), (0.0, 1.0))
 
 
 @pytest.mark.parametrize("family", [

@@ -619,6 +619,25 @@ def test_options_without_a_meaning_are_refused(opts, kw):
         setattr(opts(), *next(iter(kw.items())))
 
 
+POSITIVE_PARAMETERS = {
+    "lambda_window": lambda v: odebvp.BvpOpts(lambda_window=v),
+    "T": lambda v: first_order(1, v, const_coeff(1j * np.eye(1)), const_coeff(np.eye(1))),
+    "scale": lambda v: flow.flow_from_sampler(lambda ss: [np.array([s - 0.5]) for s in ss],
+                                              (0.0, 1.0), scale=v),
+}
+
+
+@pytest.mark.parametrize("caller, value", [
+    pytest.param(caller, value, id=f"{caller}-{value!r}")
+    for caller in POSITIVE_PARAMETERS for value in ("1", None, 1 + 0j, [1.0])
+    if not (caller == "scale" and value is None)  # no scale means the engine picks one
+])
+def test_a_positive_parameter_that_is_not_a_real_number_is_refused(caller, value):
+    # each raised NumPy's TypeError from np.isfinite or from >
+    with pytest.raises(ValueError, match=f"^{caller} must be finite and positive"):
+        POSITIVE_PARAMETERS[caller](value)
+
+
 def test_numpy_integer_counts_are_accepted():
     opts = odebvp.BvpOpts(steps=np.int64(64), initial_segments=np.int32(16),
                           max_depth=np.int16(3))
@@ -1114,17 +1133,25 @@ def test_propagate_matches_the_reference_loop(d, steps):
     shape = (2 * steps + 1, d, d)
     c0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     c1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    system = odebvp._ShootingSystem(c0, c1, 1.0, steps)
-    assert system.const is False and system.real is (2 <= d <= 4)
-    for n_lams in (1, 3, 70):  # 70 at d = 4, 256 steps spans more than one chunk
-        lams = rng.uniform(-1.0, 1.0, n_lams)
-        reference = rk4_loop(c0, c1, 1.0, steps, lams)
-        gammas = system.propagate(lams)
-        npt.assert_allclose(gammas, reference[-1], rtol=0, atol=1e-12)
-        npt.assert_allclose(system.propagate(lams, True), reference, rtol=0, atol=1e-12)
-        # the result does not depend on the batch it came in
-        for lam, gamma in zip(lams, gammas):
-            npt.assert_array_equal(system.propagate([lam])[0], gamma)
+    inputs = [(c1, 5)]
+    if d in (2, 4):  # one row [[0, -I], [0, 0]], nilpotent as a second-order C1 is
+        nilpotent = np.zeros((1, d, d), dtype=complex)
+        nilpotent[0, :d // 2, d // 2:] = -np.eye(d // 2)
+        inputs.append((nilpotent, 3))  # its lambda^3 and lambda^4 coefficients are 0
+    for c1, n_coeffs in inputs:
+        system = odebvp._ShootingSystem(c0, c1, 1.0, steps)
+        assert system.const is False and system.real is (2 <= d <= 4)
+        assert len(system.poly) == n_coeffs
+        c1 = np.broadcast_to(c1, shape)
+        for n_lams in (1, 3, 70):  # 70 at d = 4, 256 steps spans more than one chunk
+            lams = rng.uniform(-1.0, 1.0, n_lams)
+            reference = rk4_loop(c0, c1, 1.0, steps, lams)
+            gammas = system.propagate(lams)
+            npt.assert_allclose(gammas, reference[-1], rtol=0, atol=1e-12)
+            npt.assert_allclose(system.propagate(lams, True), reference, rtol=0, atol=1e-12)
+            # the result does not depend on the batch it came in
+            for lam, gamma in zip(lams, gammas):
+                npt.assert_array_equal(system.propagate([lam])[0], gamma)
 
 
 @pytest.mark.parametrize("d", [2, 4])
