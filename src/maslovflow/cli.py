@@ -581,7 +581,7 @@ def cmd_sweep(args):
                           f"got {args.dims!r}") from exc
     suites = args.suites.split(",") if args.suites else None
     try:  # a refused run makes no --out directory
-        harness.check_sweep(args.trials, dims, suites)
+        harness.check_sweep(args.seed, args.trials, dims, suites)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.out:

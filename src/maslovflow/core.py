@@ -108,8 +108,11 @@ def make_space(j):
 
 def make_space_stack(j):
     """:func:`make_space` for a form matrix or a stack ``(..., n, n)`` of
-    them, every member checked as :func:`make_space` checks one."""
+    them, every member checked as :func:`make_space` checks one.  An empty
+    form (0 x 0, or no members) raises ``DimensionMismatch``."""
     j = np.asarray(j, dtype=complex)
+    if j.size == 0:
+        raise DimensionMismatch(f"form matrix must be nonempty, got shape {j.shape}")
     form = require_hermitian(j, "form", NotSkewHermitian, sign=-1)
     require_nonsingular(la.svdvals(j), Degenerate, "form")
     form.flags.writeable = False
@@ -177,11 +180,11 @@ def subspace_from_span(vectors):
 
 def orthogonal_complement(sub):
     """Orthonormal frame for the Euclidean complement of a subspace, or of
-    each member of a stack by its own SVD (bit for bit as if alone)."""
-    n, k, lead = sub.ambient_dim, sub.dim, sub.frame.shape[:-2]
-    comp = np.empty(lead + (n, n - k), dtype=complex)
-    for i in np.ndindex(lead):
-        comp[i] = la.svd(sub.frame[i])[0][:, k:] if k else np.eye(n)
+    each member of a stack by its own SVD (SciPy's batching, bit for bit as
+    if alone)."""
+    k = sub.dim
+    comp = (la.svd(sub.frame)[0][..., k:] if k
+            else np.tile(np.eye(sub.ambient_dim, dtype=complex), sub.frame.shape[:-2] + (1, 1)))
     comp.flags.writeable = False
     return Subspace(frame=comp)
 
@@ -351,12 +354,10 @@ def make_splitting(space, metric=None):
             la.cholesky(metric)
         except la.LinAlgError as exc:
             raise BadMetric("metric is not positive definite") from exc
-    # SciPy's eigh, one member at a time: the eigenvector gauge it picks is
-    # what random families are planted in, so it must not depend on stacking.
-    theta = np.empty(k.shape[:-1])
-    vecs = np.empty(k.shape, dtype=complex)
-    for i in np.ndindex(k.shape[:-2]):
-        theta[i], vecs[i] = la.eigh(k[i], metric)
+    # SciPy's eigh runs its driver on each member of a stack: the eigenvector
+    # gauge it picks is what random families are planted in, so it must not
+    # depend on stacking.
+    theta, vecs = la.eigh(k, metric)
     require_nonsingular(np.abs(theta), Degenerate, "K = -iJ (the form)")
     # eigenvalues ascend, so the negative ones lead every member
     n_minus = np.count_nonzero(theta < 0, axis=-1)
@@ -473,18 +474,27 @@ def diagonal_subspace(n):
 def require_hermitian(a, name="matrix", exc=NotHermitian, sign=1):
     """Validate Hermitian symmetry (``sign=1``) or skew-Hermitian symmetry
     (``sign=-1``) of a matrix, or of every matrix in a stack ``(..., n, n)``,
-    within tolerance, raising ``exc`` otherwise (a NaN entry fails), and
-    return the exactly (skew-)symmetrized representative.  Anything that is
-    not a square matrix or a stack of them raises ``DimensionMismatch``."""
+    and return the exactly (skew-)symmetrized representative.  Each member
+    is judged alone, against ``TAU_SYM * max(1, max |A_k|)``; the first
+    member that fails (a NaN entry fails) raises ``exc`` with its own
+    residual and tolerance.  Anything that is not a square matrix or a stack
+    of them raises ``DimensionMismatch``."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"{name} must be a square matrix, got shape {a.shape}")
     ah = (a if sign > 0 else -a).conj().swapaxes(-1, -2)
-    scale = max(1.0, float(np.abs(a).max()))
-    resid = float(np.abs(a - ah).max())
-    if not resid <= TAU_SYM * scale:
-        op = "-" if sign > 0 else "+"
-        raise exc(f"{name} residual |A {op} A*| = {resid:.3e} exceeds {TAU_SYM * scale:.3e}")
+    with np.errstate(invalid="ignore"):  # an infinite entry leaves a NaN residual, which fails
+        diff = np.abs(a - ah)
+        # every tolerance is at least TAU_SYM, so only a larger entry needs the members' scales
+        if not diff.max(initial=0.0) <= TAU_SYM:
+            resid = diff.max(axis=(-2, -1))
+            tol = TAU_SYM * np.fmax(1.0, np.abs(a).max(axis=(-2, -1)))
+            failed = np.flatnonzero(~(resid <= tol))
+            if failed.size:
+                op = "-" if sign > 0 else "+"
+                i = failed[0]
+                raise exc(f"{name} residual |A {op} A*| = {resid.flat[i]:.3e} "
+                          f"exceeds {tol.flat[i]:.3e}")
     return 0.5 * (a + ah)
 
 
@@ -569,7 +579,12 @@ def require_count(value, name, least, exc=ValueError):
 
 def require_positive(value, name):
     """Raise ``ValueError`` unless ``value`` is a real number (not a bool)
-    that is finite and positive: "1", None, 1+0j and [1.0] are refused."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and value > 0)):
+    that is finite and positive: "1", None, 1+0j, [1.0], NaN and an integer
+    too large for a float (10**400) are refused."""
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+              and math.isfinite(value) and value > 0)
+    except OverflowError:  # math.isfinite of an integer too large for a float
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")

@@ -35,14 +35,13 @@ import numpy as np
 import scipy.linalg as la
 
 from .core import (
-    TAU_SYM,
     require_count,
     require_hermitian,
     require_positive,
     require_unitary,
     stacked,
 )
-from .errors import NonFinite, NotUnitary, SpectrumOnBoundary, UnresolvedFamily
+from .errors import DimensionMismatch, NonFinite, NotUnitary, SpectrumOnBoundary, UnresolvedFamily
 
 
 @dataclass(frozen=True)
@@ -241,8 +240,9 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
     ----------
     sampler : callable
         Maps a 1-D array of parameter values s to a sequence of 1-D arrays
-        of real, finite crossing coordinates, one per s (``NonFinite`` names
-        the first s otherwise).  Must be deterministic, and an s must get the
+        of real, finite crossing coordinates, one per s
+        (``DimensionMismatch`` or ``NonFinite`` names the first s
+        otherwise).  Must be deterministic, and an s must get the
         same coordinates whatever else is in its batch.
     interval : (float, float)
         Finite endpoints a < b (``ValueError`` otherwise).
@@ -274,7 +274,11 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
         new = sorted({s for s in points if s not in cache})
         if new:
             for s, c in zip(new, sampler(np.array(new)), strict=True):
-                cache[s] = np.sort(np.asarray(c, dtype=float))
+                c = np.asarray(c, dtype=float)
+                if c.ndim != 1:
+                    raise DimensionMismatch(f"crossing coordinates at s = {s:.17g} must be "
+                                            f"one 1-D array, got shape {c.shape}")
+                cache[s] = np.sort(c)
                 if not np.isfinite(cache[s]).all():
                     raise NonFinite(f"crossing coordinates at s = {s:.17g} are not finite")
                 stations[s] = cache[s].tolist()
@@ -348,22 +352,15 @@ def unit_circle_residual(u):
 
 def _hermitian_batch(family, ss):
     """The exactly symmetrized values of ``family`` at the s of one engine
-    batch, as one stack.  Each member is checked against its own tolerance,
-    ``TAU_SYM * max(1, max |A_s|)``, as :func:`require_hermitian` checks one
-    matrix.  A batch that is not one shape of nonempty square matrices, or
-    that fails the check, is checked again one s at a time, so it raises
-    what that loop raises: the first failing s, named ``family(<s>)``."""
+    batch, as one stack checked by :func:`require_hermitian`, which judges
+    each member alone.  A batch that fails anywhere is checked again one s
+    at a time, so it raises what that loop raises: the first failing s,
+    named ``family(<s>)``, and a shape change only once the members before
+    it pass."""
     try:
-        a = np.array([family(s) for s in ss], dtype=complex)
+        return require_hermitian(np.array([family(s) for s in ss], dtype=complex), "the family")
     except Exception:  # the loop below raises it again, once the members before it pass
-        a = None
-    if a is not None and a.ndim == 3 and a.shape[1] == a.shape[2] > 0:
-        ah = a.conj().swapaxes(1, 2)
-        with np.errstate(invalid="ignore"):  # only a non-finite member warns, and it fails
-            scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
-            passed = (np.abs(a - ah).max(axis=(1, 2)) <= TAU_SYM * scale).all()
-        if passed:
-            return 0.5 * (a + ah)
+        pass
     mats = [require_hermitian(family(s), name=f"family({s:.6g})") for s in ss]
     return stacked(mats, "the family")
 

@@ -15,6 +15,7 @@ suites are selected.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -212,9 +213,11 @@ def builtin_scenarios():
         arrives at the crossing exactly at the end of the parameter range.
     S2  softening oscillator with Dirichlet conditions; the lowest
         eigenvalue 1 - 1.5 s crosses zero downward at s = 2/3.
-    S3  both the structure matrix and the potential move with s and t; no
-        pinned value — the verdict is the agreement of the two pipelines at
-        run time (grid-doubling stability is checked by the test suite).
+    S3  both the structure matrix and the potential move with s and t; for
+        m = 1 and j = i g^2 the eigenvalues have a closed form, whose n = 0
+        branch leaves the kernel at s = 0 upward while no branch reaches 0
+        on (0, 1] (the n = -1 branch ends at -0.84), so both integers
+        vanish.
     S4  constant invertible problem: nothing crosses, both integers vanish.
     S5  periodic boundary conditions with a zero-mean-in-t potential whose
         average moves with s; the branch 1/3 - s crosses downward at s = 1/3
@@ -242,7 +245,8 @@ def builtin_scenarios():
             kind="first_order",
             build=_s3_build,
             opts=odebvp.BvpOpts(),
-            expected=None,
+            expected=Expected(0, 0, "closed form: the n = 0 branch leaves the kernel at s = 0 "
+                                    "upward, the n = -1 branch ends at -0.84"),
             description="structure matrix varying in both s and t, rotating boundary pair",
         ),
         Scenario(
@@ -271,7 +275,8 @@ def builtin_scenarios():
 def _rng_for(seed, trial, suite):
     # Philox advances counter word 0 for every block it emits, so the trial
     # sits in word 2: trial streams never run into each other.
-    bitgen = np.random.Philox(counter=[0, SUITE_STREAMS[suite], trial, 0], key=[seed, 0])
+    bitgen = np.random.Philox(counter=[0, SUITE_STREAMS[suite], trial, 0],
+                              key=np.array([seed, 0], dtype=np.uint64))
     return np.random.Generator(bitgen)
 
 
@@ -756,10 +761,13 @@ class SweepSummary:
         }
 
 
-def check_sweep(trials, dims, suites):
+def check_sweep(seed, trials, dims, suites):
     """The set of suite names :func:`property_sweep` runs for ``suites``
-    (every suite when None), once ``trials`` is a count of at least 1 and
+    (every suite when None), once ``seed`` is an integer in [0, 2**64), the
+    range of a Philox key word, ``trials`` a count of at least 1 and
     ``dims`` positive even dimensions; ``ValueError`` otherwise."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     core.require_count(trials, "trials", 1)
     if not dims or any(d <= 0 or d % 2 for d in dims):
         raise ValueError(f"dims must be positive even ambient dimensions, got {list(dims)}")
@@ -781,7 +789,7 @@ def property_sweep(seed, trials, dims=(2, 4, 6, 8), suites=None):
     error or a ``LinAlgError`` in a trial is counted as a failed trial, and
     the first failing note per suite is kept.
     """
-    selected = check_sweep(trials, dims, suites)
+    selected = check_sweep(seed, trials, dims, suites)
     trials = int(trials)  # a NumPy integer is stored as a plain int
     results = []
     for name, _, fn in ALL_SUITES:

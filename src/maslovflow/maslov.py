@@ -274,9 +274,9 @@ def real_generator(j, lam_frame, mu_frame):
     ``mu_frame`` may be a stack ``(S, 2m, m)``, one engine batch of frames
     (the generator path of :func:`complexify_and_compare` passes one per
     batch); V and S are then stacks too.  Every member is checked and
-    decomposed (SciPy's ``eigh``, one member at a time) bit for bit as if
-    alone, so a stack with one bad member raises what that member raises
-    alone.
+    decomposed (SciPy's ``eigh``, which runs its driver on each member) bit
+    for bit as if alone, so a stack with one bad member raises what that
+    member raises alone.
     """
     q = np.asarray(lam_frame, dtype=float)
     mfr = np.asarray(mu_frame, dtype=float)
@@ -289,10 +289,7 @@ def real_generator(j, lam_frame, mu_frame):
             f"T*T has imaginary part {np.abs(tt.imag).max():.3e}; frames are not a Lagrangian pair"
         )
     tt = tt.real
-    w = np.empty(tt.shape[:-1])
-    vecs = np.empty(tt.shape)
-    for i in np.ndindex(tt.shape[:-2]):
-        w[i], vecs[i] = la.eigh(0.5 * (tt[i] + tt[i].T))
+    w, vecs = la.eigh(0.5 * (tt + tt.swapaxes(-1, -2)))
     if np.any(w.min(axis=-1) <= 1e-14 * np.maximum(w.max(axis=-1), 1.0)):
         raise Degenerate("T*T is numerically singular")
     ginv = (vecs / np.sqrt(w)[..., None, :]) @ vecs.swapaxes(-1, -2)

@@ -445,7 +445,8 @@ def test_scenarios_listing(capsys):
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 5
     assert out[0].startswith("S1")
-    assert any("established at run time" in line for line in out)
+    # S3 is pinned to its closed form
+    assert out[2].split()[:4] == ["S3", "first_order", "sf=0", "mas=0"]
 
 
 def test_sweep_smoke(tmp_path, capsys):
@@ -461,7 +462,9 @@ def test_sweep_smoke(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["--trials", "0"], ["--trials", "1", "--suites", "nope"],
-                                  ["--trials", "1", "--dims", "3"]])
+                                  ["--trials", "1", "--dims", "3"],
+                                  ["--seed", "-1", "--trials", "1"],
+                                  ["--seed", str(2**64), "--trials", "1"]])
 def test_a_refused_sweep_makes_no_out_directory(tmp_path, argv, capsys):
     # the directory used to be made before the sweep checked its arguments
     out = tmp_path / "out"

@@ -58,6 +58,55 @@ def test_require_hermitian_on_a_stack():
         core.require_hermitian(bad)
 
 
+E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_a_member_of_a_stack_is_judged_as_if_alone():
+    # the tolerance was scaled by the largest entry of the whole stack, so
+    # the large first member let the second one through
+    small = STD2 + 1e-9 * E12
+    message = r"^form residual \|A \+ A\*\| = 1\.000e-09 exceeds 1\.000e-10$"
+    with pytest.raises(NotSkewHermitian, match=message):
+        core.make_space(small)
+    with pytest.raises(NotSkewHermitian, match=message):
+        core.make_space_stack(np.stack([1e3 * STD2, small]))
+
+
+def test_require_hermitian_raises_for_the_first_member_that_fails_alone():
+    rng = np.random.default_rng(11)
+    scales = 10.0 ** rng.uniform(-3, 3, size=(3, 4))
+    z = rng.normal(size=(3, 4, 2, 2)) + 1j * rng.normal(size=(3, 4, 2, 2))
+    herm = scales[..., None, None] * (z + z.conj().swapaxes(-1, -2))
+    # half the members sit just past their own tolerance, half just inside
+    tol = 1e-10 * np.maximum(1.0, np.abs(herm).max(axis=(-2, -1)))
+    factor = np.where(rng.random((3, 4)) < 0.5, 2.0, 0.5)
+    stack = herm + (factor * tol)[..., None, None] * E12
+    verdicts = []
+    for i in np.ndindex(3, 4):
+        try:
+            core.require_hermitian(stack[i])
+            verdicts.append(None)
+        except NotHermitian as exc:
+            verdicts.append(str(exc))
+    assert [v is None for v in verdicts] == list(factor.ravel() < 1.0)
+    with pytest.raises(NotHermitian) as exc:
+        core.require_hermitian(stack)
+    assert str(exc.value) == next(v for v in verdicts if v is not None)
+    passing = stack[factor < 1.0]
+    npt.assert_array_equal(core.require_hermitian(passing),
+                           [core.require_hermitian(a) for a in passing])
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 2, 2)])
+def test_an_empty_form_is_refused(shape):
+    # each raised a bare ValueError from a reduction over no entries
+    with pytest.raises(DimensionMismatch, match=r"^form matrix must be nonempty"):
+        core.make_space_stack(np.zeros(shape, dtype=complex))
+    if len(shape) == 2:
+        with pytest.raises(DimensionMismatch, match=r"^form matrix must be nonempty"):
+            core.make_space(np.zeros(shape, dtype=complex))
+
+
 @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (4, 2, 3)])
 def test_require_hermitian_refuses_what_is_not_a_square_matrix(shape):
     # (2, 3) raised a bare broadcasting ValueError, () a NumPy AxisError

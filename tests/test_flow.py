@@ -313,6 +313,28 @@ def test_a_family_of_non_square_values_raises_dimension_mismatch(family):
         flow.spectral_flow(family, (0.0, 1.0))
 
 
+@pytest.mark.parametrize("coords", [np.zeros((2, 2)), np.float64(0.5)], ids=["2-D", "0-d"])
+def test_coordinates_that_are_not_one_1d_array_are_refused(coords):
+    # 2-D raised TypeError from abs() of a list, 0-d NumPy's AxisError
+    with pytest.raises(DimensionMismatch, match=r"^crossing coordinates at s = 0 must be one "
+                                                r"1-D array, got shape"):
+        flow.flow_from_sampler(lambda ss: [coords for _ in ss], (0.0, 1.0))
+
+
+def test_a_family_of_hermitian_stacks_is_refused():
+    # each s's eigenvalues were a (2, 2) array, which ended in a TypeError
+    with pytest.raises(DimensionMismatch, match=r"^crossing coordinates at s = 0 must be one "
+                                                r"1-D array, got shape \(2, 2\)$"):
+        flow.spectral_flow(lambda s: np.stack([np.eye(2), (s - 0.5) * np.eye(2)]), (0.0, 1.0))
+
+
+def test_a_family_of_empty_matrices_has_no_flow():
+    # raised a bare ValueError from a reduction over no entries
+    total, report = flow.spectral_flow(lambda s: np.zeros((0, 0)), (0.0, 1.0))
+    assert total == 0
+    assert len(report.samples) == 33 and all(c.size == 0 for c in report.samples.values())
+
+
 @pytest.mark.parametrize("interval", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)])
 def test_a_non_finite_interval_is_refused(interval):
     # (0, inf) warned, then raised NotHermitian on family(nan)

@@ -31,7 +31,9 @@ def test_builtin_scenarios_roster():
     kinds = {sc.name: sc.kind for sc in stock}
     assert kinds["S2"] == "second_order"
     assert kinds["S1"] == kinds["S3"] == kinds["S4"] == kinds["S5"] == "first_order"
-    assert stock[2].expected is None  # S3 is established at run time
+    # S3's integers are pinned to their closed form
+    assert (stock[2].expected.sf, stock[2].expected.mas) == (0, 0)
+    assert stock[2].expected.provenance.startswith("closed form")
 
 
 def test_pipelines_pair_each_kind():
@@ -118,6 +120,23 @@ def test_sweep_refuses_a_trial_count_that_is_not_an_integer(trials):
     # 2.5 ran 2 trials and True one
     with pytest.raises(ValueError, match="trials must be an integer of at least 1"):
         harness.property_sweep(seed=42, trials=trials, suites=["normalize_metric"])
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True, "42"])
+def test_sweep_refuses_a_seed_that_is_not_a_philox_key_word(seed):
+    # -1 ran on a key NumPy warned about casting, 2**64 raised OverflowError
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+        harness.property_sweep(seed=seed, trials=1, suites=["normalize_metric"])
+
+
+@pytest.mark.parametrize("seed", [2**63 + 1, 2**64 - 1, np.uint64(2**64 - 1)])
+def test_sweep_takes_every_seed_below_2_to_the_64(seed):
+    # NumPy read a key [seed, 0] past 2**63 through a float: 2**64 - 1
+    # warned about the cast, and 2**63 + 1 drew the trials of 2**63
+    summary = harness.property_sweep(seed=seed, trials=1, suites=["normalize_metric"])
+    assert summary.seed == int(seed) and summary.all_passed
+    draw = harness._rng_for(seed, 0, "normalize_metric").random()
+    assert draw != harness._rng_for(int(seed) - 1, 0, "normalize_metric").random()
 
 
 def test_sweep_accepts_a_numpy_integer_trial_count():

@@ -1,6 +1,7 @@
 """Boundary value pipelines: shooting, eigenvalue location, both indices."""
 
 import inspect
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -507,16 +508,22 @@ def counting(calls, fun):
     return wrapped
 
 
+def members(calls):
+    """How many matrices the counted calls decomposed: SciPy's batching
+    takes a stack ``(..., n, k)`` in one call, one member at a time."""
+    return sum(math.prod(np.shape(args[0])[:-2]) for args in calls)
+
+
 @pytest.mark.parametrize("name", ["S2", "S5"])
 def test_mas_bvp_splits_a_boundary_form_that_holds_over_a_batch_once(name, monkeypatch):
     # the boundary forms of S2 and S5 hold at every s; mas_bvp stacked one
-    # copy per s and make_splitting ran one eigh each (33)
+    # copy per s and make_splitting decomposed each (33)
     fam, w = next(sc for sc in harness.builtin_scenarios() if sc.name == name).build()
     eighs, batches = [], []
     monkeypatch.setattr(core.la, "eigh", counting(eighs, core.la.eigh))
     monkeypatch.setattr(maslov, "make_splitting", counting(batches, maslov.make_splitting))
     odebvp.mas_bvp(fam, w, odebvp.BvpOpts(steps=64))
-    assert len(eighs) == len(batches) >= 1
+    assert members(eighs) == len(batches) >= 1
 
 
 @pytest.mark.parametrize("name, form, per_sample", [
@@ -535,7 +542,7 @@ def test_sf_bvp_takes_w_perp_once_per_batch_unless_w_moves(name, form, per_sampl
         counting(batches, sampler), *args, **kw))
     _, rep = odebvp.sf_bvp(fam, form(w), odebvp.BvpOpts(steps=64))
     assert len(comps) == len(batches) < len(rep.samples)
-    assert len(svds) == (len(rep.samples) if per_sample else len(batches))
+    assert members(svds) == (len(rep.samples) if per_sample else len(batches))
 
 
 @pytest.mark.parametrize("shape", [(6, 4), (3, 1), (4, 1)])
@@ -636,6 +643,27 @@ def test_a_positive_parameter_that_is_not_a_real_number_is_refused(caller, value
     # each raised NumPy's TypeError from np.isfinite or from >
     with pytest.raises(ValueError, match=f"^{caller} must be finite and positive"):
         POSITIVE_PARAMETERS[caller](value)
+
+
+@pytest.mark.parametrize("caller", list(POSITIVE_PARAMETERS))
+def test_a_positive_parameter_too_large_for_a_float_is_refused(caller):
+    # raised OverflowError from math.isfinite
+    with pytest.raises(ValueError, match=f"^{caller} must be finite and positive"):
+        POSITIVE_PARAMETERS[caller](10**400)
+
+
+def test_each_point_of_a_t_grid_is_judged_as_if_alone():
+    # j = i(1 + 999 t) I, off skew by 1e-9 at t = 0 only: the point t = 1
+    # scaled the whole grid's tolerance to 1e-7, so the build passed
+    def j(s, t):
+        out = 1j * (1.0 + 999.0 * t)[:, None, None] * np.eye(2)
+        out[t == 0.0] += 1e-9 * np.array([[0.0, 1.0], [0.0, 0.0]])
+        return out
+
+    fam = first_order(2, 1.0, j, const_coeff(np.zeros((2, 2))))
+    with pytest.raises(NotSkewHermitian, match=r"^j\(s=0\.5, t\) on the t-grid residual "
+                                               r"\|A \+ A\*\| = 1\.000e-09 exceeds 1\.000e-10$"):
+        odebvp._system(fam, 0.5, 16)
 
 
 def test_numpy_integer_counts_are_accepted():
