@@ -666,7 +666,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ExpressionSyntaxError, UnknownIdentifier) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except UnresolvedFamily as exc:

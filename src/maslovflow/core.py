@@ -111,8 +111,7 @@ def make_space_stack(j):
     them, every member checked as :func:`make_space` checks one.  An empty
     form (0 x 0, or no members) raises ``DimensionMismatch``."""
     j = np.asarray(j, dtype=complex)
-    if j.size == 0:
-        raise DimensionMismatch(f"form matrix must be nonempty, got shape {j.shape}")
+    require_nonempty(j, "form matrix")
     form = require_hermitian(j, "form", NotSkewHermitian, sign=-1)
     require_nonsingular(la.svdvals(j), Degenerate, "form")
     form.flags.writeable = False
@@ -181,10 +180,10 @@ def subspace_from_span(vectors):
 def orthogonal_complement(sub):
     """Orthonormal frame for the Euclidean complement of a subspace, or of
     each member of a stack by its own SVD (SciPy's batching, bit for bit as
-    if alone)."""
-    k = sub.dim
-    comp = (la.svd(sub.frame)[0][..., k:] if k
+    if alone); a stack with no members gives a complement with none."""
+    comp = (la.svd(sub.frame)[0] if sub.frame.size  # else no columns, or no members
             else np.tile(np.eye(sub.ambient_dim, dtype=complex), sub.frame.shape[:-2] + (1, 1)))
+    comp = comp[..., sub.dim:]
     comp.flags.writeable = False
     return Subspace(frame=comp)
 
@@ -339,10 +338,13 @@ def make_splitting(space, metric=None):
 
     Raises
     ------
+    DimensionMismatch
+        If the form has no entries (a stack with no members, say).
     UnbalancedSplitting
         If the members of a stack have different signatures, which leaves
         some member without Lagrangians.
     """
+    require_nonempty(space.form, "form")
     n = space.dim
     k = space.k_operator()
     if metric is not None:
@@ -570,11 +572,18 @@ def require_nonsingular(sv, exc, name):
         raise exc(f"{name} is numerically singular (sigma_min <= 1e-12 sigma_max)")
 
 
-def require_count(value, name, least, exc=ValueError):
-    """Raise ``exc`` unless ``value`` is an integer (not a bool) of at least
-    ``least``: 4.0 and True are refused, not read as 4 and 1."""
+def require_nonempty(a, name):
+    """Raise ``DimensionMismatch`` when the array ``a`` has no entries: an
+    empty matrix, or a stack with no members."""
+    if a.size == 0:
+        raise DimensionMismatch(f"{name} must be nonempty, got shape {a.shape}")
+
+
+def require_count(value, name, least):
+    """Raise ``ValueError`` unless ``value`` is an integer (not a bool) of at
+    least ``least``: 4.0 and True are refused, not read as 4 and 1."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise exc(f"{name} must be an integer of at least {least}, got {value!r}")
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def require_positive(value, name):

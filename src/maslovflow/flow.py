@@ -241,7 +241,8 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
     sampler : callable
         Maps a 1-D array of parameter values s to a sequence of 1-D arrays
         of real, finite crossing coordinates, one per s
-        (``DimensionMismatch`` or ``NonFinite`` names the first s
+        (``DimensionMismatch`` naming both counts when the lengths differ;
+        ``DimensionMismatch`` or ``NonFinite`` names the first s
         otherwise).  Must be deterministic, and an s must get the
         same coordinates whatever else is in its batch.
     interval : (float, float)
@@ -273,7 +274,11 @@ def flow_from_sampler(sampler, interval, opts=None, scale=None, circular=False):
     def sample(points):
         new = sorted({s for s in points if s not in cache})
         if new:
-            for s, c in zip(new, sampler(np.array(new)), strict=True):
+            values = sampler(np.array(new))
+            if len(values) != len(new):
+                raise DimensionMismatch(f"the sampler returned {len(values)} coordinate arrays "
+                                        f"for {len(new)} values of s")
+            for s, c in zip(new, values):
                 c = np.asarray(c, dtype=float)
                 if c.ndim != 1:
                     raise DimensionMismatch(f"crossing coordinates at s = {s:.17g} must be "

@@ -121,16 +121,14 @@ def pipelines(sc):
     ``"mas"`` and the block-formula ``"mas_block"`` Maslov indices."""
     built = sc.build()
     if sc.kind == "pair_path":
-        fopts = sc.opts or flow.FlowOpts()
         return {
-            "mas": lambda: maslov.maslov_index(built, fopts),
-            "mas_block": lambda: maslov.maslov_index_block(built, fopts),
+            "mas": lambda: maslov.maslov_index(built, sc.opts),
+            "mas_block": lambda: maslov.maslov_index_block(built, sc.opts),
         }
     fam, w_path = built
-    bopts = sc.opts or odebvp.BvpOpts()
     return {
-        "sf": lambda: odebvp.sf_bvp(fam, w_path, bopts),
-        "mas": lambda: odebvp.mas_bvp(fam, w_path, bopts),
+        "sf": lambda: odebvp.sf_bvp(fam, w_path, sc.opts),
+        "mas": lambda: odebvp.mas_bvp(fam, w_path, sc.opts),
     }
 
 
@@ -765,11 +763,13 @@ def check_sweep(seed, trials, dims, suites):
     """The set of suite names :func:`property_sweep` runs for ``suites``
     (every suite when None), once ``seed`` is an integer in [0, 2**64), the
     range of a Philox key word, ``trials`` a count of at least 1 and
-    ``dims`` positive even dimensions; ``ValueError`` otherwise."""
+    ``dims`` even integers of at least 2; ``ValueError`` otherwise."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     core.require_count(trials, "trials", 1)
-    if not dims or any(d <= 0 or d % 2 for d in dims):
+    for d in dims:
+        core.require_count(d, "dims", 2)
+    if not dims or any(d % 2 for d in dims):
         raise ValueError(f"dims must be positive even ambient dimensions, got {list(dims)}")
     selected = set(SUITE_NAMES if suites is None else suites)
     unknown = selected - set(SUITE_NAMES)
@@ -790,7 +790,7 @@ def property_sweep(seed, trials, dims=(2, 4, 6, 8), suites=None):
     the first failing note per suite is kept.
     """
     selected = check_sweep(seed, trials, dims, suites)
-    trials = int(trials)  # a NumPy integer is stored as a plain int
+    trials, dims = int(trials), tuple(int(d) for d in dims)  # NumPy integers become plain ints
     results = []
     for name, _, fn in ALL_SUITES:
         if name not in selected:
@@ -807,4 +807,4 @@ def property_sweep(seed, trials, dims=(2, 4, 6, 8), suites=None):
         results.append(SuiteSummary(name=name, trials=trials, passed=trials - len(failures),
                                     failed=len(failures), worst_residual=worst,
                                     first_failure=failures[0] if failures else None))
-    return SweepSummary(seed=int(seed), trials=trials, dims=tuple(dims), suites=results)
+    return SweepSummary(seed=int(seed), trials=trials, dims=dims, suites=results)

@@ -134,7 +134,7 @@ def _sample(path, ss):
     (``DimensionMismatch``, naming the part, otherwise)."""
     parts = path.sampler(ss)
     for what, x in zip(("the form", "lambda", "mu"), parts):
-        lead = (x.form if isinstance(x, core.SymplecticSpace) else x.frame).shape[:-2]
+        lead = core._raw(x).shape[:-2]
         if lead not in ((), (len(ss),)):
             raise DimensionMismatch(f"{what} is a stack of shape {lead} for {len(ss)} values of s")
     return parts
@@ -276,10 +276,11 @@ def real_generator(j, lam_frame, mu_frame):
     batch); V and S are then stacks too.  Every member is checked and
     decomposed (SciPy's ``eigh``, which runs its driver on each member) bit
     for bit as if alone, so a stack with one bad member raises what that
-    member raises alone.
+    member raises alone; a stack with no members raises ``DimensionMismatch``.
     """
     q = np.asarray(lam_frame, dtype=float)
     mfr = np.asarray(mu_frame, dtype=float)
+    core.require_nonempty(mfr, "mu_frame")
     a = q.T @ mfr
     b = (j @ q).T @ mfr
     t = b - 1j * a

@@ -507,25 +507,25 @@ def _second_order_c0(pinv, qg, rg):
     the real embeddings (``_embed``), E(q*) being E(q)^T, and are read
     back with ``_unembed``: equal to the complex products to rounding
     (about 1e-16 of the largest entry), not bit for bit.  A constant
-    grid's one row, and any other m, takes the complex products.  Its
-    temporaries, b_0 and the embeddings, are released before the RK4
-    build runs."""
+    grid's one row, and any other m, takes the complex products.  c0's
+    four blocks are written directly, J @ b_0 being the signed block swap
+    [[q* p^-1, r - q* p^-1 q], [p^-1, -p^-1 q]]; the three products and
+    the embeddings are released before the RK4 build runs."""
     nt, m = pinv.shape[:2]
-    b0 = np.zeros((nt, 2 * m, 2 * m), dtype=complex)
-    b0[:, :m, :m] = pinv
+    # each block keeps b_0's form and sign, then takes the swap's sign:
+    # (-a) @ b and -(a @ b) can differ in the sign of a zero
     if nt > 1 and m in _EMBED_FACTORS:
         ep, eq = _embed(pinv.view(float)), _embed(np.ascontiguousarray(qg).view(float))
         qhp = eq.transpose(0, 2, 1) @ ep
-        b0[:, :m, m:] = -_unembed(ep @ eq)
-        b0[:, m:, :m] = -_unembed(qhp)
-        b0[:, m:, m:] = _unembed(qhp @ eq) - rg
+        npq, nqp, qpq = -_unembed(ep @ eq), -_unembed(qhp), _unembed(qhp @ eq)
     else:
-        b0[:, :m, m:] = -pinv @ qg
-        b0[:, m:, :m] = -qg.conj().transpose(0, 2, 1) @ pinv
-        b0[:, m:, m:] = qg.conj().transpose(0, 2, 1) @ pinv @ qg - rg
-    c0 = np.empty_like(b0)  # J @ b0, as a signed block swap
-    c0[:, :m] = -b0[:, m:]
-    c0[:, m:] = b0[:, :m]
+        qh = qg.conj().transpose(0, 2, 1)
+        npq, nqp, qpq = -pinv @ qg, -qh @ pinv, qh @ pinv @ qg
+    c0 = np.empty((nt, 2 * m, 2 * m), dtype=complex)
+    c0[:, :m, :m] = -nqp
+    c0[:, :m, m:] = -(qpq - rg)
+    c0[:, m:, :m] = pinv
+    c0[:, m:, m:] = npq
     return c0
 
 

@@ -105,6 +105,9 @@ def test_an_empty_form_is_refused(shape):
     if len(shape) == 2:
         with pytest.raises(DimensionMismatch, match=r"^form matrix must be nonempty"):
             core.make_space(np.zeros(shape, dtype=complex))
+    # a space with no entries has no splitting (SciPy's eigh raised a bare ValueError)
+    with pytest.raises(DimensionMismatch, match=r"^form must be nonempty, got shape"):
+        core.make_splitting(core.SymplecticSpace(form=np.zeros(shape, dtype=complex)))
 
 
 @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (4, 2, 3)])
@@ -487,3 +490,5 @@ def test_orthogonal_complement_of_a_stack_is_taken_member_by_member():
     for i in range(4):
         npt.assert_array_equal(comp.frame[i], core.orthogonal_complement(core.member(stack, i)).frame)
     assert core.orthogonal_complement(core.Subspace(np.zeros((2, 3, 0)))).frame.shape == (2, 3, 3)
+    # a stack with no members raised SciPy's bare "`svd` does not support zero-size batches"
+    assert core.orthogonal_complement(core.Subspace(np.zeros((0, 3, 1)))).frame.shape == (0, 3, 2)

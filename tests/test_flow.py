@@ -321,6 +321,19 @@ def test_coordinates_that_are_not_one_1d_array_are_refused(coords):
         flow.flow_from_sampler(lambda ss: [coords for _ in ss], (0.0, 1.0))
 
 
+@pytest.mark.parametrize("answer, count", [(lambda arrays: arrays[:-1], 32),
+                                           (lambda arrays: arrays + [np.zeros(1)], 34)],
+                         ids=["drops the last s", "adds an array"])
+def test_a_sampler_must_answer_every_s_of_its_batch_once(answer, count):
+    # raised Python's bare ValueError from zip(..., strict=True)
+    def sampler(ss):
+        return answer([np.array([s - 0.5]) for s in ss])
+
+    with pytest.raises(DimensionMismatch, match=rf"^the sampler returned {count} "
+                                                r"coordinate arrays for 33 values of s$"):
+        flow.flow_from_sampler(sampler, (0.0, 1.0))
+
+
 def test_a_family_of_hermitian_stacks_is_refused():
     # each s's eigenvalues were a (2, 2) array, which ended in a TypeError
     with pytest.raises(DimensionMismatch, match=r"^crossing coordinates at s = 0 must be one "

@@ -110,7 +110,8 @@ def test_sweep_rejects_bad_inputs():
         harness.property_sweep(seed=1, trials=1, suites=("no_such_suite",))
     with pytest.raises(ValueError, match="no suites"):
         harness.property_sweep(seed=42, trials=1, suites=[])
-    for dims in [(3,), (0,), (2, -2)]:
+    # 2.0 ran and was written as "dims": [2.0]; "2" raised TypeError
+    for dims in [(3,), (0,), (2, -2), (2.0,), ("2",), (True,)]:
         with pytest.raises(ValueError, match="dims"):
             harness.property_sweep(seed=1, trials=1, dims=dims)
 
@@ -120,6 +121,12 @@ def test_sweep_refuses_a_trial_count_that_is_not_an_integer(trials):
     # 2.5 ran 2 trials and True one
     with pytest.raises(ValueError, match="trials must be an integer of at least 1"):
         harness.property_sweep(seed=42, trials=trials, suites=["normalize_metric"])
+
+
+def test_sweep_stores_numpy_dimensions_as_plain_integers():
+    # dims=(np.int64(2),) ran, but its summary could not be written as JSON
+    summary = harness.property_sweep(seed=42, trials=1, dims=(np.int64(2),), suites=["flipping"])
+    assert json.dumps(summary.to_dict()["dims"]) == "[2]"
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True, "42"])

@@ -252,6 +252,14 @@ def test_one_bad_member_of_a_stack_raises_what_it_raises_alone(bad, exc):
         maslov.real_generator(data.j, data.lam, frames)
 
 
+def test_a_frame_stack_with_no_members_has_no_generator():
+    # raised NumPy's bare ValueError from a maximum over no entries
+    data = line_rotation_data()
+    with pytest.raises(DimensionMismatch,
+                       match=r"^mu_frame must be nonempty, got shape \(0, 2, 1\)$"):
+        maslov.real_generator(data.j, data.lam, np.zeros((0, 2, 1)))
+
+
 def test_the_bridge_reads_each_mu_frame_once_per_s():
     # both flows used to read and check the frame at every s they sampled
     data = line_rotation_data()

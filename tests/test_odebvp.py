@@ -1251,6 +1251,50 @@ def test_softening_oscillator_both_pipelines():
     assert any(c < 0 for c in coords_end)
 
 
+def rotating_ladder(*thetas):
+    """x' = i lambda x on [0, 1] (j = iI, b = 0) with x(T) = diag(e^{i theta_k(s)}) x(0):
+    the eigenvalues are theta_k(s) + 2 pi n, so each theta_k adds its net
+    number of turns to the spectral flow."""
+    m = len(thetas)
+    fam = first_order(m, 1.0, const_coeff(1j * np.eye(m)), const_coeff(np.zeros((m, m))))
+
+    def w(s):
+        turns = np.diag(np.exp([1j * theta(s) for theta in thetas]))
+        return core.subspace_from_span(np.vstack([np.eye(m), turns]))
+
+    return fam, w
+
+
+def dirichlet_oscillator(k):
+    """-x'' + (0.5 - k s) x on [0, pi] with Dirichlet conditions: the
+    eigenvalues n^2 + 0.5 - k s, n >= 1, each cross 0 downward once while
+    n^2 < k - 0.5."""
+    return dirichlet_second(lambda s, t: 0.5 - k * s), odebvp.w_of_r(None, m=1)
+
+
+CLOSED_FORM_FAMILIES = {
+    "two copies of 4 pi s": (lambda: rotating_ladder(lambda s: 4 * np.pi * s,
+                                                     lambda s: 4 * np.pi * s), 4),
+    "speeds 2 and 3": (lambda: rotating_ladder(lambda s: 4 * np.pi * s + 0.3,
+                                               lambda s: 6 * np.pi * s + 1.1), 5),
+    "touch": (lambda: rotating_ladder(lambda s: 2 * np.pi * np.sin(np.pi * s) ** 2), 0),
+    "opposite pair": (lambda: rotating_ladder(lambda s: 4 * np.pi * s + 0.3,
+                                              lambda s: -4 * np.pi * s + 0.3), 0),
+    **{f"oscillator K={k}": (lambda k=k: dirichlet_oscillator(k),
+                             -sum(1 for n in range(1, k) if n * n < k - 0.5))
+       for k in (10, 20, 30)},
+}
+
+
+@pytest.mark.parametrize("case", CLOSED_FORM_FAMILIES)
+def test_both_pipelines_give_the_closed_form_integer(case):
+    make, expected = CLOSED_FORM_FAMILIES[case]
+    fam, w = make()
+    sf, _ = odebvp.sf_bvp(fam, w)
+    mas, _ = odebvp.mas_bvp(fam, w)
+    assert sf == mas == expected
+
+
 def test_periodic_first_order_both_pipelines():
     fam = first_order(
         1, 1.0,
