@@ -541,32 +541,30 @@ def cmd_verify(args):
     return status
 
 
-def _run_pipeline(sc, key, missing):
-    """Run the scenario's ``key`` pipeline, or raise ``missing``."""
+def _pipeline(sc, key, missing):
+    """The scenario's unrun ``key`` pipeline, or ``ConfigError(missing)``."""
     runs = harness.pipelines(sc)
     if key not in runs:
         raise ConfigError(missing)
-    return runs[key]()
+    return runs[key]
 
 
 def cmd_index(args):
     """``sf`` and ``maslov``: print the integer of one pipeline."""
-    value, _ = _run_pipeline(
+    value, _ = _pipeline(
         _load(args.config), args.pipeline, "sf needs a differential-equation "
-        "problem; a pair path only has a Maslov index")
+        "problem; a pair path only has a Maslov index")()
     print(int(value))
     return 0
 
 
 def cmd_trace(args):
-    key = "sf" if args.what == "eigenvalues" else "mas"
     sc = _load(args.config)
-    missing = "a pair path has no eigenvalue river; use --what eigenphases"
-    if key == "sf" and sc.kind == "pair_path":  # refused before --out is made
-        raise ConfigError(missing)
+    run = _pipeline(sc, "sf" if args.what == "eigenvalues" else "mas",  # before --out is made
+                    "a pair path has no eigenvalue river; use --what eigenphases")
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
-    _, rep = _run_pipeline(sc, key, missing)
+    _, rep = run()
     path = os.path.join(outdir, f"{sc.name}_{args.what}.csv")
     rep.write_trace(path)
     print(path)

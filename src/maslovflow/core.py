@@ -473,6 +473,11 @@ def diagonal_subspace(n):
     return Subspace(frame=f)
 
 
+def _require_square(a, name):
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"{name} must be a square matrix, got shape {a.shape}")
+
+
 def require_hermitian(a, name="matrix", exc=NotHermitian, sign=1):
     """Validate Hermitian symmetry (``sign=1``) or skew-Hermitian symmetry
     (``sign=-1``) of a matrix, or of every matrix in a stack ``(..., n, n)``,
@@ -482,8 +487,7 @@ def require_hermitian(a, name="matrix", exc=NotHermitian, sign=1):
     residual and tolerance.  Anything that is not a square matrix or a stack
     of them raises ``DimensionMismatch``."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatch(f"{name} must be a square matrix, got shape {a.shape}")
+    _require_square(a, name)
     ah = (a if sign > 0 else -a).conj().swapaxes(-1, -2)
     with np.errstate(invalid="ignore"):  # an infinite entry leaves a NaN residual, which fails
         diff = np.abs(a - ah)
@@ -503,8 +507,10 @@ def require_hermitian(a, name="matrix", exc=NotHermitian, sign=1):
 def require_unitary(u, exc, name):
     """Raise ``exc`` when ``max |u* u - I|`` over a matrix, or over every
     matrix in a stack ``(..., n, n)``, exceeds TAU_UNIT or is NaN; a 0 x 0
-    matrix passes."""
+    matrix passes.  Anything that is not a square matrix or a stack of them
+    raises ``DimensionMismatch``."""
     u = np.asarray(u)
+    _require_square(u, name)
     resid = (float(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max())
              if u.size else 0.0)
     if not resid <= TAU_UNIT:

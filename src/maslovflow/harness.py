@@ -451,7 +451,7 @@ def _suite_unitary_counting(rng, dims):
     w = core.pair_unitary(splitting, lam, mu)
     theta = flow.eigenphases(w)
     counted = int(np.sum(np.abs(theta) < 1e-7))
-    dim_int = core.pair_index(space, lam, mu).dim_intersection
+    dim_int = core.intersection_dim(lam, mu)
     ok = counted == k and dim_int == k
     zero_resid = float(np.abs(theta)[np.abs(theta) < 1e-7].max()) if counted else 0.0
     return ok, zero_resid, f"planted {k}, eigenphases {counted}, intersection {dim_int}"
@@ -496,9 +496,8 @@ def _suite_flipping(rng, dims):
     path = _random_pair_path(rng, n)
     fwd, _ = maslov.maslov_index(path)
     swp, _ = maslov.maslov_index(path.swapped())
-    ends = path.sampler(np.array(path.interval))
-    da, db = (core.pair_index(*(core.member(x, i) for x in ends)).dim_intersection
-              for i in (0, 1))
+    _, lam, mu = path.sampler(np.array(path.interval))
+    da, db = (core.intersection_dim(core.member(lam, i), core.member(mu, i)) for i in (0, 1))
     ok = fwd + swp == da - db
     return ok, 0.0, f"dim {n}: {fwd} + {swp} vs {da} - {db}"
 
@@ -546,8 +545,7 @@ def _suite_real_comparison(rng, dims):
     def mu_path(s):
         return o @ _real_lagrangian_frame(upath(s))
 
-    data = maslov.RealPairData(j=j, lam=lam, mu_path=mu_path, interval=(0.0, 1.0))
-    cmpr = maslov.complexify_and_compare(data)
+    cmpr = maslov.complexify_and_compare(j, lam, mu_path, (0.0, 1.0))
     ok = cmpr.agree and cmpr.residual <= 1e-9
     return ok, float(cmpr.residual), f"m {m}: {cmpr.mas} vs -({cmpr.mas_bf})"
 

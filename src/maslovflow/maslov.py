@@ -218,26 +218,6 @@ def maslov_index_block(path, opts=None):
 # Real symplectic category: comparison against the generator-based index
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RealPairData:
-    """A real symplectic comparison problem.
-
-    ``j``        real 2m x 2m with J^T = -J and J^2 = -I;
-    ``lam``      real orthonormal frame (2m x m) of the fixed Lagrangian;
-    ``mu_path``  s -> real orthonormal frame (2m x m) of the moving one;
-    ``interval`` parameter range.
-
-    :func:`complexify_and_compare` calls ``mu_path`` once per distinct s
-    (both of its flows share the checked frame) and hands the generator
-    path one stack of frames per engine batch.
-    """
-
-    j: np.ndarray
-    lam: np.ndarray
-    mu_path: Callable[[float], np.ndarray]
-    interval: tuple
-
-
 @dataclass(frozen=True)
 class RealComparison:
     mas: int
@@ -251,6 +231,9 @@ class RealComparison:
 
 def _check_real_lagrangian(j, frame, what):
     frame = np.asarray(frame, dtype=float)
+    n = j.shape[0]
+    if frame.shape != (n, n // 2):
+        raise DimensionMismatch(f"{what} must be a {n} x {n // 2} matrix, got shape {frame.shape}")
     m = frame.shape[1]
     orth = np.abs(frame.T @ frame - np.eye(m)).max()
     iso = np.abs(frame.T @ j @ frame).max()
@@ -299,8 +282,13 @@ def real_generator(j, lam_frame, mu_frame):
     return v, v @ v.swapaxes(-1, -2)
 
 
-def complexify_and_compare(data, opts=None):
+def complexify_and_compare(j, lam, mu_path, interval, opts=None):
     """Compare the complexified Maslov index with the generator-based one.
+
+    ``j``        real 2m x 2m with J^T = -J and J^2 = -I;
+    ``lam``      real orthonormal frame (2m x m) of the fixed Lagrangian;
+    ``mu_path``  s -> real orthonormal frame (2m x m) of the moving one;
+    ``interval`` parameter range.
 
     The complexified pair is run through :func:`maslov_index` as-is.  The
     generator path ``s -> S_s`` is run through the same crossing engine after
@@ -311,8 +299,8 @@ def complexify_and_compare(data, opts=None):
     numerically: in the frames ``(I -+ iJ)Q / sqrt(2)`` the complex
     comparison unitary ``V U^{-1}`` must equal ``-conj(S)`` entrywise.
 
-    ``data.mu_path`` is called, and its frame checked, once per distinct s
-    over both flows.  The generator path answers a whole engine batch: one
+    ``mu_path`` is called, and its frame checked, once per distinct s over
+    both flows.  The generator path answers a whole engine batch: one
     :func:`real_generator` call on the stack of its frames, one ``solve``
     for their bridge coordinates and one :func:`eigenphases` call.
 
@@ -321,23 +309,28 @@ def complexify_and_compare(data, opts=None):
     RealComparison
         with ``residual`` the worst entrywise bridge mismatch over every
         parameter value the generator path was sampled at.
+
+    Raises
+    ------
+    DimensionMismatch, NotSkewHermitian, Degenerate, NotLagrangianReal
+        For a j that is empty or not square, or breaks J^T = -J or J^2 = -I,
+        and for a frame that is not 2m x m, or not orthonormal and isotropic.
     """
-    j = np.asarray(data.j, dtype=float)
-    n = j.shape[0]
-    if not np.abs(j + j.T).max() <= 1e-10:
-        raise NotSkewHermitian("real structure matrix must satisfy J^T = -J")
-    if not np.abs(j @ j + np.eye(n)).max() <= 1e-10:
+    j = np.asarray(j, dtype=float)
+    core.require_hermitian(j, "real structure matrix", NotSkewHermitian, sign=-1)
+    core.require_nonempty(j, "real structure matrix")
+    if not np.abs(j @ j + np.eye(j.shape[0])).max() <= 1e-10:
         raise Degenerate("real structure matrix must satisfy J^2 = -I")
-    q = _check_real_lagrangian(j, data.lam, "lambda frame")
+    q = _check_real_lagrangian(j, lam, "lambda frame")
 
     frames = {}  # s -> checked mu frame, shared by both flows
 
     def mu_at(s):
         if s not in frames:
-            frames[s] = _check_real_lagrangian(j, data.mu_path(s), f"mu frame at s={s:.6g}")
+            frames[s] = _check_real_lagrangian(j, mu_path(s), f"mu frame at s={s:.6g}")
         return frames[s]
 
-    path = PairPath.from_parts(j, q, mu_at, data.interval)
+    path = PairPath.from_parts(j, q, mu_at, interval)
     mas, _ = maslov_index(path, opts)
 
     # Bridge residual: V U^{-1} == -conj(S) in the frames attached to Q.
@@ -361,5 +354,5 @@ def complexify_and_compare(data, opts=None):
         stats["residual"] = max(stats["residual"], float(np.abs(bridge + smat.conj()).max()))
         return eigenphases(-smat.conj())
 
-    mas_bf, _ = flow_from_sampler(generator_phases, data.interval, opts, circular=True)
+    mas_bf, _ = flow_from_sampler(generator_phases, interval, opts, circular=True)
     return RealComparison(mas=mas, mas_bf=mas_bf, residual=stats["residual"])

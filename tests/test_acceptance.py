@@ -175,9 +175,7 @@ def test_c7_real_bridge_residual():
 
         lam = o @ harness._real_lagrangian_frame(np.eye(m))
         mu_path = lambda s, o=o, u_at=u_at: o @ harness._real_lagrangian_frame(u_at(s))
-        data = maslov.RealPairData(j=j, lam=lam, mu_path=mu_path,
-                                   interval=(0.0, 1.0))
-        cmp = maslov.complexify_and_compare(data)
+        cmp = maslov.complexify_and_compare(j, lam, mu_path, (0.0, 1.0))
         assert cmp.mas == -cmp.mas_bf
         worst = max(worst, cmp.residual)
     assert worst <= 1e-9

@@ -386,11 +386,14 @@ def test_exit_3_on_unreadable_inputs(tmp_path, capsys, monkeypatch):
     assert cli.main(["verify", str(broken)]) == 3
     assert cli.main(["verify", "@S9"]) == 3
 
-    # an unusable --out is found before any computation starts
+    # an unusable --out is found before any computation starts; a scenario's
+    # pipelines are looked up first, unrun, so a refused one makes no --out
     def never(*args, **kwargs):
         raise AssertionError("computed before the --out directory was made")
 
-    for name in ("run_scenario", "pipelines", "property_sweep"):
+    unrun = cli.harness.pipelines
+    monkeypatch.setattr(cli.harness, "pipelines", lambda sc: dict.fromkeys(unrun(sc), never))
+    for name in ("run_scenario", "property_sweep"):
         monkeypatch.setattr(cli.harness, name, never)
     for argv in (["verify", "@S4"], ["trace", "@S4", "--what", "eigenvalues"],
                  ["sweep", "--seed", "42", "--trials", "3"]):

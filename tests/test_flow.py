@@ -461,6 +461,17 @@ def test_eigenphases_convention():
     assert flow.unit_circle_residual(np.zeros((0, 0))) == 0.0
 
 
+@pytest.mark.parametrize("u", [np.ones(3), np.eye(3)[:, :2], np.full((1, 2, 1), np.sqrt(0.5))],
+                         ids=["vector", "isometry", "isometry stack"])
+def test_eigenphases_refuse_what_is_not_a_square_matrix(u):
+    # the vector raised NumPy's AxisError; the isometries passed the unitary
+    # check and raised LinAlgError from eigvals
+    with pytest.raises(DimensionMismatch, match="^matrix must be a square matrix, got shape"):
+        flow.eigenphases(u)
+    with pytest.raises(DimensionMismatch, match="^u must be a square matrix"):
+        core.require_unitary(u, NotUnitary, "u")
+
+
 def test_spectral_projection_diagonal():
     a = np.diag([0.1, 3.0])
     p = flow.spectral_projection(a, 0.0, 1.0)

@@ -1,7 +1,6 @@
 """Maslov index of Lagrangian pair paths; product/real-category identities."""
 
-from collections import Counter
-from dataclasses import replace
+from collections import Counter, namedtuple
 
 import numpy as np
 import numpy.testing as npt
@@ -156,6 +155,9 @@ def test_isotropy_residual_reported():
 
 # real category ------------------------------------------------------------
 
+RealPair = namedtuple("RealPair", "j lam mu_path interval")  # complexify_and_compare's arguments
+
+
 def line_rotation_data():
     j = np.array([[0.0, -1.0], [1.0, 0.0]])
     lam = np.array([[1.0], [0.0]])
@@ -164,11 +166,11 @@ def line_rotation_data():
         th = np.pi * s
         return np.array([[np.cos(th)], [np.sin(th)]])
 
-    return maslov.RealPairData(j=j, lam=lam, mu_path=mu_path, interval=(0.0, 1.0))
+    return RealPair(j, lam, mu_path, (0.0, 1.0))
 
 
 def test_real_comparison_on_line_rotation():
-    cmp = maslov.complexify_and_compare(line_rotation_data())
+    cmp = maslov.complexify_and_compare(*line_rotation_data())
     assert cmp.agree
     assert cmp.mas == 1
     assert cmp.mas_bf == -1
@@ -184,16 +186,11 @@ def test_real_generator_is_unitary_symmetric():
 
 def test_real_frames_validated():
     data = line_rotation_data()
-    bad = maslov.RealPairData(
-        j=data.j,
-        lam=np.array([[2.0], [0.0]]),  # not orthonormal
-        mu_path=data.mu_path,
-        interval=(0.0, 1.0),
-    )
+    bad = data._replace(lam=np.array([[2.0], [0.0]]))  # not orthonormal
     with pytest.raises(NotLagrangianReal):
-        maslov.complexify_and_compare(bad)
+        maslov.complexify_and_compare(*bad)
     with pytest.raises(Degenerate, match="J\\^2 = -I"):
-        maslov.complexify_and_compare(replace(data, j=2.0 * data.j))
+        maslov.complexify_and_compare(*data._replace(j=2.0 * data.j))
 
 
 NAN_FRAME = np.array([[np.nan], [0.0]])
@@ -203,11 +200,24 @@ NAN_FRAME = np.array([[np.nan], [0.0]])
     ("mu_path", lambda s: NAN_FRAME, NotLagrangianReal, "mu frame at s="),
     ("lam", NAN_FRAME, NotLagrangianReal, "lambda frame"),
     ("j", np.array([[0.0, -1.0], [1.0, np.nan]]), NotSkewHermitian, "real structure matrix"),
-], ids=["mu", "lambda", "j"])
+    # wrong shapes raised IndexError (a 1-D frame), ValueError from a maximum
+    # over no entries (no columns, j empty) or NumPy's broadcast ValueError
+    ("lam", np.array([1.0, 0.0]), DimensionMismatch,
+     r"^lambda frame must be a 2 x 1 matrix, got shape \(2,\)$"),
+    ("mu_path", lambda s: np.array([1.0, 0.0]), DimensionMismatch,
+     r"^mu frame at s=0 must be a 2 x 1 matrix, got shape \(2,\)$"),
+    ("lam", np.zeros((2, 0)), DimensionMismatch,
+     r"^lambda frame must be a 2 x 1 matrix, got shape \(2, 0\)$"),
+    ("j", np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]), DimensionMismatch,
+     r"^real structure matrix must be a square matrix, got shape \(2, 3\)$"),
+    ("j", np.zeros((0, 0)), DimensionMismatch,
+     r"^real structure matrix must be nonempty, got shape \(0, 0\)$"),
+], ids=["mu", "lambda", "j", "lambda 1-D", "mu 1-D", "lambda without columns", "j not square",
+        "j empty"])
 def test_a_nan_in_the_real_bridge_raises_a_typed_error_naming_the_field(part, bad, exc, message):
     data = line_rotation_data()
     with pytest.raises(exc, match=message):
-        maslov.complexify_and_compare(replace(data, **{part: bad}))
+        maslov.complexify_and_compare(*data._replace(**{part: bad}))
 
 
 def test_real_generator_refuses_a_nan_frame():
@@ -217,13 +227,13 @@ def test_real_generator_refuses_a_nan_frame():
 
 
 def real_comparison_draws(seed=42, trials=16):
-    """The RealPairData the sweep's real_comparison suite draws."""
+    """The RealPair arguments the sweep's real_comparison suite draws."""
     draws = []
     compare = maslov.complexify_and_compare
 
-    def record(data, opts=None):
-        draws.append(data)
-        return compare(data, opts)
+    def record(*args):
+        draws.append(RealPair(*args))
+        return compare(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(maslov, "complexify_and_compare", record)
@@ -269,7 +279,7 @@ def test_the_bridge_reads_each_mu_frame_once_per_s():
         calls[s] += 1
         return data.mu_path(s)
 
-    assert maslov.complexify_and_compare(replace(data, mu_path=mu_path)).agree
+    assert maslov.complexify_and_compare(*data._replace(mu_path=mu_path)).agree
     assert calls and set(calls.values()) == {1}
 
 
@@ -312,7 +322,7 @@ def _per_s_comparison(data):
 
 def test_the_batched_bridge_matches_the_per_s_reference_on_the_sweep_draws():
     for data in real_comparison_draws():
-        cmpr = maslov.complexify_and_compare(data)
+        cmpr = maslov.complexify_and_compare(*data)
         assert (cmpr.mas, cmpr.mas_bf, cmpr.residual) == _per_s_comparison(data)
 
 

@@ -1295,6 +1295,30 @@ def test_both_pipelines_give_the_closed_form_integer(case):
     assert sf == mas == expected
 
 
+def half_line_well_bound_states(v):
+    """Eigenvalues below 0 of -x'' + (1 - v) x on [0, 2] with x(0) = 0 and
+    x'(2) = -x(2): x = sin(kt) with k^2 = lambda - 1 + v, so one per root
+    of k cos 2k + sin 2k on (0, sqrt(v - 1))."""
+    if v <= 1.0:
+        return 0
+    k = np.linspace(0.0, np.sqrt(v - 1.0), 20001)[1:]
+    return int(np.count_nonzero(np.diff(np.sign(k * np.cos(2 * k) + np.sin(2 * k)))))
+
+
+@pytest.mark.parametrize("v0, v1, expected", [(1.0, 9.0, -2), (0.5, 20.5, -3), (3.0, 0.5, 1)])
+def test_both_pipelines_count_the_bound_states_of_a_half_line_well(v0, v1, expected):
+    # -x'' + (1 - V) x on the half-line with V supported in [0, 2]: past t = 2
+    # an L^2 solution at lambda = 0 is e^{-t}, so x'(2) = -x(2) is its decay
+    # condition, and the integer is the bound states at V(0) less those at V(1)
+    fam = dirichlet_second(lambda s, t: 1.0 - (v0 + (v1 - v0) * s), T=2.0)
+    # boundary vectors (x'(0), x(0), x'(2), x(2)): x(0) = 0 and x'(2) = -x(2)
+    w = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+    assert half_line_well_bound_states(v0) - half_line_well_bound_states(v1) == expected
+    sf, _ = odebvp.sf_bvp(fam, w)
+    mas, _ = odebvp.mas_bvp(fam, w)
+    assert sf == mas == expected
+
+
 def test_periodic_first_order_both_pipelines():
     fam = first_order(
         1, 1.0,
