@@ -189,7 +189,10 @@ def orthogonal_complement(sub):
 
 
 def intersection_dim(a, b):
-    """dim(a ∩ b) from principal angles (cosines within TAU_RANK of 1)."""
+    """dim(a ∩ b) from principal angles (cosines within TAU_RANK of 1);
+    raises DimensionMismatch when a and b live in different spaces."""
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatch(f"subspaces of C^{a.ambient_dim} and C^{b.ambient_dim}")
     if a.dim == 0 or b.dim == 0:
         return 0
     sigma = la.svdvals(a.frame.conj().T @ b.frame)
@@ -300,10 +303,6 @@ class Splitting:
     hframe_plus: np.ndarray
     hframe_minus: np.ndarray
 
-    @property
-    def balanced(self):
-        return self.hframe_plus.shape[-1] == self.hframe_minus.shape[-1]
-
 
 def _h_orthonormalize(frame, gram):
     # Cholesky of the (Hermitian positive definite) metric Gram matrix turns
@@ -335,14 +334,15 @@ def make_splitting(space, metric=None):
     Returns
     -------
     Splitting
+        Its two halves have dimension n / 2 each, in every member.
 
     Raises
     ------
     DimensionMismatch
         If the form has no entries (a stack with no members, say).
     UnbalancedSplitting
-        If the members of a stack have different signatures, which leaves
-        some member without Lagrangians.
+        If ``K`` of some member does not have n / 2 negative eigenvalues,
+        which leaves that member without Lagrangians.
     """
     require_nonempty(space.form, "form")
     n = space.dim
@@ -361,11 +361,14 @@ def make_splitting(space, metric=None):
     # depend on stacking.
     theta, vecs = la.eigh(k, metric)
     require_nonsingular(np.abs(theta), Degenerate, "K = -iJ (the form)")
-    # eigenvalues ascend, so the negative ones lead every member
+    # eigenvalues ascend, so the n / 2 negative ones lead every member
     n_minus = np.count_nonzero(theta < 0, axis=-1)
-    if np.any(n_minus != n_minus.flat[0]):
-        raise UnbalancedSplitting("the signature of K = -iJ changes across the stack")
-    fm, fp = np.split(vecs, [int(n_minus.flat[0])], axis=-1)
+    unbalanced = np.flatnonzero(2 * n_minus != n)
+    if unbalanced.size:
+        k = int(n_minus.flat[unbalanced[0]])
+        raise UnbalancedSplitting(f"K = -iJ splits C^{n} into halves of dims ({n - k}, {k}); "
+                                  "no Lagrangian subspaces exist")
+    fm, fp = np.split(vecs, [n // 2], axis=-1)
     return Splitting(
         hframe_plus=_h_orthonormalize(fp, -1j * space.omega(fp, fp)),
         hframe_minus=_h_orthonormalize(fm, 1j * space.omega(fm, fm)),
@@ -381,18 +384,11 @@ def graph_rep(splitting, lam):
 
     Raises
     ------
-    UnbalancedSplitting
-        If dim H+ != dim H-, in which case no Lagrangians exist at all.
     NotLagrangian
         If the subspace has the wrong dimension, projects degenerately onto
         H+, or the resulting matrix fails its unitarity residual.
     """
     k = splitting.hframe_plus.shape[-1]
-    if not splitting.balanced:
-        raise UnbalancedSplitting(
-            f"splitting has dims ({k}, {splitting.hframe_minus.shape[-1]}); "
-            "no Lagrangian subspaces exist"
-        )
     if lam.dim != k:
         raise NotLagrangian(f"subspace has dim {lam.dim}, Lagrangians have dim {k}")
     basis = np.concatenate([splitting.hframe_plus, splitting.hframe_minus], axis=-1)
@@ -404,18 +400,6 @@ def graph_rep(splitting, lam):
     u = b @ np.linalg.inv(a)
     require_unitary(u, NotLagrangian, "graph matrix of a non-Lagrangian subspace")
     return u
-
-
-def pair_unitary(splitting, lam, mu):
-    """The unitary ``W = U V^{-1}`` comparing two Lagrangians.
-
-    The kernel of ``W - I`` has the same dimension as ``lam ∩ mu``, and the
-    spectrum of W does not depend on the frame choices inside the splitting,
-    which is what makes eigenvalue-counting arguments well posed.
-    """
-    u = graph_rep(splitting, lam)
-    v = graph_rep(splitting, mu)
-    return u @ v.conj().swapaxes(-1, -2)
 
 
 def normalize_metric(space):
@@ -544,11 +528,12 @@ def member(x, i):
 
 
 def as_path(value, cls, build, what):
-    """``value`` (a ``cls``, what ``build`` turns into one, or a callable of
-    one s returning either) as a map from an s-array to one member, coerced
-    once, or to the :func:`stacked` values at each s, named ``what``.  A
-    callable whose raw values (form, frame or array) are exactly equal at
-    every s of the array is one member too; a NaN equals nothing."""
+    """``value`` (a ``cls``, :class:`SymplecticSpace` or :class:`Subspace`,
+    what ``build`` turns into one, or a callable of one s returning either)
+    as a map from an s-array to one member, coerced once, or to the
+    :func:`stacked` values at each s, named ``what``.  A callable whose raw
+    values (form, frame or array) are exactly equal at every s of the array
+    is one member too; a NaN equals nothing."""
     def coerce(v):
         return v if isinstance(v, cls) else build(v)
 

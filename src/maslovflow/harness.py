@@ -448,7 +448,7 @@ def _suite_unitary_counting(rng, dims):
     v = u @ (p * np.exp(1j * phases)) @ p.conj().T
     lam = _lagrangian_from_unitary(splitting, u)
     mu = _lagrangian_from_unitary(splitting, v)
-    w = core.pair_unitary(splitting, lam, mu)
+    w = core.graph_rep(splitting, lam) @ core.graph_rep(splitting, mu).conj().T
     theta = flow.eigenphases(w)
     counted = int(np.sum(np.abs(theta) < 1e-7))
     dim_int = core.intersection_dim(lam, mu)

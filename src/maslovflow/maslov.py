@@ -52,6 +52,7 @@ from .core import (
 from .errors import (
     Degenerate,
     DimensionMismatch,
+    NonFinite,
     NonUnitaryGenerator,
     NotLagrangianReal,
     NotSkewHermitian,
@@ -113,18 +114,28 @@ class PairPath:
             boxplus(space, space), boxplus_subspace(lam, mu), diagonal_subspace(space.dim)))
 
     def pushforward(self, l):
-        """Transport the whole path by an invertible map (constant or
-        callable in s): the form becomes L^{-*} J L^{-1} and subspaces move
-        by L, which changes nothing about the index."""
-        lfun = core.as_path(l, np.ndarray, np.asarray, "L")
+        """Transport the whole path by one invertible n x n matrix L: the
+        form becomes L^{-*} J L^{-1} and subspaces move by L, which changes
+        nothing about the index.  L is inverted once, here; anything but one
+        nonempty square matrix raises ``DimensionMismatch``, and so does a path
+        outside C^n when it is sampled; a non-finite L raises ``NonFinite``
+        and a singular one ``Degenerate``."""
+        l = np.asarray(l)
+        if l.ndim != 2 or l.shape[0] != l.shape[1] or not l.size:
+            raise DimensionMismatch(f"L must be one nonempty square matrix, got shape {l.shape}")
+        if not np.all(np.isfinite(l)):
+            raise NonFinite("L holds a non-finite entry")
+        core.require_nonsingular(la.svdvals(l), Degenerate, "L")
+        linv = np.linalg.inv(l)
+        linv_star = linv.conj().T
 
         def transform(ss, space, lam, mu):
-            lmat = lfun(ss)
-            linv = np.linalg.inv(lmat)
-            jnew = linv.conj().swapaxes(-1, -2) @ space.form @ linv
-            return (make_space_stack(jnew),
-                    subspace_from_span(lmat @ lam.frame),
-                    subspace_from_span(lmat @ mu.frame))
+            if space.dim != len(l):
+                raise DimensionMismatch(f"L is {len(l)} x {len(l)}, the path lives in "
+                                        f"C^{space.dim}")
+            return (make_space_stack(linv_star @ space.form @ linv),
+                    subspace_from_span(l @ lam.frame),
+                    subspace_from_span(l @ mu.frame))
 
         return self._mapped(transform)
 
@@ -244,7 +255,7 @@ def _check_real_lagrangian(j, frame, what):
     return frame
 
 
-def real_generator(j, lam_frame, mu_frame):
+def _real_generator(j, lam_frame, mu_frame):
     """The unitary generator S attached to a real Lagrangian pair.
 
     With A = Q^T M and B = (JQ)^T M for orthonormal frames Q of lambda and M
@@ -252,7 +263,9 @@ def real_generator(j, lam_frame, mu_frame):
     positive definite, and ``V = T (T^* T)^{-1/2}`` is unitary.  The
     generator is ``S = V V^T`` (plain transpose); it depends only on the two
     subspaces up to real-orthogonal conjugation, so its spectrum is an
-    invariant of the pair.  Returns (V, S).
+    invariant of the pair.  Returns (V, S).  The shapes are not checked
+    here: :func:`complexify_and_compare`, the one caller, checks every frame
+    with :func:`_check_real_lagrangian` first.
 
     ``mu_frame`` may be a stack ``(S, 2m, m)``, one engine batch of frames
     (the generator path of :func:`complexify_and_compare` passes one per
@@ -301,7 +314,7 @@ def complexify_and_compare(j, lam, mu_path, interval, opts=None):
 
     ``mu_path`` is called, and its frame checked, once per distinct s over
     both flows.  The generator path answers a whole engine batch: one
-    :func:`real_generator` call on the stack of its frames, one ``solve``
+    :func:`_real_generator` call on the stack of its frames, one ``solve``
     for their bridge coordinates and one :func:`eigenphases` call.
 
     Returns
@@ -344,7 +357,7 @@ def complexify_and_compare(j, lam, mu_path, interval, opts=None):
 
     def generator_phases(ss):
         mfr = core.stacked([mu_at(s) for s in ss], "mu")
-        _, smat = real_generator(j, q, mfr)
+        _, smat = _real_generator(j, q, mfr)
         # SciPy solves (and inverts) a stack member by member in one call;
         # the frames side by side as one right-hand side would change the
         # m = 1 coordinates, which LAPACK solves as a single column

@@ -263,24 +263,25 @@ class _ShootingSystem:
         Returns ``(L, d, d)``, or ``(steps + 1, L, d, d)`` when
         ``checkpoints`` is set (values at the grid times
         ``linspace(0, T, steps + 1)``, the last of which is T itself).  A
-        lambda with a nonzero imaginary part raises ``ValueError``.  A
-        constant system is propagated by the exact matrix exponential.  Any
-        other gets its RK4 step matrices M_k(lambda) by Horner's rule on the
-        step polynomial and multiplies them in a pairwise product tree,
-        ceil(log2 steps) batched matmuls; checkpoints come from a
-        Hillis-Steele prefix scan instead, whose last entry equals the
-        tree's product bit for bit.  With ``self.real`` Horner runs on the
-        polynomial's real view, the step matrices are embedded, and the
-        products are read back to complex at the end.  The lambdas go
-        through in chunks whose Horner stack ``(chunk, steps, d, d)`` holds
-        at most ``_STACK_ENTRIES`` complex entries (one lambda at least; the
-        real embedding of a chunk takes twice those bytes), so memory stays
-        flat in the batch, and each result is the same whatever batch it
-        came in.
+        lambda that is not real and finite (a nonzero imaginary part, NaN,
+        +-inf) raises ``ValueError``.  A constant system is propagated by
+        the exact matrix exponential.  Any other gets its RK4 step matrices
+        M_k(lambda) by Horner's rule on the step polynomial and multiplies
+        them in a pairwise product tree, ceil(log2 steps) batched matmuls;
+        checkpoints come from a Hillis-Steele prefix scan instead, whose
+        last entry equals the tree's product bit for bit.  With
+        ``self.real`` Horner runs on the polynomial's real view, the step
+        matrices are embedded, and the products are read back to complex at
+        the end.  The lambdas go through in chunks whose Horner stack
+        ``(chunk, steps, d, d)`` holds at most ``_STACK_ENTRIES`` complex
+        entries (one lambda at least; the real embedding of a chunk takes
+        twice those bytes), so memory stays flat in the batch, and each
+        result is the same whatever batch it came in.
         """
         lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-        if np.any(lams.imag):
-            raise ValueError(f"shooting parameters must be real, got {lams[lams.imag != 0][0]!r}")
+        bad = (lams.imag != 0) | ~np.isfinite(lams)
+        if np.any(bad):
+            raise ValueError(f"shooting parameters must be real and finite, got {lams[bad][0]!r}")
         if self.const:
             a = self.c0 + lams[:, None, None] * self.c1
             if checkpoints:
@@ -578,8 +579,8 @@ def transfer_matrix(fam, s, lam=0.0, steps=BvpOpts.steps):
 
     For a first-order family this is the m x m matrix with
     ``Gamma(0) = I``; for a second-order family, the 2m x 2m phase-space
-    fundamental solution of the reduced Hamiltonian system.  A lambda with
-    a nonzero imaginary part raises ``ValueError``.  A t-varying system of
+    fundamental solution of the reduced Hamiltonian system.  A lambda that
+    is not real and finite raises ``ValueError``.  A t-varying system of
     size 2 <= d <= 4 is integrated in real arithmetic (``_ShootingSystem``),
     which agrees with the complex products to rounding, not bit for bit.
     """

@@ -181,7 +181,7 @@ def test_a_stack_splits_and_graphs_as_its_members_alone(with_metric):
     lam = core.Subspace(frame=np.stack([sub.frame for sub in lams]))
     stacked = core.make_splitting(space, metric=metric)
     graphs = core.graph_rep(stacked, lam)
-    assert (space.dim, lam.dim, lam.ambient_dim) == (6, 3, 6) and stacked.balanced
+    assert (space.dim, lam.dim, lam.ambient_dim) == (6, 3, 6)
     for i, (sp, sub) in enumerate(zip(alone, lams)):
         npt.assert_array_equal(stacked.hframe_plus[i], sp.hframe_plus)
         npt.assert_array_equal(stacked.hframe_minus[i], sp.hframe_minus)
@@ -192,7 +192,7 @@ def test_a_stack_splits_and_graphs_as_its_members_alone(with_metric):
 
 def test_a_stack_whose_signature_changes_has_no_splitting():
     forms = np.stack([np.diag([1j, -1j, 1j, -1j]), np.diag([1j, 1j, -1j, 1j])])
-    with pytest.raises(UnbalancedSplitting):
+    with pytest.raises(UnbalancedSplitting, match=r"halves of dims \(3, 1\)"):
         core.make_splitting(core.SymplecticSpace(form=forms))
 
 
@@ -252,13 +252,10 @@ def test_splitting_dimensions_and_metric_frames(with_metric):
 
 
 def test_unbalanced_splitting_has_no_lagrangians():
-    j = np.diag([1j, 1j, -1j, 1j])
-    space = core.make_space(j)
-    sp = core.make_splitting(space)
-    assert not sp.balanced
-    lam = core.subspace_from_span(np.eye(4)[:, :2])
-    with pytest.raises(UnbalancedSplitting):
-        core.graph_rep(sp, lam)
+    # the splitting of a space without Lagrangians is refused where it is made
+    for j in (np.diag([1j, 1j, -1j, 1j]), np.diag([1j, 1j, -1j])):
+        with pytest.raises(UnbalancedSplitting, match="no Lagrangian subspaces exist"):
+            core.make_splitting(core.make_space(j))
 
 
 def test_subspace_from_span_drops_dependent_columns():
@@ -373,7 +370,11 @@ def test_graph_rep_rejects_non_lagrangian():
      DimensionMismatch),
     (lambda: core.pair_index(std_space(), core.subspace_from_span(np.eye(4)[:, :2]),
                              core.subspace_from_span(np.eye(2)[:, :1])), DimensionMismatch),
-], ids=["metric-3x3-on-c2", "graph-rep-dim-2-in-c2", "annihilator-of-c4", "pair-index-of-c4"])
+    # raised NumPy's matmul ValueError
+    (lambda: core.intersection_dim(core.subspace_from_span(np.eye(4)[:, :2]),
+                                   core.subspace_from_span(np.eye(3)[:, :1])), DimensionMismatch),
+], ids=["metric-3x3-on-c2", "graph-rep-dim-2-in-c2", "annihilator-of-c4", "pair-index-of-c4",
+        "intersection-of-c4-and-c3"])
 def test_inputs_of_the_wrong_dimension_raise_typed_errors(call, exc):
     with pytest.raises(exc):
         call()
@@ -389,7 +390,7 @@ def test_pair_unitary_intersections():
 
     lam = lag(0.0)
     for theta, want in [(0.0, 1), (0.5, 0), (np.pi, 0)]:
-        w = core.pair_unitary(sp, lag(theta), lam)
+        w = core.graph_rep(sp, lag(theta)) @ core.graph_rep(sp, lam).conj().T
         phases = np.angle(np.linalg.eigvals(w))
         n_one = int(np.count_nonzero(np.abs(phases) < 1e-8))
         assert n_one == want

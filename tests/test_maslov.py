@@ -12,6 +12,7 @@ from maslovflow.errors import (
     BadMetric,
     Degenerate,
     DimensionMismatch,
+    NonFinite,
     NotLagrangian,
     NotLagrangianReal,
     NotSkewHermitian,
@@ -88,9 +89,12 @@ def test_results_do_not_depend_on_the_frames():
         ra, rb = regauge(a), regauge(b)
         assert core.intersection_dim(ra, rb) == core.intersection_dim(a, b)
         assert core.pair_index(space, ra, rb) == core.pair_index(space, a, b)
-    npt.assert_allclose(
-        flow.eigenphases(core.pair_unitary(splitting, regauge(lam), regauge(mu))),
-        flow.eigenphases(core.pair_unitary(splitting, lam, mu)), atol=1e-12)
+
+    def pair_unitary(a, b):
+        return core.graph_rep(splitting, a) @ core.graph_rep(splitting, b).conj().T
+
+    npt.assert_allclose(flow.eigenphases(pair_unitary(regauge(lam), regauge(mu))),
+                        flow.eigenphases(pair_unitary(lam, mu)), atol=1e-12)
     moved = path._mapped(lambda s, space, lam, mu: (space, regauge(lam), regauge(mu)))
     total, report = maslov.maslov_index(path)
     moved_total, moved_report = maslov.maslov_index(moved)
@@ -140,6 +144,25 @@ def test_pushforward_invariance():
     assert a == b
 
 
+@pytest.mark.parametrize("l, exc, message", [
+    (lambda s: np.eye(2), DimensionMismatch,
+     r"^L must be one nonempty square matrix, got shape \(\)$"),
+    (np.eye(2)[:, :1], DimensionMismatch,
+     r"^L must be one nonempty square matrix, got shape \(2, 1\)$"),
+    (np.stack([np.eye(2)] * 3), DimensionMismatch,
+     r"^L must be one nonempty square matrix, got shape \(3, 2, 2\)$"),
+    (np.zeros((0, 0)), DimensionMismatch,
+     r"^L must be one nonempty square matrix, got shape \(0, 0\)$"),
+    # these three raised NumPy's matmul ValueError, SciPy's ValueError and LinAlgError
+    (np.eye(3), DimensionMismatch, r"^L is 3 x 3, the path lives in C\^2$"),
+    (np.diag([1.0, np.nan]), NonFinite, r"^L holds a non-finite entry$"),
+    (np.diag([1.0, 0.0]), Degenerate, r"^L is numerically singular"),
+], ids=["callable", "not square", "a stack", "empty", "another dimension", "nan", "singular"])
+def test_pushforward_takes_one_invertible_matrix_of_the_path_dimension(l, exc, message):
+    with pytest.raises(exc, match=message):
+        maslov.maslov_index(rotation_path(1).pushforward(l))
+
+
 def test_splitting_independence():
     metric = np.diag([1.0, 2.0])
     canonical, _ = maslov.maslov_index(rotation_path(1))
@@ -179,7 +202,7 @@ def test_real_comparison_on_line_rotation():
 
 def test_real_generator_is_unitary_symmetric():
     data = line_rotation_data()
-    v, s = maslov.real_generator(data.j, data.lam, data.mu_path(0.3))
+    v, s = maslov._real_generator(data.j, data.lam, data.mu_path(0.3))
     npt.assert_allclose(v.conj().T @ v, np.eye(1), atol=1e-12)
     npt.assert_allclose(s, s.T, atol=1e-12)
 
@@ -223,7 +246,7 @@ def test_a_nan_in_the_real_bridge_raises_a_typed_error_naming_the_field(part, ba
 def test_real_generator_refuses_a_nan_frame():
     data = line_rotation_data()
     with pytest.raises(NotLagrangianReal):
-        maslov.real_generator(data.j, data.lam, NAN_FRAME)
+        maslov._real_generator(data.j, data.lam, NAN_FRAME)
 
 
 def real_comparison_draws(seed=42, trials=16):
@@ -245,9 +268,9 @@ def real_comparison_draws(seed=42, trials=16):
 def test_real_generator_answers_a_stack_as_its_members_alone():
     for data in real_comparison_draws(trials=4):
         frames = np.stack([data.mu_path(s) for s in np.linspace(0.0, 1.0, 7)])
-        v, s = maslov.real_generator(data.j, data.lam, frames)
+        v, s = maslov._real_generator(data.j, data.lam, frames)
         for i, frame in enumerate(frames):
-            vi, si = maslov.real_generator(data.j, data.lam, frame)
+            vi, si = maslov._real_generator(data.j, data.lam, frame)
             assert np.array_equal(v[i], vi) and np.array_equal(s[i], si)
 
 
@@ -256,10 +279,10 @@ def test_real_generator_answers_a_stack_as_its_members_alone():
 def test_one_bad_member_of_a_stack_raises_what_it_raises_alone(bad, exc):
     data = line_rotation_data()
     with pytest.raises(exc):
-        maslov.real_generator(data.j, data.lam, bad)
+        maslov._real_generator(data.j, data.lam, bad)
     frames = np.stack([data.mu_path(0.2), bad, data.mu_path(0.7)])
     with pytest.raises(exc):
-        maslov.real_generator(data.j, data.lam, frames)
+        maslov._real_generator(data.j, data.lam, frames)
 
 
 def test_a_frame_stack_with_no_members_has_no_generator():
@@ -267,7 +290,7 @@ def test_a_frame_stack_with_no_members_has_no_generator():
     data = line_rotation_data()
     with pytest.raises(DimensionMismatch,
                        match=r"^mu_frame must be nonempty, got shape \(0, 2, 1\)$"):
-        maslov.real_generator(data.j, data.lam, np.zeros((0, 2, 1)))
+        maslov._real_generator(data.j, data.lam, np.zeros((0, 2, 1)))
 
 
 def test_the_bridge_reads_each_mu_frame_once_per_s():
@@ -284,7 +307,7 @@ def test_the_bridge_reads_each_mu_frame_once_per_s():
 
 
 def _per_s_real_generator(j, lam_frame, mu_frame):
-    """``real_generator`` for one frame, as it was before it took stacks."""
+    """``_real_generator`` for one frame, as it was before it took stacks."""
     q = np.asarray(lam_frame, dtype=float)
     mfr = np.asarray(mu_frame, dtype=float)
     t = (j @ q).T @ mfr - 1j * (q.T @ mfr)

@@ -1207,6 +1207,14 @@ def test_a_shooting_parameter_off_the_real_line_is_refused(d, steps):
     npt.assert_array_equal(system.propagate([0.1 + 0j]), system.propagate([0.1]))
 
 
+@pytest.mark.parametrize("lam", [0.5j, np.nan, np.inf, -np.inf],
+                         ids=["complex", "nan", "inf", "-inf"])
+def test_transfer_matrix_refuses_a_lambda_off_the_finite_real_line(lam):
+    # NaN and +-inf gave a NaN matrix with no error
+    with pytest.raises(ValueError, match="must be real and finite"):
+        odebvp.transfer_matrix(stock_family("S1"), 0.5, lam)
+
+
 def test_propagation_memory_is_flat_in_the_batch():
     # 257 lambdas is the detector's uncertified node count; unchunked, the
     # stack of step matrices alone would take 135 MB here
@@ -1233,8 +1241,8 @@ def test_maslov_long_ends_at_the_transfer_matrix_graph(r_fun, const):
     _, report = odebvp.maslov_long(fam, 0.5, w, odebvp.BvpOpts(steps=256))
     graph = odebvp.graph_subspace(odebvp.transfer_matrix(fam, 0.5, 0.0, steps=256))
     splitting = core.make_splitting(odebvp.boundary_space(fam, 0.5))
-    npt.assert_array_equal(report.samples[fam.T],
-                           flow.eigenphases(core.pair_unitary(splitting, graph, w)))
+    pair_unitary = core.graph_rep(splitting, graph) @ core.graph_rep(splitting, w).conj().T
+    npt.assert_array_equal(report.samples[fam.T], flow.eigenphases(pair_unitary))
 
 
 def test_softening_oscillator_both_pipelines():

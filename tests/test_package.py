@@ -3,10 +3,14 @@
 import importlib
 import runpy
 import sys
+import tomllib
 import types
+from importlib import metadata
 from pathlib import Path
 
 import pytest
+from packaging.requirements import Requirement
+from packaging.specifiers import SpecifierSet
 
 import maslovflow
 
@@ -24,14 +28,28 @@ def test_the_package_binds_only_its_submodules():
             if not isinstance(value, types.ModuleType)] == []
 
 
-def test_the_console_script_names_a_callable():
-    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+def project():
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        scripts = tomllib.load(fh)["project"]["scripts"]
+        return tomllib.load(fh)["project"]
+
+
+def test_the_console_script_names_a_callable():
+    scripts = project()["scripts"]
     assert scripts == {"maslovflow": "maslovflow.cli:main"}
     for target in scripts.values():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_the_python_floor_admits_no_version_a_dependency_refuses():
+    # ">=3.10" was declared while the SciPy and NumPy it requires need 3.11
+    declared = project()
+    floor = declared["requires-python"]
+    assert floor.startswith(">=")
+    for dep in declared["dependencies"]:
+        name = Requirement(dep).name
+        needs = metadata.metadata(name)["Requires-Python"] or ""
+        assert floor[2:] in SpecifierSet(needs), f"{name} needs Python {needs}, not {floor}"
 
 
 @pytest.mark.parametrize("script, args", [
